@@ -247,21 +247,15 @@ def log_kernel_matrix(grid, a_eval, b_eval, a_diag, b_diag) -> np.ndarray:
 
 def _scalar_k0_matrix(grid, z: float, mass: float) -> np.ndarray:
     """Matrix of (1/2pi) K0(kappa |x-y|) against arclength (real symmetric kernel)."""
-    cache = grid.cache()
-    key = ("k0mat", z, mass)
-    if key not in cache:
-        kappa = K.gap_kappa(z, mass)
-        pref = 1.0 / (2 * np.pi)
-        mat = log_kernel_matrix(
-            grid,
-            lambda r, dx: -pref * K.bessel_i0(kappa * r),
-            lambda r, dx: pref * K.b_k0(r, kappa),
-            np.full(grid.n_nodes, -pref),
-            np.full(grid.n_nodes, pref * K.b_k0_at_zero(kappa)),
-        ).real
-        mat.setflags(write=False)
-        cache[key] = mat
-    return cache[key]
+    kappa = K.gap_kappa(z, mass)
+    pref = 1.0 / (2 * np.pi)
+    return log_kernel_matrix(
+        grid,
+        lambda r, dx: -pref * K.bessel_i0(kappa * r),
+        lambda r, dx: pref * K.b_k0(r, kappa),
+        np.full(grid.n_nodes, -pref),
+        np.full(grid.n_nodes, pref * K.b_k0_at_zero(kappa)),
+    ).real
 
 
 def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> ScalarOperator:
@@ -280,21 +274,21 @@ def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> SpinorOpe
     b11 = (mass + z) * s_mat
     b22 = (z - mass) * s_mat
 
-    def a_off(conjugate):
-        def eval_(r, dx):
-            phase = (np.conj(dx) if conjugate else dx) / r
-            return 1j * pref * kappa * K.bessel_i1(kappa * r) * phase
-        return eval_
+    def a_off(r, dx):
+        return 1j * pref * kappa * K.bessel_i1(kappa * r) * (np.conj(dx) / r)
 
-    def b_off(conjugate):
-        def eval_(r, dx):
-            phase = (np.conj(dx) if conjugate else dx) / r
-            return 1j * pref * K.b_k1(r, kappa) * phase
-        return eval_
+    def b_off(r, dx):
+        return 1j * pref * K.b_k1(r, kappa) * (np.conj(dx) / r)
 
     zeros = np.zeros(grid.n_nodes)
-    b12 = log_kernel_matrix(grid, a_off(True), b_off(True), zeros, zeros)
-    b21 = log_kernel_matrix(grid, a_off(False), b_off(False), zeros, zeros)
+    b12 = log_kernel_matrix(grid, a_off, b_off, zeros, zeros)
+    # The lower block's kernel (dx/r in place of conj(dx)/r) is minus the
+    # complex conjugate of the upper one, and every quadrature weight (the
+    # Kress circulant, the log-product weights, the arclength weights) is
+    # real, so minus the conjugate of the assembled upper block is exactly
+    # the assembled lower block.  Subtracting from 0.0 rather than negating
+    # leaves its zero entries +0.0, as a direct assembly gives them.
+    b21 = 0.0 - np.conj(b12)
     diff = spinor_from_blocks(b11, b12, b21, b22)
     cm = assemble_Cm(grid).matrix
     return SpinorOperator(cm + diff, grid, "C_z", z, coupling)
@@ -311,21 +305,31 @@ def _cz_or_cm(grid, z, coupling):
     return assemble_Cz(grid, z, coupling).matrix
 
 
+def theta_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
+    """Matrix of Theta_z = I + (eps sigma_0 + mu sigma_3) C_z from that of C_z."""
+    d = coupling_diagonal(coupling, cz.shape[0] // 2)
+    return np.eye(cz.shape[0], dtype=complex) + d[:, None] * cz
+
+
+def lambda_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
+    """Matrix of Lambda_z = (eps sigma_0 - mu sigma_3)/(eps^2 - mu^2) + C_z."""
+    if coupling.is_critical:
+        raise CriticalCouplingError("Lambda_z undefined at |eps| = |mu|")
+    d = np.tile([1.0 / (coupling.eps + coupling.mu),
+                 1.0 / (coupling.eps - coupling.mu)], cz.shape[0] // 2)
+    return np.diag(d).astype(complex) + cz
+
+
 def assemble_theta(grid: QuadratureGrid, z: float, coupling: Coupling) -> SpinorOperator:
     """Theta_z = I + (eps sigma_0 + mu sigma_3) C_z; z = m uses the Cauchy limit."""
-    c = _cz_or_cm(grid, z, coupling)
-    m = np.eye(c.shape[0], dtype=complex) + coupling_diagonal(coupling, grid.n_nodes)[:, None] * c
+    m = theta_from_cz(_cz_or_cm(grid, z, coupling), coupling)
     return SpinorOperator(m, grid, "Theta_z", z, coupling)
 
 
 def assemble_lambda(grid: QuadratureGrid, z: float, coupling: Coupling) -> SpinorOperator:
     """Lambda_z = (eps sigma_0 - mu sigma_3)/(eps^2 - mu^2) + C_z."""
-    if coupling.is_critical:
-        raise CriticalCouplingError("Lambda_z undefined at |eps| = |mu|")
-    c = _cz_or_cm(grid, z, coupling)
-    d = np.tile([1.0 / (coupling.eps + coupling.mu),
-                 1.0 / (coupling.eps - coupling.mu)], grid.n_nodes)
-    return SpinorOperator(np.diag(d).astype(complex) + c, grid, "Lambda_z", z, coupling)
+    m = lambda_from_cz(_cz_or_cm(grid, z, coupling), coupling)
+    return SpinorOperator(m, grid, "Lambda_z", z, coupling)
 
 
 def assemble_gamma(grid: QuadratureGrid, coupling: Coupling) -> SpinorOperator:

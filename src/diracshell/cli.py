@@ -97,7 +97,6 @@ _KNOWN_KEYS = {
     "mtheta": {"theta_min_pi", "theta_max_pi", "steps", "tol"},
     "symbol": {"theta_pi", "eta_min", "eta_max", "eta_steps", "trunc", "tol"},
     "sweep": {"eps_min", "eps_max", "eps_steps", "mu_min", "mu_max", "mu_steps"},
-    "output": {"format"},
 }
 
 _REQUIRED_SECTIONS = {
@@ -154,7 +153,10 @@ def validate_config(cfg, command: str):
         if unknown:
             raise ConfigError(
                 f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+    has_edges = any(section.startswith("edge.") for section in cfg)
     for needed in _REQUIRED_SECTIONS.get(command, ()):
+        if needed == "curve" and has_edges:
+            continue  # [edge.N] sections define the curve
         if needed not in cfg:
             raise ConfigError(f"command {command!r} requires a [{needed}] section")
 
@@ -205,13 +207,23 @@ def emit_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def write_atomic(path: str, text: str):
+    """Write through a temporary file and a rename, so readers never see a
+    partial file; the result gets the mode open() would give, 0o666 & ~umask
+    (mkstemp creates the temporary file at 0o600)."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -417,13 +429,13 @@ def cmd_eigs(cfg, args, out):
                   float(sec.get("z_max", 0.99 * coupling.mass)))
     samples = int(sec.get("samples", 128))
     tol = float(sec.get("tol", 1e-12))
+    sweep = sp.gap_sweep(grid, coupling, window, samples)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedWarning)
-        pairs = sp.find_eigenvalues(grid, coupling, window, samples, tol)
+        pairs = sp.find_eigenvalues(grid, coupling, tol=tol, sweep=sweep)
     if args.strict and any(issubclass(w.category, IllConditionedWarning)
                            for w in caught):
         raise ConvergenceError("ill-conditioned eigenvalue root under --strict")
-    sweep = sp.gap_sweep(grid, coupling, window, samples)
     doc = {
         "route": sweep.route,
         "window": list(window) if window else list(sp.default_window(coupling)),
@@ -504,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("--config", required=True, help="path to the run configuration")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], default=None,
-                   help="preferred output format where a choice exists")
     p.add_argument("--strict", action="store_true",
                    help="promote numerical warnings to exit status 3")
     p.add_argument("--threads", type=int, default=None,

@@ -55,18 +55,31 @@ def _route(coupling: Coupling) -> str:
     return "lambda"
 
 
-def _hermitian_eigs(grid, coupling, z, want_vectors=False):
+def _hermitian_matrix(grid, coupling, z):
+    """The Hermitian part of Lambda_z, or of lambda_z on the scalar route."""
     if _route(coupling) == "scalar":
         s = bo.assemble_Sz(grid, z, coupling).matrix
         sign = 1.0 if coupling.eps == coupling.mu else -1.0
         mat = (z + sign * coupling.mass) * s
-        mat = 0.5 * (mat + mat.T) + np.eye(grid.n_nodes) / (2.0 * coupling.eps)
-    else:
-        lam = bo.assemble_lambda(grid, z, coupling).matrix
-        mat = 0.5 * (lam + lam.conj().T)
-    if want_vectors:
-        return np.linalg.eigh(mat)
-    return np.linalg.eigvalsh(mat)
+        return 0.5 * (mat + mat.T) + np.eye(grid.n_nodes) / (2.0 * coupling.eps)
+    return _hermitian_part(bo.assemble_lambda(grid, z, coupling).matrix)
+
+
+def _hermitian_part(mat):
+    return 0.5 * (mat + mat.conj().T)
+
+
+def _hermitian_eigs(grid, coupling, z):
+    return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z))
+
+
+def _root_operators(grid, coupling, z):
+    """(Hermitian matrix, Theta_z) at a root; one C_z assembly on the lambda route."""
+    if _route(coupling) == "scalar":
+        return (_hermitian_matrix(grid, coupling, z),
+                bo.assemble_theta(grid, z, coupling).matrix)
+    cz = bo.assemble_Cz(grid, z, coupling).matrix
+    return _hermitian_part(bo.lambda_from_cz(cz, coupling)), bo.theta_from_cz(cz, coupling)
 
 
 def default_window(coupling: Coupling) -> tuple:
@@ -105,28 +118,45 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     return BranchData(zs, eigs, route, coupling, max_jump, float(jump_threshold))
 
 
-def _neg_count(grid, coupling, z) -> int:
-    return int(np.sum(_hermitian_eigs(grid, coupling, z) < 0.0))
-
-
-def _smallest_eig(grid, coupling, z) -> float:
-    ev = _hermitian_eigs(grid, coupling, z)
-    return float(ev[np.argmin(np.abs(ev))])
-
-
 def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
                      z_range: tuple | None = None, samples: int = 128,
-                     tol: float = 1e-12) -> list:
+                     tol: float = 1e-12, sweep: BranchData | None = None) -> list:
     """Locate gap eigenvalues: bisection on the negative-eigenvalue count,
-    then secant polish of the crossing branch to |lambda| <= 1e-10."""
+    then secant polish of the crossing branch to |lambda| <= 1e-10.
+
+    With ``sweep``, a ``gap_sweep`` of the same grid and coupling, the sample
+    points and their spectra are taken from it (z_range and samples are then
+    unused) instead of being solved again.  Each distinct z is solved once.
+    """
     if tol < 1e-12:
         raise SpectralParameterError("z tolerance below supported resolution")
+    if sweep is not None and sweep.coupling != coupling:
+        raise SpectralParameterError("the sweep was computed for another coupling")
     route = _route(coupling)
     if route == "empty":
         return []
-    lo, hi = z_range if z_range is not None else default_window(coupling)
-    zs = np.linspace(lo, hi, samples)
-    counts = [_neg_count(grid, coupling, z) for z in zs]
+    spectra = {}  # float(z) -> eigenvalues of the Hermitian operator at z
+
+    def eigs_at(z):
+        key = float(z)
+        if key not in spectra:
+            spectra[key] = _hermitian_eigs(grid, coupling, z)
+        return spectra[key]
+
+    def neg_count(z):
+        return int(np.sum(eigs_at(z) < 0.0))
+
+    def smallest_eig(z):
+        ev = eigs_at(z)
+        return float(ev[np.argmin(np.abs(ev))])
+
+    if sweep is None:
+        lo, hi = z_range if z_range is not None else default_window(coupling)
+        zs = np.linspace(lo, hi, samples)
+    else:
+        zs = sweep.z_samples
+        spectra.update(zip(map(float, zs), sweep.eigenvalues))
+    counts = [neg_count(z) for z in zs]
     brackets = []  # (a, b, multiplicity) with the crossing isolated in [a, b]
 
     def isolate(a, b, ca, cb, depth=0):
@@ -134,7 +164,7 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
         # separate; a bracket may still hold several coincident crossings
         while b - a > max(tol, 1e-5):
             mid = 0.5 * (a + b)
-            cm = _neg_count(grid, coupling, mid)
+            cm = neg_count(mid)
             if cm == ca:
                 a = mid
             elif cm == cb:
@@ -144,7 +174,7 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
                 a, ca = mid, cm
         brackets.append((a, b, abs(cb - ca)))
 
-    for i in range(samples - 1):
+    for i in range(len(zs) - 1):
         if counts[i + 1] != counts[i]:
             isolate(zs[i], zs[i + 1], counts[i], counts[i + 1])
 
@@ -154,21 +184,22 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
     for a, b, mult in sorted(brackets):
         # secant polish on the branch crossing zero
         za, zb = a, b
-        fa, fb = _smallest_eig(grid, coupling, za), _smallest_eig(grid, coupling, zb)
+        fa, fb = smallest_eig(za), smallest_eig(zb)
         z0 = zb
         for _ in range(60):
             if fb == fa:
                 break
             z0 = zb - fb * (zb - za) / (fb - fa)
             z0 = min(max(z0, min(za, zb) - 1e-3), max(za, zb) + 1e-3)
-            f0 = _smallest_eig(grid, coupling, z0)
+            f0 = smallest_eig(z0)
             za, fa, zb, fb = zb, fb, z0, f0
             if abs(f0) <= 1e-10 or abs(zb - za) <= tol:
                 break
         if roots and abs(z0 - roots[-1]) <= 10.0 * tol:
             continue  # duplicate of the previous root
         roots.append(z0)
-        ev, vec = _hermitian_eigs(grid, coupling, z0, want_vectors=True)
+        mat, theta = _root_operators(grid, coupling, z0)
+        ev, vec = np.linalg.eigh(mat)
         order = np.argsort(np.abs(ev))
         second = float(np.abs(ev[order[min(mult, len(ev) - 1)]]))
         if second < 1e-6:
@@ -176,7 +207,6 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
                 f"second-smallest eigenvalue {second:.2e} at root {z0:.6f}: "
                 "possible multiplicity", IllConditionedWarning)
         cond = float(np.max(np.abs(ev)) / max(second, np.finfo(float).tiny))
-        theta = bo.assemble_theta(grid, z0, coupling).matrix
         for k in range(mult):
             g = _embed_density(vec[:, order[k]], route, coupling, grid)
             g = g / np.linalg.norm(g)
@@ -337,7 +367,7 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
                                              "smooth curves"}))
 
     if not coupling.is_critical:
-        lam = bo.assemble_lambda(grid, z, coupling).matrix
+        lam = bo.lambda_from_cz(cz.matrix, coupling)
         inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex))
         mcpl = bo.coupling_diagonal(coupling, n)
         e = mcpl[:, None] * (np.eye(2 * n) - cz.matrix @ inv) - inv

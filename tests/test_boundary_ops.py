@@ -60,6 +60,34 @@ def test_cz_minus_cm_compactness_proxy(circle_grid_128, circle_grid_256):
     assert abs(svs[1] - svs[0]) / svs[0] < 0.05
 
 
+@pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 128),
+                                         (geo.square(1.0), 16),
+                                         (geo.l_shape(1.0), 16)])
+def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
+    # reference: the lower off-diagonal block assembled from its own kernel,
+    # i (1/2pi) [kappa I1(kappa r) log r + b_K1(r)] dx/r, as a second
+    # log-kernel matrix; assemble_Cz derives it from the upper block instead
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    z, mass = 0.3, COUP.mass
+    kappa = bo.K.gap_kappa(z, mass)
+    pref = 1.0 / (2 * np.pi)
+    zeros = np.zeros(grid.n_nodes)
+
+    def off_block(phase):
+        return bo.log_kernel_matrix(
+            grid,
+            lambda r, dx: 1j * pref * kappa * bo.K.bessel_i1(kappa * r) * (phase(dx) / r),
+            lambda r, dx: 1j * pref * bo.K.b_k1(r, kappa) * (phase(dx) / r),
+            zeros, zeros)
+
+    s_mat = bo._scalar_k0_matrix(grid, z, mass)
+    diff = bo.spinor_from_blocks((mass + z) * s_mat, off_block(np.conj),
+                                 off_block(lambda dx: dx), (z - mass) * s_mat)
+    want = bo.assemble_Cm(grid).matrix + diff
+    got = bo.assemble_Cz(grid, z, COUP).matrix
+    assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+
+
 def test_cz_near_gap_edge(circle_grid_128):
     cz = bo.assemble_Cz(circle_grid_128, 0.999, COUP)
     assert bo.hermitian_defect(cz) < 1e-8

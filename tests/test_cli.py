@@ -1,12 +1,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import diracshell
+from diracshell import boundary_ops as bo
 from diracshell import cli
 
 
@@ -171,6 +176,49 @@ branch_csv = true
     assert branches.shape[0] == 24
 
 
+def test_eigs_solves_each_distinct_z_once(tmp_path, monkeypatch):
+    p = _write(tmp_path, "e.cfg", """
+[curve]
+preset = circle
+
+[coupling]
+eps = 1.0
+mu = 0.0
+
+[discretization]
+nodes_per_edge = 128
+
+[eigs]
+samples = 24
+""")
+    solves, assembled = [], []
+    assemble_Cz = bo.assemble_Cz
+
+    def count_solves(fn):
+        def wrapper(*args, **kwargs):
+            # numpy's leggauss calls eigvalsh too; count the search's calls
+            if sys._getframe(1).f_globals.get("__name__") == "diracshell.spectral":
+                solves.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def count_assembly(grid, z, coupling):
+        assembled.append(float(z))
+        return assemble_Cz(grid, z, coupling)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", count_solves(np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", count_solves(np.linalg.eigh))
+    monkeypatch.setattr(bo, "assemble_Cz", count_assembly)
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", p, "--out", str(out)]) == 0
+    roots = len({e["z0"] for e in json.loads((out / "eigenvalues.json").read_text())
+                 ["eigenvalues"]})
+    assert roots >= 1
+    distinct = len(set(assembled))
+    assert len(solves) <= distinct + roots
+    assert len(assembled) <= distinct + roots
+
+
 def test_verify_end_to_end(tmp_path):
     p = _write(tmp_path, "v.cfg", """
 [curve]
@@ -252,6 +300,71 @@ curve_class = auto
     doc = json.loads((out / "classification.json").read_text())
     assert doc["curve_class"] == "polygon"
     assert len(doc["angles"]) == 4
+
+
+def test_edge_sections_stand_in_for_curve_section():
+    for command in ("eigs", "verify"):
+        cfg = {"coupling": {}, "discretization": {}, command: {}}
+        with pytest.raises(cli.ConfigError, match=r"\[curve\]"):
+            cli.validate_config(cfg, command)
+        cli.validate_config(dict(cfg, **{"edge.0": {"kind": "poly"}}), command)
+
+
+def test_verify_on_edge_curve_without_curve_section(tmp_path):
+    p = _write(tmp_path, "v.cfg", """
+[edge.0]
+kind = trig
+x = 0.0, 1.0
+y = 0.0, 0.0
+xs = 0.0, 0.0
+ys = 1.0, 0.0
+
+[coupling]
+eps = 2.0
+mu = 0.5
+
+[discretization]
+nodes_per_edge = 64
+
+[verify]
+z = 0.1
+""")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", p, "--out", str(out)]) == 0
+    doc = json.loads((out / "verification.json").read_text())
+    assert doc["grid_kind"] == "trapezoid"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_write_atomic_gives_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        cli.write_atomic(str(tmp_path / "atomic.json"), "{}\n")
+        with open(tmp_path / "plain.json", "w") as fh:
+            fh.write("{}\n")
+    finally:
+        os.umask(old)
+    mode = os.stat(tmp_path / "atomic.json").st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert mode == os.stat(tmp_path / "plain.json").st_mode & 0o777
+    assert sorted(os.listdir(tmp_path)) == ["atomic.json", "plain.json"]
+
+
+def test_import_cli_leaves_numpy_unloaded():
+    # --threads sets the BLAS thread variables in main(); they only take
+    # effect if numpy has not been imported by then
+    src = str(Path(diracshell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, diracshell.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_format_flag_removed(tmp_path):
+    p = _write(tmp_path, "c.cfg", CLASSIFY_CFG)
+    with pytest.raises(SystemExit):
+        cli.main(["classify", "--config", p, "--format", "json"])
+    p = _write(tmp_path, "o.cfg", CLASSIFY_CFG + "[output]\nformat = json\n")
+    assert cli.main(["classify", "--config", p]) == cli.EXIT_CONFIG
 
 
 def test_numerical_failure_exit_code(tmp_path):

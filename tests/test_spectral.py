@@ -55,6 +55,20 @@ def test_find_eigenvalues_circle(circle_grid_128):
         assert abs(np.linalg.norm(p.density) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("coup", [Coupling(1.0, 0.0), Coupling(-1.0, -1.0)])
+def test_find_eigenvalues_from_sweep_is_bitwise_equal(circle_grid_128, coup):
+    own = sp.find_eigenvalues(circle_grid_128, coup, samples=48)
+    sweep = sp.gap_sweep(circle_grid_128, coup, samples=48)
+    shared = sp.find_eigenvalues(circle_grid_128, coup, sweep=sweep)
+    assert len(own) == len(shared) >= 1
+    for p, q in zip(own, shared):
+        assert (p.z0, p.residual, p.second_smallest, p.condition) == \
+            (q.z0, q.residual, q.second_smallest, q.condition)
+        assert p.density.tobytes() == q.density.tobytes()
+    with pytest.raises(SpectralParameterError):
+        sp.find_eigenvalues(circle_grid_128, Coupling(2.0, 0.0), sweep=sweep)
+
+
 def test_root_count_stable_under_refinement(circle_curve, circle_grid_128,
                                             circle_grid_256):
     for coup in (Coupling(1.0, 0.0), Coupling(0.0, 1.0), Coupling(1.0, 1.0)):
