@@ -22,7 +22,6 @@ from .errors import (
     CriticalCouplingError,
     GridTooCoarse,
     PointOnCurveError,
-    SpectralParameterError,
 )
 from .geometry import QuadratureGrid
 from .kernels import Coupling
@@ -199,18 +198,19 @@ def assemble_Cm(grid: QuadratureGrid) -> SpinorOperator:
 # ---------------------------------------------------------------------------
 
 
-def log_kernel_matrix(grid, a_eval, b_eval, a_diag, b_diag) -> np.ndarray:
-    """Nystrom matrix for kernel a(x,y) log|x-y| + b(x,y) against arclength.
+def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
+    """Real weights L with sum_j L[i,j] a(y_j) ~ int a(y) log|x_i - y| ds(y).
 
-    a_eval/b_eval map (R, DX) -> (N, N) values (diagonal entries ignored);
-    a_diag/b_diag are length-N diagonal limits.
+    Trapezoid grids use the periodic circulant log rule on log(4 sin^2) plus
+    the smooth remainder log(|x - y| / 2|sin|); panel grids use the plain
+    rule off the own panel and a parameter-space log split on it (the same
+    eight product-weight vectors on every panel, whose Gauss nodes agree).
     """
+    cache = grid.cache()
+    if "log_L" in cache:
+        return cache["log_L"]
     n = grid.n_nodes
-    dx, r = _pairwise(grid)
-    A = np.asarray(a_eval(r, dx), dtype=complex)
-    B = np.asarray(b_eval(r, dx), dtype=complex)
-    A[np.diag_indices(n)] = a_diag
-    B[np.diag_indices(n)] = b_diag
+    _, r = _pairwise(grid)
     if grid.kind == "trapezoid":
         sp = np.abs(grid.dy_dparam)  # |dz/dtheta|
         th = grid.param
@@ -220,42 +220,43 @@ def log_kernel_matrix(grid, a_eval, b_eval, a_diag, b_diag) -> np.ndarray:
             sin2 = 2.0 * np.abs(np.sin(0.5 * (th[:, None] - th[None, :])))
             logpsi = np.log(r / sin2)
         logpsi[np.diag_indices(n)] = np.log(sp)
-        M = A * (0.5 * KW + (2 * np.pi / n) * logpsi) * sp[None, :]
-        M += B * grid.weights[None, :]
-        return M
-    # panel flavour: plain far quadrature, parameter log split on the own panel
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.log(r)
-    M = (A * logr + B) * grid.weights[None, :]
-    norder = len(gauss_legendre(8)[0])
-    for p in grid.panels:
-        sl = slice(p.start, p.stop)
-        snod = grid.panel_s[sl]
-        jac = np.abs(grid.dy_dparam[sl])
-        for row in range(p.start, p.stop):
-            s0 = snod[row - p.start]
-            lw = product_weights(log_moments(s0, norder, True).real, norder)
-            dspar = np.abs(snod - s0)
-            logphi = np.empty(norder)
-            nz = dspar != 0.0
-            logphi[nz] = np.log(r[row, sl][nz] / dspar[nz])
-            logphi[~nz] = np.log(jac[~nz])
-            M[row, sl] = A[row, sl] * (jac * lw + logphi * grid.weights[sl]) \
-                + B[row, sl] * grid.weights[sl]
-    return M
+        L = (0.5 * KW + (2 * np.pi / n) * logpsi) * sp[None, :]
+    else:
+        L = np.log(r) * grid.weights[None, :]
+        snod, _ = gauss_legendre(8)
+        lw = np.array([product_weights(log_moments(s0, 8, True).real, 8) for s0 in snod])
+        dspar = np.abs(snod[:, None] - snod[None, :])
+        np.fill_diagonal(dspar, 1.0)
+        for p in grid.panels:
+            sl = slice(p.start, p.stop)
+            jac = np.abs(grid.dy_dparam[sl])
+            logphi = np.log(r[sl, sl] / dspar)
+            np.fill_diagonal(logphi, np.log(jac))
+            L[sl, sl] = lw * jac + logphi * grid.weights[sl]
+    L.setflags(write=False)
+    cache["log_L"] = L
+    return L
+
+
+def log_kernel_matrix(grid, a, b) -> np.ndarray:
+    """Nystrom matrix for kernel a(x,y) log|x-y| + b(x,y) against arclength.
+
+    a and b are (N, N) kernel values at the node pairs, with their diagonal
+    limits on the diagonal.
+    """
+    return a * log_weight_table(grid) + b * grid.weights[None, :]
 
 
 def _scalar_k0_matrix(grid, z: float, mass: float) -> np.ndarray:
     """Matrix of (1/2pi) K0(kappa |x-y|) against arclength (real symmetric kernel)."""
     kappa = K.gap_kappa(z, mass)
     pref = 1.0 / (2 * np.pi)
-    return log_kernel_matrix(
-        grid,
-        lambda r, dx: -pref * K.bessel_i0(kappa * r),
-        lambda r, dx: pref * K.b_k0(r, kappa),
-        np.full(grid.n_nodes, -pref),
-        np.full(grid.n_nodes, pref * K.b_k0_at_zero(kappa)),
-    ).real
+    i0, b = K.b_k0(_pairwise(grid)[1], kappa)
+    a = -pref * i0
+    b = pref * b
+    np.fill_diagonal(a, -pref)
+    np.fill_diagonal(b, pref * K.b_k0_at_zero(kappa))
+    return log_kernel_matrix(grid, a, b)
 
 
 def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> ScalarOperator:
@@ -265,33 +266,38 @@ def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> ScalarOpe
 
 def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> SpinorOperator:
     """Principal-value operator with the full gap kernel at real z, |z| < m."""
+    return cz_from_sz(grid, z, coupling, _scalar_k0_matrix(grid, z, coupling.mass))
+
+
+def cz_from_sz(grid: QuadratureGrid, z: float, coupling: Coupling,
+               s_mat: np.ndarray) -> SpinorOperator:
+    """C_z at |z| < m from the matrix of S_z at the same z (its diagonal blocks)."""
     mass = coupling.mass
-    if abs(z) >= mass:
-        raise SpectralParameterError(f"z = {z} outside the open gap (-{mass}, {mass})")
-    kappa = K.gap_kappa(z, mass)
-    pref = 1.0 / (2 * np.pi)
-    s_mat = _scalar_k0_matrix(grid, z, mass)
-    b11 = (mass + z) * s_mat
-    b22 = (z - mass) * s_mat
-
-    def a_off(r, dx):
-        return 1j * pref * kappa * K.bessel_i1(kappa * r) * (np.conj(dx) / r)
-
-    def b_off(r, dx):
-        return 1j * pref * K.b_k1(r, kappa) * (np.conj(dx) / r)
-
-    zeros = np.zeros(grid.n_nodes)
-    b12 = log_kernel_matrix(grid, a_off, b_off, zeros, zeros)
+    b12 = _k1_block(grid, K.gap_kappa(z, mass))
     # The lower block's kernel (dx/r in place of conj(dx)/r) is minus the
     # complex conjugate of the upper one, and every quadrature weight (the
-    # Kress circulant, the log-product weights, the arclength weights) is
-    # real, so minus the conjugate of the assembled upper block is exactly
-    # the assembled lower block.  Subtracting from 0.0 rather than negating
-    # leaves its zero entries +0.0, as a direct assembly gives them.
+    # log weight table, the arclength weights) is real, so minus the
+    # conjugate of the assembled upper block is exactly the assembled lower
+    # block.  Subtracting from 0.0 rather than negating leaves its zero
+    # entries +0.0, as a direct assembly gives them.
     b21 = 0.0 - np.conj(b12)
-    diff = spinor_from_blocks(b11, b12, b21, b22)
-    cm = assemble_Cm(grid).matrix
-    return SpinorOperator(cm + diff, grid, "C_z", z, coupling)
+    upper, lower = cauchy_block_matrices(grid)
+    m = spinor_from_blocks((mass + z) * s_mat, upper + b12, lower + b21,
+                           (z - mass) * s_mat)
+    return SpinorOperator(m, grid, "C_z", z, coupling)
+
+
+def _k1_block(grid, kappa: float) -> np.ndarray:
+    """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r) conj(dx)/r."""
+    pref = 1.0 / (2 * np.pi)
+    dx, r = _pairwise(grid)
+    i1, b = K.b_k1(r, kappa)
+    phase = 1j * pref * (np.conj(dx) / r)
+    a = kappa * i1 * phase
+    b = b * phase
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(b, 0.0)
+    return log_kernel_matrix(grid, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,15 @@ def _route(coupling: Coupling) -> str:
 def _hermitian_matrix(grid, coupling, z):
     """The Hermitian part of Lambda_z, or of lambda_z on the scalar route."""
     if _route(coupling) == "scalar":
-        s = bo.assemble_Sz(grid, z, coupling).matrix
-        sign = 1.0 if coupling.eps == coupling.mu else -1.0
-        mat = (z + sign * coupling.mass) * s
-        return 0.5 * (mat + mat.T) + np.eye(grid.n_nodes) / (2.0 * coupling.eps)
+        return _scalar_hermitian(bo.assemble_Sz(grid, z, coupling).matrix, coupling, z)
     return _hermitian_part(bo.assemble_lambda(grid, z, coupling).matrix)
+
+
+def _scalar_hermitian(s, coupling, z):
+    """The Hermitian part of lambda_z = 1/(2 eps) + (z +- m) S_z from S_z."""
+    sign = 1.0 if coupling.eps == coupling.mu else -1.0
+    mat = (z + sign * coupling.mass) * s
+    return 0.5 * (mat + mat.T) + np.eye(s.shape[0]) / (2.0 * coupling.eps)
 
 
 def _hermitian_part(mat):
@@ -74,10 +78,12 @@ def _hermitian_eigs(grid, coupling, z):
 
 
 def _root_operators(grid, coupling, z):
-    """(Hermitian matrix, Theta_z) at a root; one C_z assembly on the lambda route."""
+    """(Hermitian matrix, Theta_z) at a root from one C_z assembly; on the
+    scalar route C_z is built from the S_z that gives the Hermitian matrix."""
     if _route(coupling) == "scalar":
-        return (_hermitian_matrix(grid, coupling, z),
-                bo.assemble_theta(grid, z, coupling).matrix)
+        s = bo.assemble_Sz(grid, z, coupling).matrix
+        cz = bo.cz_from_sz(grid, z, coupling, s).matrix
+        return _scalar_hermitian(s, coupling, z), bo.theta_from_cz(cz, coupling)
     cz = bo.assemble_Cz(grid, z, coupling).matrix
     return _hermitian_part(bo.lambda_from_cz(cz, coupling)), bo.theta_from_cz(cz, coupling)
 

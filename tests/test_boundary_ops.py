@@ -71,14 +71,16 @@ def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
     z, mass = 0.3, COUP.mass
     kappa = bo.K.gap_kappa(z, mass)
     pref = 1.0 / (2 * np.pi)
-    zeros = np.zeros(grid.n_nodes)
 
-    def off_block(phase):
-        return bo.log_kernel_matrix(
-            grid,
-            lambda r, dx: 1j * pref * kappa * bo.K.bessel_i1(kappa * r) * (phase(dx) / r),
-            lambda r, dx: 1j * pref * bo.K.b_k1(r, kappa) * (phase(dx) / r),
-            zeros, zeros)
+    def off_block(conj):
+        dx, r = bo._pairwise(grid)
+        i1, b = bo.K.b_k1(r, kappa)
+        ph = 1j * pref * (conj(dx) / r)
+        a = kappa * i1 * ph
+        b = b * ph
+        np.fill_diagonal(a, 0.0)
+        np.fill_diagonal(b, 0.0)
+        return bo.log_kernel_matrix(grid, a, b)
 
     s_mat = bo._scalar_k0_matrix(grid, z, mass)
     diff = bo.spinor_from_blocks((mass + z) * s_mat, off_block(np.conj),
@@ -86,6 +88,22 @@ def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
     want = bo.assemble_Cm(grid).matrix + diff
     got = bo.assemble_Cz(grid, z, COUP).matrix
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+
+
+def test_log_weight_table_built_once_per_grid(monkeypatch):
+    grid = geo.discretize(geo.build_curve(geo.square(1.0)), 16)
+    calls = []
+    moments = bo.log_moments
+    monkeypatch.setattr(bo, "log_moments", lambda *a: calls.append(a) or moments(*a))
+    bo.assemble_Cz(grid, 0.1, COUP)
+    first = len(calls)
+    bo.assemble_Cz(grid, 0.4, COUP)
+    assert first > 0
+    assert len(calls) == first  # the second z reuses the table
+    table = bo.log_weight_table(grid)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
 
 
 def test_cz_near_gap_edge(circle_grid_128):

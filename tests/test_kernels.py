@@ -88,12 +88,34 @@ def test_log_splits_against_arbitrary_precision():
     kappa = 0.87
     for r in (1e-10, 1e-4, 0.3, 1.9, 2.5, 6.0):
         want0 = mp.besselk(0, kappa * mp.mpf(r)) + mp.log(mp.mpf(r)) * mp.besseli(0, kappa * mp.mpf(r))
-        assert abs(float(b_k0(np.array([r]), kappa)[0]) - float(want0)) < 1e-13
+        assert abs(float(b_k0(np.array([r]), kappa)[1][0]) - float(want0)) < 1e-13
         want1 = (kappa * mp.besselk(1, kappa * mp.mpf(r)) - 1 / mp.mpf(r)
                  - kappa * mp.log(mp.mpf(r)) * mp.besseli(1, kappa * mp.mpf(r)))
-        assert abs(float(b_k1(np.array([r]), kappa)[0]) - float(want1)) < 1e-12
+        assert abs(float(b_k1(np.array([r]), kappa)[1][0]) - float(want1)) < 1e-12
     assert b_k0_at_zero(kappa) == pytest.approx(
         -(math.log(kappa / 2) + 0.5772156649015329), abs=1e-15)
+
+
+def test_log_splits_large_argument_against_arbitrary_precision():
+    # I0/I1 (the log-term factors) and both smooth parts out to kappa r = 150,
+    # on both sides of r = 1; no point sits where K0 and log(r) I0 cancel
+    for kappa in (0.87, 1.0, 40.0):
+        r = np.geomspace(2.0, 150.0, 40) / kappa
+        i0, b0 = b_k0(r, kappa)
+        i1, b1 = b_k1(r, kappa)
+        for k, rk in enumerate(r):
+            rm = mp.mpf(float(rk))
+            w = kappa * rm
+            want = {
+                "I0": (i0[k], mp.besseli(0, w)),
+                "I1": (i1[k], mp.besseli(1, w)),
+                "b_k0": (b0[k], mp.besselk(0, w) + mp.log(rm) * mp.besseli(0, w)),
+                "b_k1": (b1[k], kappa * mp.besselk(1, w) - 1 / rm
+                         - kappa * mp.log(rm) * mp.besseli(1, w)),
+            }
+            for name, (got, ref) in want.items():
+                rel = abs((mp.mpf(float(got)) - ref) / ref)
+                assert rel < 1e-13, (name, kappa, float(w), float(rel))
 
 
 def test_pauli_anticommutation_table():

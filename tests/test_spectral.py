@@ -97,6 +97,21 @@ def test_scalar_route_negative_coupling(circle_grid_128):
         assert sp.theta_min_singular(circle_grid_128, p.coupling, p.z0) < 1e-7
 
 
+def test_scalar_root_operators_assemble_k0_once(monkeypatch):
+    # S_z for the eigenvectors, then only the off-diagonal block of C_z:
+    # two log-kernel assemblies, not a second K0 matrix through Theta_z
+    grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 64)
+    coup = Coupling(-1.0, -1.0, 1.0)
+    calls = []
+    assemble = bo.log_kernel_matrix
+    monkeypatch.setattr(bo, "log_kernel_matrix",
+                        lambda *a: calls.append(a) or assemble(*a))
+    mat, theta = sp._root_operators(grid, coup, 0.3)
+    assert len(calls) == 2
+    assert theta.tobytes() == bo.assemble_theta(grid, 0.3, coup).matrix.tobytes()
+    assert np.array_equal(mat, sp._hermitian_matrix(grid, coup, 0.3))
+
+
 def test_scalar_route_positive_coupling_empty(circle_grid_128):
     assert sp.find_eigenvalues(circle_grid_128, Coupling(1.0, 1.0), samples=48) == []
 
