@@ -1,17 +1,15 @@
 """Nystrom assembly of the boundary integral operators and layer potentials.
 
-Scalar operators act on discretized densities sampled at the grid nodes;
-spinor operators act on C^2-valued densities stored interleaved by node
-(index 2*i + component).  Principal values use the alternate-point trapezoid
-rule on smooth closed curves and Legendre product integration on panels;
-logarithmic kernels use the periodic circulant log rule (smooth curves) or a
-parameter-space log split on the singular panel.
+Every operator is returned as its dense matrix.  Scalar operators act on
+discretized densities sampled at the grid nodes; spinor operators act on
+C^2-valued densities stored interleaved by node (index 2*i + component).
+Principal values use the alternate-point trapezoid rule on smooth closed
+curves and Legendre product integration on panels; logarithmic kernels use
+the periodic circulant log rule (smooth curves) or a parameter-space log
+split on the singular panel.
 """
 
 from __future__ import annotations
-
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -36,31 +34,6 @@ from .quadrature import (
 _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
 
 
-@dataclass(frozen=True)
-class ScalarOperator:
-    matrix: np.ndarray
-    grid: QuadratureGrid
-    label: str
-    z: float | None = None
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class SpinorOperator:
-    matrix: np.ndarray  # (2N, 2N), interleaved-by-node 2x2 blocks
-    grid: QuadratureGrid
-    label: str
-    z: float | None = None
-    coupling: Coupling | None = None
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-
 def spinor_from_blocks(b11, b12, b21, b22) -> np.ndarray:
     n = b11.shape[0]
     m = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -80,13 +53,12 @@ def coupling_diagonal(coupling: Coupling, n: int) -> np.ndarray:
     return np.tile([coupling.eps + coupling.mu, coupling.eps - coupling.mu], n)
 
 
-def sigma_nu_matrix(grid: QuadratureGrid) -> SpinorOperator:
+def sigma_nu_matrix(grid: QuadratureGrid) -> np.ndarray:
     """Multiplication operator by sigma . nu(x)."""
     n = grid.n_nodes
     nc = grid.nc
-    m = spinor_from_blocks(np.zeros((n, n)), np.diag(np.conj(nc)),
-                           np.diag(nc), np.zeros((n, n)))
-    return SpinorOperator(m, grid, "sigma_nu")
+    return spinor_from_blocks(np.zeros((n, n)), np.diag(np.conj(nc)),
+                              np.diag(nc), np.zeros((n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +131,7 @@ def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
     return V
 
 
-def assemble_cauchy(grid: QuadratureGrid) -> ScalarOperator:
+def assemble_cauchy(grid: QuadratureGrid) -> np.ndarray:
     """C_Sigma g(x) = (i/2pi) pv int g(y)/(x - y) dy, complex line element dy.
 
     On a circle's trapezoid grid the alternate-point rule is exact at every
@@ -170,14 +142,14 @@ def assemble_cauchy(grid: QuadratureGrid) -> ScalarOperator:
     if grid.n_nodes < 16:
         raise GridTooCoarse("need at least 16 nodes for Cauchy assembly")
     V = cauchy_weight_table(grid)
-    return ScalarOperator(-(1j / (2 * np.pi)) * V, grid, "C_Sigma")
+    return -(1j / (2 * np.pi)) * V
 
 
 def cauchy_block_matrices(grid: QuadratureGrid):
     """Matrices of C_Sigma t* and t C_Sigma* (the off-diagonal blocks at z = m)."""
     cache = grid.cache()
     if "cauchy_blocks" not in cache:
-        a = assemble_cauchy(grid).matrix
+        a = assemble_cauchy(grid)
         tc = grid.tc
         upper = a * np.conj(tc)[None, :]
         lower = -np.conj(a) * tc[None, :]
@@ -185,12 +157,11 @@ def cauchy_block_matrices(grid: QuadratureGrid):
     return cache["cauchy_blocks"]
 
 
-def assemble_Cm(grid: QuadratureGrid) -> SpinorOperator:
+def assemble_Cm(grid: QuadratureGrid) -> np.ndarray:
     """The singular matrix operator at z = m: off-diagonal Cauchy blocks."""
     upper, lower = cauchy_block_matrices(grid)
-    n = grid.n_nodes
-    zero = np.zeros((n, n))
-    return SpinorOperator(spinor_from_blocks(zero, upper, lower, zero), grid, "C_m")
+    zero = np.zeros((grid.n_nodes, grid.n_nodes))
+    return spinor_from_blocks(zero, upper, lower, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +230,18 @@ def _scalar_k0_matrix(grid, z: float, mass: float) -> np.ndarray:
     return log_kernel_matrix(grid, a, b)
 
 
-def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> ScalarOperator:
+def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """(S_z g)(x) = (1/2pi) int K0(kappa|x-y|) g(y) ds(y)."""
-    return ScalarOperator(_scalar_k0_matrix(grid, z, coupling.mass), grid, "S_z", z)
+    return _scalar_k0_matrix(grid, z, coupling.mass)
 
 
-def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> SpinorOperator:
+def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """Principal-value operator with the full gap kernel at real z, |z| < m."""
     return cz_from_sz(grid, z, coupling, _scalar_k0_matrix(grid, z, coupling.mass))
 
 
 def cz_from_sz(grid: QuadratureGrid, z: float, coupling: Coupling,
-               s_mat: np.ndarray) -> SpinorOperator:
+               s_mat: np.ndarray) -> np.ndarray:
     """C_z at |z| < m from the matrix of S_z at the same z (its diagonal blocks)."""
     mass = coupling.mass
     b12 = _k1_block(grid, K.gap_kappa(z, mass))
@@ -282,9 +253,8 @@ def cz_from_sz(grid: QuadratureGrid, z: float, coupling: Coupling,
     # entries +0.0, as a direct assembly gives them.
     b21 = 0.0 - np.conj(b12)
     upper, lower = cauchy_block_matrices(grid)
-    m = spinor_from_blocks((mass + z) * s_mat, upper + b12, lower + b21,
-                           (z - mass) * s_mat)
-    return SpinorOperator(m, grid, "C_z", z, coupling)
+    return spinor_from_blocks((mass + z) * s_mat, upper + b12, lower + b21,
+                              (z - mass) * s_mat)
 
 
 def _k1_block(grid, kappa: float) -> np.ndarray:
@@ -307,49 +277,48 @@ def _k1_block(grid, kappa: float) -> np.ndarray:
 
 def _cz_or_cm(grid, z, coupling):
     if z == coupling.mass:
-        return assemble_Cm(grid).matrix
-    return assemble_Cz(grid, z, coupling).matrix
+        return assemble_Cm(grid)
+    return assemble_Cz(grid, z, coupling)
 
 
 def theta_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
     """Matrix of Theta_z = I + (eps sigma_0 + mu sigma_3) C_z from that of C_z."""
-    d = coupling_diagonal(coupling, cz.shape[0] // 2)
-    return np.eye(cz.shape[0], dtype=complex) + d[:, None] * cz
+    theta = coupling_diagonal(coupling, cz.shape[0] // 2)[:, None] * cz
+    theta[np.diag_indices_from(theta)] += 1.0
+    return theta
 
 
 def lambda_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
     """Matrix of Lambda_z = (eps sigma_0 - mu sigma_3)/(eps^2 - mu^2) + C_z."""
     if coupling.is_critical:
         raise CriticalCouplingError("Lambda_z undefined at |eps| = |mu|")
-    d = np.tile([1.0 / (coupling.eps + coupling.mu),
-                 1.0 / (coupling.eps - coupling.mu)], cz.shape[0] // 2)
-    return np.diag(d).astype(complex) + cz
+    lam = cz.copy()
+    lam[np.diag_indices_from(lam)] += np.tile(
+        [1.0 / (coupling.eps + coupling.mu), 1.0 / (coupling.eps - coupling.mu)],
+        cz.shape[0] // 2)
+    return lam
 
 
-def assemble_theta(grid: QuadratureGrid, z: float, coupling: Coupling) -> SpinorOperator:
+def assemble_theta(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """Theta_z = I + (eps sigma_0 + mu sigma_3) C_z; z = m uses the Cauchy limit."""
-    m = theta_from_cz(_cz_or_cm(grid, z, coupling), coupling)
-    return SpinorOperator(m, grid, "Theta_z", z, coupling)
+    return theta_from_cz(_cz_or_cm(grid, z, coupling), coupling)
 
 
-def assemble_lambda(grid: QuadratureGrid, z: float, coupling: Coupling) -> SpinorOperator:
+def assemble_lambda(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """Lambda_z = (eps sigma_0 - mu sigma_3)/(eps^2 - mu^2) + C_z."""
-    m = lambda_from_cz(_cz_or_cm(grid, z, coupling), coupling)
-    return SpinorOperator(m, grid, "Lambda_z", z, coupling)
+    return lambda_from_cz(_cz_or_cm(grid, z, coupling), coupling)
 
 
-def assemble_gamma(grid: QuadratureGrid, coupling: Coupling) -> SpinorOperator:
+def assemble_gamma(grid: QuadratureGrid, coupling: Coupling) -> np.ndarray:
     """Gamma with (eps^2 - mu^2) Lambda_m = eps sigma_0 + Gamma."""
     upper, lower = cauchy_block_matrices(grid)
-    n = grid.n_nodes
     d = coupling.strength
-    eye = np.eye(n)
-    m = spinor_from_blocks(-coupling.mu * eye, d * upper, d * lower, coupling.mu * eye)
-    return SpinorOperator(m, grid, "Gamma", coupling.mass, coupling)
+    eye = np.eye(grid.n_nodes)
+    return spinor_from_blocks(-coupling.mu * eye, d * upper, d * lower, coupling.mu * eye)
 
 
-def hermitian_defect(op: SpinorOperator | ScalarOperator) -> float:
-    return float(np.max(np.abs(op.matrix - op.matrix.conj().T)))
+def hermitian_defect(matrix: np.ndarray) -> float:
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
 def lu_solve_with_cond(matrix: np.ndarray, rhs: np.ndarray):
@@ -404,7 +373,7 @@ def _upsample_closed(grid, g2, factor):
     return pos, w, g_up
 
 
-def evaluate_potential(grid, density, z, coupling, points, near_scheme="auto"):
+def evaluate_potential(grid, density, z, coupling, points):
     """Layer potential Phi_z applied to a boundary density, evaluated off Sigma.
 
     Returns (values (M, 2) complex, degraded (M,) bool).  Points closer than
@@ -424,10 +393,7 @@ def evaluate_potential(grid, density, z, coupling, points, near_scheme="auto"):
     near = dmin < 10.0 * grid.weights[jmin]
     values = _phi_z_apply(points, grid.nodes, grid.weights, g2, z, coupling)
     degraded = np.zeros(len(points), dtype=bool)
-    if not np.any(near) or near_scheme == "plain":
-        degraded |= near
-        return values, degraded
-    if grid.kind != "trapezoid":
+    if not np.any(near) or grid.kind != "trapezoid":
         degraded |= near
         return values, degraded
     # spectral upsampling for the near points
@@ -441,41 +407,3 @@ def evaluate_potential(grid, density, z, coupling, points, near_scheme="auto"):
         pos, w, g_up = _upsample_closed(grid, g2, factor)
         values[near] = _phi_z_apply(points[near], pos, w, g_up, z, coupling)
     return values, degraded
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"DSH1"
-
-
-def matrix_to_csv(matrix: np.ndarray, path):
-    """Real/imaginary interleaved CSV, one matrix row per line."""
-    m = np.asarray(matrix, dtype=complex)
-    inter = np.empty((m.shape[0], 2 * m.shape[1]))
-    inter[:, 0::2] = m.real
-    inter[:, 1::2] = m.imag
-    np.savetxt(path, inter, delimiter=",", fmt="%.17g")
-
-
-def matrix_to_binary(matrix: np.ndarray, path):
-    """Binary container: magic 'DSH1', u64 rows, u64 cols, f64 (re, im) pairs."""
-    m = np.asarray(matrix, dtype=complex)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        inter = np.empty((m.shape[0], 2 * m.shape[1]))
-        inter[:, 0::2] = m.real
-        inter[:, 1::2] = m.imag
-        fh.write(inter.astype("<f8").tobytes())
-
-
-def matrix_from_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, 2 * cols)
-        return data[:, 0::2] + 1j * data[:, 1::2]

@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConvergenceError, DiracShellError, IllConditionedWarning
 
@@ -109,36 +108,12 @@ _REQUIRED_SECTIONS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Parsed run configuration: sections of typed key/value pairs."""
-
-    sections: dict = field(default_factory=dict)
+class RunConfig(dict):
+    """Parsed run configuration: {section: {key: value}}."""
 
     @staticmethod
     def load(path: str) -> "RunConfig":
         return RunConfig(parse_config(path))
-
-    def validate_for(self, command: str):
-        validate_config(self.sections, command)
-
-    def __getitem__(self, key):
-        return self.sections[key]
-
-    def __contains__(self, key):
-        return key in self.sections
-
-    def __iter__(self):
-        return iter(self.sections)
-
-    def get(self, key, default=None):
-        return self.sections.get(key, default)
-
-    def keys(self):
-        return self.sections.keys()
-
-    def items(self):
-        return self.sections.items()
 
 
 def validate_config(cfg, command: str):
@@ -534,7 +509,7 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
     try:
         cfg = RunConfig.load(args.config)
-        cfg.validate_for(args.command)
+        validate_config(cfg, args.command)
         return _COMMANDS[args.command](cfg, args, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -62,12 +62,31 @@ def _golden_max(f, lo: float, hi: float, iters: int = 90):
     return xm, f(xm)
 
 
-def m_of(theta: float, tol: float = 1e-12) -> float:
-    """m(theta) = sup_x M_theta(x) by grid scan plus golden-section refinement.
+def m_argsup(theta: float) -> tuple[float, float]:
+    """(m(theta), x*) by grid scan plus golden-section refinement, x* >= 0.
 
-    The scan window [0, X] is chosen from the tail bound
-    M_theta(x) <= exp(-min(theta, 2pi-theta) x), so that no point beyond X
-    can exceed the value M_theta(0) = 1/4 already in the candidate set.
+    m(theta) is the largest of the best scan point, the refined point and
+    M_theta(0) = 1/4; x* is the refined point, or 0 where M_theta(0) is at
+    least the refined value.  The scan window [0, X] is chosen from the tail
+    bound M_theta(x) <= exp(-min(theta, 2pi-theta) x), so that no point
+    beyond X can exceed M_theta(0).
+    """
+    if not 0.0 < theta < 2.0 * math.pi:
+        raise DomainError(f"theta must lie in (0, 2pi), got {theta}")
+    omega = min(theta, 2.0 * math.pi - theta)
+    xmax = (math.log(4.0) + 37.0) / omega
+    grid = np.linspace(0.0, xmax, 4001)
+    vals = M(theta, grid)
+    i = int(np.argmax(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    xm, fm = _golden_max(lambda x: M(theta, x), lo, hi)
+    m0 = M(theta, 0.0)
+    return max(float(vals[i]), float(fm), m0), (0.0 if m0 >= fm else xm)
+
+
+def m_of(theta: float, tol: float = 1e-12) -> float:
+    """m(theta) = sup_x M_theta(x), the value of m_argsup.
 
     m(theta) = m(2pi - theta), and for theta in (0, pi]
 
@@ -79,50 +98,14 @@ def m_of(theta: float, tol: float = 1e-12) -> float:
     edge is M_theta(x) >= e^(-theta x) / (2 (1 + e^(-pi x))^2) evaluated at
     x = ln(2pi/theta)/pi with e^(-y) >= 1 - y and (1 + t)^-2 >= 1 - 2t.
     """
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise DomainError(f"theta must lie in (0, 2pi), got {theta}")
     if tol < 1e-13:
         raise DomainError("tol below supported resolution 1e-13")
-    omega = min(theta, 2.0 * math.pi - theta)
-    xmax = (math.log(4.0) + 37.0) / omega
-    grid = np.linspace(0.0, xmax, 4001)
-    vals = M(theta, grid)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    _, refined = _golden_max(lambda x: M(theta, x), lo, hi)
-    return max(best, float(refined), M(theta, 0.0))
-
-
-def m_argsup(theta: float) -> tuple[float, float]:
-    """(m(theta), x*) with M_theta(x*) = m(theta), x* >= 0."""
-    omega = min(theta, 2.0 * math.pi - theta)
-    xmax = (math.log(4.0) + 37.0) / omega
-    grid = np.linspace(0.0, xmax, 4001)
-    vals = M(theta, grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    xm, fm = _golden_max(lambda x: M(theta, x), lo, hi)
-    if M(theta, 0.0) >= fm:
-        return M(theta, 0.0), 0.0
-    return fm, xm
+    return m_argsup(theta)[0]
 
 
 # ---------------------------------------------------------------------------
 # symbol determinant
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolPoint:
-    theta: float
-    eta: float
-
-    @property
-    def xi(self) -> complex:
-        return self.eta + 0.5j
 
 
 @dataclass(frozen=True)

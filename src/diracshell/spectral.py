@@ -58,8 +58,8 @@ def _route(coupling: Coupling) -> str:
 def _hermitian_matrix(grid, coupling, z):
     """The Hermitian part of Lambda_z, or of lambda_z on the scalar route."""
     if _route(coupling) == "scalar":
-        return _scalar_hermitian(bo.assemble_Sz(grid, z, coupling).matrix, coupling, z)
-    return _hermitian_part(bo.assemble_lambda(grid, z, coupling).matrix)
+        return _scalar_hermitian(bo.assemble_Sz(grid, z, coupling), coupling, z)
+    return _hermitian_part(bo.assemble_lambda(grid, z, coupling))
 
 
 def _scalar_hermitian(s, coupling, z):
@@ -81,10 +81,10 @@ def _root_operators(grid, coupling, z):
     """(Hermitian matrix, Theta_z) at a root from one C_z assembly; on the
     scalar route C_z is built from the S_z that gives the Hermitian matrix."""
     if _route(coupling) == "scalar":
-        s = bo.assemble_Sz(grid, z, coupling).matrix
-        cz = bo.cz_from_sz(grid, z, coupling, s).matrix
+        s = bo.assemble_Sz(grid, z, coupling)
+        cz = bo.cz_from_sz(grid, z, coupling, s)
         return _scalar_hermitian(s, coupling, z), bo.theta_from_cz(cz, coupling)
-    cz = bo.assemble_Cz(grid, z, coupling).matrix
+    cz = bo.assemble_Cz(grid, z, coupling)
     return _hermitian_part(bo.lambda_from_cz(cz, coupling)), bo.theta_from_cz(cz, coupling)
 
 
@@ -115,7 +115,7 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     if not (-m < lo < hi < m):
         raise SpectralParameterError("sweep window must lie inside the open gap")
     zs = np.linspace(lo, hi, samples)
-    eigs = np.stack([np.sort(_hermitian_eigs(grid, coupling, z)) for z in zs])
+    eigs = np.stack([_hermitian_eigs(grid, coupling, z) for z in zs])
     jumps = np.abs(np.diff(eigs, axis=0))
     max_jump = float(jumps.max()) if jumps.size else 0.0
     if jump_threshold is None:
@@ -165,7 +165,7 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
     counts = [neg_count(z) for z in zs]
     brackets = []  # (a, b, multiplicity) with the crossing isolated in [a, b]
 
-    def isolate(a, b, ca, cb, depth=0):
+    def isolate(a, b, ca, cb):
         # narrow until width <= resolution, splitting whenever crossings
         # separate; a bracket may still hold several coincident crossings
         while b - a > max(tol, 1e-5):
@@ -176,7 +176,7 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
             elif cm == cb:
                 b = mid
             else:  # crossings on both sides of mid
-                isolate(a, mid, ca, cm, depth + 1)
+                isolate(a, mid, ca, cm)
                 a, ca = mid, cm
         brackets.append((a, b, abs(cb - ca)))
 
@@ -236,7 +236,7 @@ def _embed_density(vec, route, coupling, grid):
 
 def theta_min_singular(grid: QuadratureGrid, coupling: Coupling, z: float) -> float:
     """Smallest singular value of Theta_z (kernel detection for any coupling)."""
-    theta = bo.assemble_theta(grid, z, coupling).matrix
+    theta = bo.assemble_theta(grid, z, coupling)
     return float(np.linalg.svd(theta, compute_uv=False)[-1])
 
 
@@ -318,8 +318,7 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
     checks = []
 
     cz = bo.assemble_Cz(grid, z, coupling)
-    snu = bo.sigma_nu_matrix(grid).matrix
-    m1 = cz.matrix @ snu
+    m1 = cz @ bo.sigma_nu_matrix(grid)
     cc2 = float(np.linalg.norm(m1 @ m1 + 0.25 * np.eye(2 * n), 2))
     checks.append(IdentityCheck("cc2", cc2, tols["cc2"], cc2 <= tols["cc2"]))
 
@@ -336,7 +335,7 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
         want_jump = -1j * snu_g
         rel2 = float(np.linalg.norm(vin - vout - want_jump)
                      / np.linalg.norm(want_jump))
-        czg = (cz.matrix @ dens.reshape(-1)).reshape(-1, 2)
+        czg = (cz @ dens.reshape(-1)).reshape(-1, 2)
         want_in = -0.5j * snu_g + czg
         want_out = +0.5j * snu_g + czg
         rel1 = max(
@@ -357,7 +356,7 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
                                     tols["jump_one_sided"], None,
                                     {"note": "near-curve evaluation needs a smooth grid"}))
 
-    csigma = bo.assemble_cauchy(grid).matrix
+    csigma = bo.assemble_cauchy(grid)
     resid_mat = csigma @ csigma - 0.25 * np.eye(n)
     sv = np.linalg.svd(resid_mat, compute_uv=False)
     opnorm = float(sv[0])
@@ -373,10 +372,10 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
                                              "smooth curves"}))
 
     if not coupling.is_critical:
-        lam = bo.lambda_from_cz(cz.matrix, coupling)
+        lam = bo.lambda_from_cz(cz, coupling)
         inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex))
         mcpl = bo.coupling_diagonal(coupling, n)
-        e = mcpl[:, None] * (np.eye(2 * n) - cz.matrix @ inv) - inv
+        e = mcpl[:, None] * (np.eye(2 * n) - cz @ inv) - inv
         resid = float(np.max(np.abs(e)))
         thr = tols["resolvent_factor"] * cond
         checks.append(IdentityCheck("resolvent_cancellation", resid, thr,

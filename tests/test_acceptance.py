@@ -123,7 +123,7 @@ def test_criterion_05_circle_cauchy_oracle(circle_grid_128, circle_grid_512):
     resid = {}
     u = 2.0 ** -53
     for grid in (circle_grid_128, circle_grid_512):
-        a = bo.assemble_cauchy(grid).matrix
+        a = bo.assemble_cauchy(grid)
         n = grid.n_nodes
         resid[n] = float(np.linalg.norm(a @ a - 0.25 * np.eye(n), 2))
         # the rule is exact on the circle, so the residual is the rounding
@@ -136,7 +136,7 @@ def test_criterion_05_circle_cauchy_oracle(circle_grid_128, circle_grid_512):
                 f"2 N u |||A|||^2 = {bound:.3e} at N={n}")
     if resid[512] > 1e-6:
         failures.append(f"||C^2 - I/4|| = {resid[512]:.2e} > 1e-6 at N=512")
-    a = bo.assemble_cauchy(circle_grid_512).matrix
+    a = bo.assemble_cauchy(circle_grid_512)
     th = circle_grid_512.param
     for mode in range(-3, 4):
         g = np.exp(1j * mode * th)
@@ -166,7 +166,7 @@ def test_criterion_06_jump_formulas(circle_grid_512):
     rel2 = float(np.linalg.norm(vin - vout - want_jump) / np.linalg.norm(want_jump))
     if rel2 > 1e-2:
         failures.append(f"two-sided jump rel err {rel2:.2e} > 1e-2")
-    czg = (bo.assemble_Cz(g, z, coup).matrix @ dens.reshape(-1)).reshape(-1, 2)
+    czg = (bo.assemble_Cz(g, z, coup) @ dens.reshape(-1)).reshape(-1, 2)
     for side, vals, sign in (("interior", vin, -1), ("exterior", vout, +1)):
         want = sign * 0.5j * snu_g + czg
         rel = float(np.linalg.norm(vals - want) / np.linalg.norm(want))
@@ -181,7 +181,7 @@ def test_criterion_07_cc2_identity(circle_grid_512, square_curve):
     coup = Coupling(1.0, 0.0, 1.0)
 
     def cc2_residual(grid):
-        m = bo.assemble_Cz(grid, 0.0, coup).matrix @ bo.sigma_nu_matrix(grid).matrix
+        m = bo.assemble_Cz(grid, 0.0, coup) @ bo.sigma_nu_matrix(grid)
         return float(np.linalg.norm(m @ m + 0.25 * np.eye(2 * grid.n_nodes), 2))
 
     r_circle = cc2_residual(circle_grid_512)
@@ -201,7 +201,7 @@ def test_criterion_08_gamma_spectral_bound(circle_grid_256):
     t0 = time.time()
     failures = []
     coup = Coupling(1.0, 2.0, 1.0)
-    gam = bo.assemble_gamma(circle_grid_256, coup).matrix
+    gam = bo.assemble_gamma(circle_grid_256, coup)
     h = 0.5 * (gam + gam.conj().T)
     ev = np.linalg.eigvalsh(h)
     low = float(np.min(np.abs(ev)))
@@ -216,8 +216,8 @@ def test_criterion_09_resolvent_cancellation(circle_grid_256):
     coup = Coupling(3.0, 1.0, 1.0)
     z = 0.3
     n = circle_grid_256.n_nodes
-    cz = bo.assemble_Cz(circle_grid_256, z, coup).matrix
-    lam = bo.assemble_lambda(circle_grid_256, z, coup).matrix
+    cz = bo.assemble_Cz(circle_grid_256, z, coup)
+    lam = bo.assemble_lambda(circle_grid_256, z, coup)
     inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex))
     e = bo.coupling_diagonal(coup, n)[:, None] * (np.eye(2 * n) - cz @ inv) - inv
     resid = float(np.max(np.abs(e)))

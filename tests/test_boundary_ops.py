@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ COUP = Coupling(1.0, 0.0, 1.0)
 
 
 def test_cauchy_residue_oracle_modes(circle_grid_256):
-    a = bo.assemble_cauchy(circle_grid_256).matrix
+    a = bo.assemble_cauchy(circle_grid_256)
     th = circle_grid_256.param
     for n, lam in ((0, 0.5), (1, 0.5), (3, 0.5), (-1, -0.5), (-3, -0.5)):
         g = np.exp(1j * n * th)
@@ -31,7 +33,7 @@ def test_cauchy_grid_too_coarse(circle_curve):
 
 def test_cauchy_polynomial_oracle_on_square(square_curve):
     g = geo.discretize(square_curve, 32, 3.0)
-    a = bo.assemble_cauchy(g).matrix
+    a = bo.assemble_cauchy(g)
     y = g.zc
     for k in (0, 1, 3):
         assert np.max(np.abs(a @ y**k - 0.5 * y**k)) < 1e-7
@@ -42,7 +44,7 @@ def test_cauchy_polynomial_oracle_on_square(square_curve):
 
 def test_cm_block_structure(circle_grid_256):
     cm = bo.assemble_Cm(circle_grid_256)
-    b11, b12, b21, b22 = bo.blocks_from_spinor(cm.matrix)
+    b11, b12, b21, b22 = bo.blocks_from_spinor(cm)
     assert np.max(np.abs(b11)) == 0.0
     assert np.max(np.abs(b22)) == 0.0
     assert bo.hermitian_defect(cm) < 1e-8
@@ -55,7 +57,7 @@ def test_cm_block_structure(circle_grid_256):
 def test_cz_minus_cm_compactness_proxy(circle_grid_128, circle_grid_256):
     svs = []
     for g in (circle_grid_128, circle_grid_256):
-        diff = bo.assemble_Cz(g, 0.0, COUP).matrix - bo.assemble_Cm(g).matrix
+        diff = bo.assemble_Cz(g, 0.0, COUP) - bo.assemble_Cm(g)
         svs.append(np.linalg.norm(diff, 2))
     assert abs(svs[1] - svs[0]) / svs[0] < 0.05
 
@@ -85,8 +87,8 @@ def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
     s_mat = bo._scalar_k0_matrix(grid, z, mass)
     diff = bo.spinor_from_blocks((mass + z) * s_mat, off_block(np.conj),
                                  off_block(lambda dx: dx), (z - mass) * s_mat)
-    want = bo.assemble_Cm(grid).matrix + diff
-    got = bo.assemble_Cz(grid, z, COUP).matrix
+    want = bo.assemble_Cm(grid) + diff
+    got = bo.assemble_Cz(grid, z, COUP)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
 
 
@@ -118,13 +120,13 @@ def test_cz_rejects_z_outside_gap(circle_grid_128):
 
 def test_theta_free_coupling_is_identity(circle_grid_128):
     th = bo.assemble_theta(circle_grid_128, 0.2, Coupling(0.0, 0.0, 1.0))
-    assert np.array_equal(th.matrix, np.eye(2 * circle_grid_128.n_nodes, dtype=complex))
+    assert np.array_equal(th, np.eye(2 * circle_grid_128.n_nodes, dtype=complex))
 
 
 def test_theta_block_pattern(circle_grid_128):
     c = Coupling(2.0, 0.5, 1.0)
-    th = bo.assemble_theta(circle_grid_128, 0.2, c).matrix
-    cz = bo.assemble_Cz(circle_grid_128, 0.2, c).matrix
+    th = bo.assemble_theta(circle_grid_128, 0.2, c)
+    cz = bo.assemble_Cz(circle_grid_128, 0.2, c)
     n = circle_grid_128.n_nodes
     want = np.eye(2 * n) + bo.coupling_diagonal(c, n)[:, None] * cz
     assert np.array_equal(th, want)
@@ -132,8 +134,8 @@ def test_theta_block_pattern(circle_grid_128):
 
 def test_theta_critical_coupling_touches_first_row_only(circle_grid_128):
     c = Coupling(1.5, 1.5, 1.0)
-    th = bo.assemble_theta(circle_grid_128, 0.1, c).matrix
-    cz = bo.assemble_Cz(circle_grid_128, 0.1, c).matrix
+    th = bo.assemble_theta(circle_grid_128, 0.1, c)
+    cz = bo.assemble_Cz(circle_grid_128, 0.1, c)
     n = circle_grid_128.n_nodes
     pattern = np.zeros_like(th)
     pattern[0::2, :] = 2 * 1.5 * cz[0::2, :]
@@ -142,16 +144,16 @@ def test_theta_critical_coupling_touches_first_row_only(circle_grid_128):
 
 def test_lambda_explicit_form(circle_grid_128):
     c = Coupling(2.0, 0.0, 1.0)
-    lam = bo.assemble_lambda(circle_grid_128, 0.2, c).matrix
-    cz = bo.assemble_Cz(circle_grid_128, 0.2, c).matrix
+    lam = bo.assemble_lambda(circle_grid_128, 0.2, c)
+    cz = bo.assemble_Cz(circle_grid_128, 0.2, c)
     n = circle_grid_128.n_nodes
     assert np.max(np.abs(lam - (0.5 * np.eye(2 * n) + cz))) < 1e-15
 
 
 def test_lambda_coupling_identity(circle_grid_128):
     c = Coupling(3.0, 1.0, 1.0)
-    lam = bo.assemble_lambda(circle_grid_128, 0.2, c).matrix
-    th = bo.assemble_theta(circle_grid_128, 0.2, c).matrix
+    lam = bo.assemble_lambda(circle_grid_128, 0.2, c)
+    th = bo.assemble_theta(circle_grid_128, 0.2, c)
     d = bo.coupling_diagonal(c, circle_grid_128.n_nodes)
     assert np.max(np.abs(d[:, None] * lam - th)) < 1e-13
 
@@ -168,13 +170,13 @@ def test_lambda_critical_coupling_error(circle_grid_128):
 
 def test_gamma_structure_and_bounds(circle_grid_256):
     n = circle_grid_256.n_nodes
-    g0 = bo.assemble_gamma(circle_grid_256, Coupling(1.5, 0.0, 1.0)).matrix
+    g0 = bo.assemble_gamma(circle_grid_256, Coupling(1.5, 0.0, 1.0))
     b11, _, _, b22 = bo.blocks_from_spinor(g0)
     assert np.max(np.abs(b11)) == 0.0 and np.max(np.abs(b22)) == 0.0
 
     c = Coupling(1.0, 2.0, 1.0)
-    gam = bo.assemble_gamma(circle_grid_256, c).matrix
-    lam_m = bo.assemble_lambda(circle_grid_256, c.mass, c).matrix
+    gam = bo.assemble_gamma(circle_grid_256, c)
+    lam_m = bo.assemble_lambda(circle_grid_256, c.mass, c)
     assert np.max(np.abs(c.strength * lam_m - (c.eps * np.eye(2 * n) + gam))) < 1e-13
     h = 0.5 * (gam + gam.conj().T)
     ev = np.linalg.eigvalsh(h)
@@ -185,7 +187,7 @@ def test_gamma_structure_and_bounds(circle_grid_256):
 
 def test_sz_symmetry_decay_and_block_identity(circle_grid_256):
     z = 0.3
-    s = bo.assemble_Sz(circle_grid_256, z, COUP).matrix
+    s = bo.assemble_Sz(circle_grid_256, z, COUP)
     assert np.max(np.abs(s - s.T)) < 1e-12
     # Hilbert-Schmidt proxy: the circle singular values are the Bessel
     # products I_n K_n ~ 1/(2n), so the N/4-th is ~2/N of the largest
@@ -198,7 +200,7 @@ def test_sz_symmetry_decay_and_block_identity(circle_grid_256):
     want = float(mp.besseli(k_quarter, kappa) * mp.besselk(k_quarter, kappa))
     assert sv[n // 4] == pytest.approx(want, rel=1e-6)
     assert float(np.sum(sv**2)) < np.inf
-    cz = bo.assemble_Cz(circle_grid_256, z, COUP).matrix
+    cz = bo.assemble_Cz(circle_grid_256, z, COUP)
     assert np.max(np.abs(cz[0::2, 0::2] - (z + 1.0) * s)) < 1e-12
 
 
@@ -207,8 +209,8 @@ def test_critical_theta_factorization(circle_grid_128):
     eps = 1.3
     c = Coupling(eps, eps, 1.0)
     z = 0.25
-    th = bo.assemble_theta(circle_grid_128, z, c).matrix
-    s = bo.assemble_Sz(circle_grid_128, z, c).matrix
+    th = bo.assemble_theta(circle_grid_128, z, c)
+    s = bo.assemble_Sz(circle_grid_128, z, c)
     n = circle_grid_128.n_nodes
     lam_scalar = np.eye(n) / (2 * eps) + (z + 1.0) * s
     theta_p = th[:, 0::2][0::2, :], th[:, 0::2][1::2, :]
@@ -221,8 +223,8 @@ def test_resolvent_cancellation(circle_grid_256):
     c = Coupling(3.0, 1.0, 1.0)
     z = 0.3
     n = circle_grid_256.n_nodes
-    cz = bo.assemble_Cz(circle_grid_256, z, c).matrix
-    lam = bo.assemble_lambda(circle_grid_256, z, c).matrix
+    cz = bo.assemble_Cz(circle_grid_256, z, c)
+    lam = bo.assemble_lambda(circle_grid_256, z, c)
     inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex))
     d = bo.coupling_diagonal(c, n)
     e = d[:, None] * (np.eye(2 * n) - cz @ inv) - inv
@@ -232,7 +234,7 @@ def test_resolvent_cancellation(circle_grid_256):
 def test_c1_compactness_proxy_on_ellipse():
     c = geo.build_curve(geo.ellipse(2.0, 1.0))
     g = geo.discretize(c, 256)
-    a = bo.assemble_cauchy(g).matrix
+    a = bo.assemble_cauchy(g)
     sv = np.linalg.svd(a - a.conj().T, compute_uv=False)
     assert sv[g.n_nodes // 4] < 1e-3 * sv[0]
 
@@ -266,7 +268,7 @@ def test_jump_relations(circle_grid_256):
     snu_g = np.einsum("nab,nb->na", snu, dens)
     want_jump = -1j * snu_g
     assert (np.linalg.norm(vin - vout - want_jump) / np.linalg.norm(want_jump)) < 1e-2
-    cz = bo.assemble_Cz(g, z, COUP).matrix
+    cz = bo.assemble_Cz(g, z, COUP)
     czg = (cz @ dens.reshape(-1)).reshape(-1, 2)
     want_in = -0.5j * snu_g + czg
     want_out = +0.5j * snu_g + czg
@@ -281,13 +283,24 @@ def test_potential_far_field_flagless(circle_grid_128):
     assert not flags.any()
 
 
-def test_matrix_export_roundtrip(tmp_path, circle_grid_128):
-    a = bo.assemble_cauchy(circle_grid_128).matrix[:8, :8]
-    binpath = tmp_path / "op.dsh"
-    bo.matrix_to_binary(a, binpath)
-    back = bo.matrix_from_binary(binpath)
-    assert np.array_equal(a, back)
-    csvpath = tmp_path / "op.csv"
-    bo.matrix_to_csv(a, csvpath)
-    data = np.loadtxt(csvpath, delimiter=",")
-    assert np.max(np.abs(data[:, 0::2] + 1j * data[:, 1::2] - a)) < 1e-16
+@pytest.mark.parametrize("name", ["theta_from_cz", "lambda_from_cz"])
+def test_theta_and_lambda_from_cz_allocate_one_matrix(circle_grid_256, name):
+    # Theta_z and Lambda_z add a diagonal to (a scaled) C_z in place: no
+    # full identity or diagonal matrix is allocated beside the result (a
+    # real diagonal matrix alone would add half of cz.nbytes)
+    c = Coupling(3.0, 1.0, 1.0)
+    cz = bo.assemble_Cz(circle_grid_256, 0.3, c)
+    assert cz.shape == (512, 512)
+    tracemalloc.start()
+    try:
+        got = getattr(bo, name)(cz, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * cz.nbytes
+    d = bo.coupling_diagonal(c, circle_grid_256.n_nodes)
+    if name == "theta_from_cz":
+        want = np.eye(512) + d[:, None] * cz
+    else:
+        want = np.diag(np.tile([1 / (c.eps + c.mu), 1 / (c.eps - c.mu)], 256)) + cz
+    assert np.array_equal(got, want)

@@ -160,6 +160,15 @@ def test_fredholm_polygon_square_cases():
     assert d3.fredholm == (4.0 < 1.0 / m03)
 
 
+@pytest.mark.parametrize("tpi", [0.05, 0.3, 0.5, 0.9, 1.0, 1.4, 1.95])
+def test_m_argsup_gives_m_of_and_its_argument(tpi):
+    theta = tpi * math.pi
+    m, x = cs.m_argsup(theta)
+    assert m == cs.m_of(theta)
+    assert x >= 0.0
+    assert cs.M(theta, x) == pytest.approx(m, abs=1e-14)
+
+
 def test_fredholm_witness_hits_level():
     c = Coupling(2.2, 0.0)
     d = cs.fredholm_polygon([0.2 * math.pi], c)

@@ -108,7 +108,7 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
                         lambda *a: calls.append(a) or assemble(*a))
     mat, theta = sp._root_operators(grid, coup, 0.3)
     assert len(calls) == 2
-    assert theta.tobytes() == bo.assemble_theta(grid, 0.3, coup).matrix.tobytes()
+    assert theta.tobytes() == bo.assemble_theta(grid, 0.3, coup).tobytes()
     assert np.array_equal(mat, sp._hermitian_matrix(grid, coup, 0.3))
 
 
@@ -146,7 +146,7 @@ def test_no_spurious_roots_dominated_coupling(circle_grid_256):
 
 def test_lambda_m_lower_bound(circle_grid_256):
     c = Coupling(1.0, 2.0, 1.0)
-    lam = bo.assemble_lambda(circle_grid_256, c.mass, c).matrix
+    lam = bo.assemble_lambda(circle_grid_256, c.mass, c)
     h = 0.5 * (lam + lam.conj().T) * c.strength
     ev = np.linalg.eigvalsh(h)
     assert np.min(np.abs(ev)) >= (abs(c.mu) - abs(c.eps)) - 1e-3
