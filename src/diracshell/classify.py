@@ -86,8 +86,7 @@ def _exact_strength(coupling: Coupling) -> Fraction:
     return Fraction(coupling.eps) ** 2 - Fraction(coupling.mu) ** 2
 
 
-def classify(curve_class: CurveClass, coupling: Coupling,
-             m_tol: float = 1e-12) -> ClassificationResult:
+def classify(curve_class: CurveClass, coupling: Coupling) -> ClassificationResult:
     """Apply the sufficient conditions in order of generality.
 
     1. |eps| <= |mu|: self-adjoint on any Lipschitz curve.
@@ -126,7 +125,7 @@ def classify(curve_class: CurveClass, coupling: Coupling,
 
     if cls.kind == "polygon":
         omega = sharpest_angle(np.asarray(cls.angles))
-        m_omega = m_of(omega, max(m_tol, 1e-13))
+        m_omega = m_of(omega)
         lower = 1.0 / m_omega
         upper = 16.0 * m_omega
         evidence.update({
@@ -162,7 +161,7 @@ def classify(curve_class: CurveClass, coupling: Coupling,
     return ClassificationResult("Unknown", None, evidence, notes)
 
 
-def critical_set(curve_class: CurveClass, m_tol: float = 1e-12) -> list:
+def critical_set(curve_class: CurveClass) -> list:
     """Threshold values of eps^2 - mu^2 where the classification changes.
 
     Polygons return the pair (1/m(omega), 16 m(omega)), which coincide for
@@ -174,7 +173,7 @@ def critical_set(curve_class: CurveClass, m_tol: float = 1e-12) -> list:
         if len(curve_class.angles) == 0:
             return [4.0]
         omega = sharpest_angle(np.asarray(curve_class.angles))
-        m_omega = m_of(omega, max(m_tol, 1e-13))
+        m_omega = m_of(omega)
         return [1.0 / m_omega, 16.0 * m_omega]
     raise DomainError("critical_set requires a polygon or C1 curve class")
 

@@ -93,6 +93,7 @@ _KNOWN_KEYS = {
     "classify": {"curve_class", "angles_pi"},
     "eigs": {"z_min", "z_max", "samples", "tol", "branch_csv"},
     "verify": {"z", "offset", "seed"},
+    # "tol" is accepted and ignored (m_of has no tolerance): older configs set it
     "mtheta": {"theta_min_pi", "theta_max_pi", "steps", "tol"},
     "symbol": {"theta_pi", "eta_min", "eta_max", "eta_steps", "trunc", "tol"},
     "sweep": {"eps_min", "eps_max", "eps_steps", "mu_min", "mu_max", "mu_steps"},
@@ -355,11 +356,10 @@ def cmd_mtheta(cfg, args, out):
     lo = float(sec.get("theta_min_pi", 0.05))
     hi = float(sec.get("theta_max_pi", 0.95))
     steps = int(sec.get("steps", 19))
-    tol = float(sec.get("tol", 1e-12))
     rows = []
     for i in range(steps):
         tpi = lo + (hi - lo) * i / max(steps - 1, 1)
-        rows.append((tpi * math.pi, m_of(tpi * math.pi, tol)))
+        rows.append((tpi * math.pi, m_of(tpi * math.pi)))
     write_csv(os.path.join(out, "mtheta.csv"), ["theta", "m_theta"], rows)
     return EXIT_OK
 

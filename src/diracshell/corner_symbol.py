@@ -85,7 +85,7 @@ def m_argsup(theta: float) -> tuple[float, float]:
     return max(float(vals[i]), float(fm), m0), (0.0 if m0 >= fm else xm)
 
 
-def m_of(theta: float, tol: float = 1e-12) -> float:
+def m_of(theta: float) -> float:
     """m(theta) = sup_x M_theta(x), the value of m_argsup.
 
     m(theta) = m(2pi - theta), and for theta in (0, pi]
@@ -98,8 +98,6 @@ def m_of(theta: float, tol: float = 1e-12) -> float:
     edge is M_theta(x) >= e^(-theta x) / (2 (1 + e^(-pi x))^2) evaluated at
     x = ln(2pi/theta)/pi with e^(-y) >= 1 - y and (1 + t)^-2 >= 1 - 2t.
     """
-    if tol < 1e-13:
-        raise DomainError("tol below supported resolution 1e-13")
     return m_argsup(theta)[0]
 
 

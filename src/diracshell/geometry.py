@@ -141,7 +141,6 @@ class CurveSpec:
     """Raw edge chain; validated and normalized by build_curve."""
 
     edges: tuple
-    closed: bool = True
 
 
 @dataclass(frozen=True)
@@ -326,7 +325,7 @@ def _check_self_intersection(edges, scale):
                         raise SelfIntersectionError(f"arcs {i} and {j} intersect")
 
 
-def build_curve(spec: CurveSpec, corner_angle_tol: float = _ANGLE_TOL) -> Curve:
+def build_curve(spec: CurveSpec) -> Curve:
     """Validate a CurveSpec and produce a normalized anticlockwise Curve.
 
     Raises OpenCurveError / CuspError / SelfIntersectionError per the
@@ -363,9 +362,9 @@ def build_curve(spec: CurveSpec, corner_angle_tol: float = _ANGLE_TOL) -> Curve:
         cross = u[0] * v[1] - u[1] * v[0]
         dot = float(np.dot(u, v))
         delta = math.atan2(cross, dot)
-        if abs(delta) <= corner_angle_tol:
+        if abs(delta) <= _ANGLE_TOL:
             continue  # smooth junction
-        if math.pi - abs(delta) <= corner_angle_tol:
+        if math.pi - abs(delta) <= _ANGLE_TOL:
             raise CuspError(f"cusp at junction {j}: tangents anti-parallel")
         theta = math.pi - delta
         pos = nxt.point(np.array(0.0))
@@ -430,12 +429,10 @@ class QuadratureGrid:
     tangents: np.ndarray  # (N, 2), tau = (-nu2, nu1)
     normals: np.ndarray  # (N, 2), pointing into Omega_-
     corner_distance: np.ndarray  # (N,)
-    panel_index: np.ndarray  # (N,) int, -1 on trapezoid grids
     panels: tuple  # Panel tuple, empty on trapezoid grids
     param: np.ndarray  # (N,) trapezoid angle theta in [0, 2pi); empty otherwise
     dy_dparam: np.ndarray  # complex velocity dz/dtheta (trapezoid) or dz/ds (panel)
     panel_s: np.ndarray  # (N,) panel-local Gauss abscissa, 0.0 on trapezoid
-    grading_exponent: float
 
     @property
     def n_nodes(self) -> int:
@@ -511,12 +508,10 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
             nodes=_freeze(pos), weights=_freeze(weights),
             tangents=_freeze(tang), normals=_freeze(norm),
             corner_distance=_freeze(np.full(n, np.inf)),
-            panel_index=_freeze(np.full(n, -1, dtype=int)),
             panels=(),
             param=_freeze(2 * np.pi * t),
             dy_dparam=_freeze(dy_dparam),
             panel_s=_freeze(np.zeros(n)),
-            grading_exponent=grading_exponent,
         )
 
     # panel flavour
@@ -525,7 +520,7 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
     corner_edges_in = {c.edge_in for c in curve.corners}
     corner_edges_out = {c.edge_out for c in curve.corners}
     nodes, weights, tangs, norms = [], [], [], []
-    panels, panel_idx, dyds_all, svals_all = [], [], [], []
+    panels, dyds_all, svals_all = [], [], []
     count = 0
     for ei, edge in enumerate(curve.edges):
         at_start = ei in corner_edges_out
@@ -550,7 +545,6 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
             norms.append(np.stack([tang[:, 1], -tang[:, 0]], axis=-1))
             dyds_all.append(dyds)
             svals_all.append(sgl.copy())
-            panel_idx.append(np.full(_PANEL_ORDER, len(panels) - 1, dtype=int))
             count += _PANEL_ORDER
     nodes = np.concatenate(nodes)
     cpos = curve.corner_positions()
@@ -563,10 +557,8 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
         nodes=_freeze(nodes), weights=_freeze(np.concatenate(weights)),
         tangents=_freeze(np.concatenate(tangs)), normals=_freeze(np.concatenate(norms)),
         corner_distance=_freeze(cd),
-        panel_index=_freeze(np.concatenate(panel_idx)),
         panels=tuple(panels),
         param=_freeze(np.zeros(0)),
         dy_dparam=_freeze(np.concatenate(dyds_all)),
         panel_s=_freeze(np.concatenate(svals_all)),
-        grading_exponent=grading_exponent,
     )

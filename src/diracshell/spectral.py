@@ -3,9 +3,11 @@
 For |eps| != |mu| the discrete eigenvalues in (-m, m) are the z where the
 Hermitian boundary operator Lambda_z becomes singular; for eps = +-mu != 0
 the scalar operator lambda_z = 1/(2 eps) + (z +- m) S_z takes that role.
-Roots are located by tracking the count of negative eigenvalues over a
-sweep (bisection on count changes, then secant polish on the crossing
-branch), which is robust to branch reordering at crossings.
+Roots are located from the count of negative eigenvalues over a sweep:
+where the count changes between two samples, each sorted eigenvalue whose
+index lies between the two counts changes sign, and brentq finds its zero.
+Sorted eigenvalues are continuous in z, so this is robust to branch
+reordering at crossings.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import boundary_ops as bo
 from .errors import IllConditionedWarning, SpectralParameterError
@@ -127,8 +130,10 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
 def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
                      z_range: tuple | None = None, samples: int = 128,
                      tol: float = 1e-12, sweep: BranchData | None = None) -> list:
-    """Locate gap eigenvalues: bisection on the negative-eigenvalue count,
-    then secant polish of the crossing branch to |lambda| <= 1e-10.
+    """Locate gap eigenvalues: between two samples whose negative-eigenvalue
+    counts differ, brentq finds the zero of each sorted eigenvalue that
+    changes sign, to |dz| <= tol.  Roots within 10 tol are one cluster, its
+    size the multiplicity.
 
     With ``sweep``, a ``gap_sweep`` of the same grid and coupling, the sample
     points and their spectra are taken from it (z_range and samples are then
@@ -149,61 +154,29 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
             spectra[key] = _hermitian_eigs(grid, coupling, z)
         return spectra[key]
 
-    def neg_count(z):
-        return int(np.sum(eigs_at(z) < 0.0))
-
-    def smallest_eig(z):
-        ev = eigs_at(z)
-        return float(ev[np.argmin(np.abs(ev))])
-
     if sweep is None:
         lo, hi = z_range if z_range is not None else default_window(coupling)
         zs = np.linspace(lo, hi, samples)
     else:
         zs = sweep.z_samples
         spectra.update(zip(map(float, zs), sweep.eigenvalues))
-    counts = [neg_count(z) for z in zs]
-    brackets = []  # (a, b, multiplicity) with the crossing isolated in [a, b]
-
-    def isolate(a, b, ca, cb):
-        # narrow until width <= resolution, splitting whenever crossings
-        # separate; a bracket may still hold several coincident crossings
-        while b - a > max(tol, 1e-5):
-            mid = 0.5 * (a + b)
-            cm = neg_count(mid)
-            if cm == ca:
-                a = mid
-            elif cm == cb:
-                b = mid
-            else:  # crossings on both sides of mid
-                isolate(a, mid, ca, cm)
-                a, ca = mid, cm
-        brackets.append((a, b, abs(cb - ca)))
-
-    for i in range(len(zs) - 1):
-        if counts[i + 1] != counts[i]:
-            isolate(zs[i], zs[i + 1], counts[i], counts[i + 1])
+    counts = [int(np.sum(eigs_at(z) < 0.0)) for z in zs]
+    # the j-th sorted eigenvalue is continuous in z, so each j between the
+    # counts of two samples changes sign between them
+    roots = sorted(
+        brentq(lambda z, j=j: eigs_at(z)[j], a, b, xtol=tol, rtol=4 * np.finfo(float).eps)
+        for a, b, ca, cb in zip(zs, zs[1:], counts, counts[1:])
+        for j in range(min(ca, cb), max(ca, cb)))
+    clusters = []  # roots closer than 10 tol are one multiple root
+    for z in roots:
+        if clusters and z - clusters[-1][-1] <= 10.0 * tol:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
 
     pairs = []  # eigenpairs
-    roots = []
-    cluster = 0
-    for a, b, mult in sorted(brackets):
-        # secant polish on the branch crossing zero
-        za, zb = a, b
-        fa, fb = smallest_eig(za), smallest_eig(zb)
-        z0 = zb
-        for _ in range(60):
-            if fb == fa:
-                break
-            z0 = zb - fb * (zb - za) / (fb - fa)
-            z0 = min(max(z0, min(za, zb) - 1e-3), max(za, zb) + 1e-3)
-            f0 = smallest_eig(z0)
-            za, fa, zb, fb = zb, fb, z0, f0
-            if abs(f0) <= 1e-10 or abs(zb - za) <= tol:
-                break
-        if roots and abs(z0 - roots[-1]) <= 10.0 * tol:
-            continue  # duplicate of the previous root
-        roots.append(z0)
+    for cluster, members in enumerate(clusters):
+        z0, mult = members[0], len(members)
         mat, theta = _root_operators(grid, coupling, z0)
         ev, vec = np.linalg.eigh(mat)
         order = np.argsort(np.abs(ev))
@@ -219,7 +192,6 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
             residual = float(np.linalg.norm(theta @ g))
             pairs.append(Eigenpair(float(z0), g, residual, cluster, second, cond,
                                    coupling))
-        cluster += 1
     return pairs
 
 
@@ -308,12 +280,9 @@ def _smooth_test_density(grid, seed=1234):
 
 
 def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
-                      tolerances: dict | None = None, offset: float = 1e-3,
-                      seed: int = 1234) -> VerificationReport:
+                      offset: float = 1e-3, seed: int = 1234) -> VerificationReport:
     """Run the four operator-identity checks and report measured residuals."""
-    tols = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tols.update(tolerances)
+    tols = DEFAULT_TOLERANCES
     n = grid.n_nodes
     checks = []
 

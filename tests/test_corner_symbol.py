@@ -72,8 +72,6 @@ def test_m_symmetry_grid():
 
 def test_m_tol_validation():
     with pytest.raises(DomainError):
-        cs.m_of(0.5 * math.pi, tol=1e-14)
-    with pytest.raises(DomainError):
         cs.m_of(0.0)
 
 

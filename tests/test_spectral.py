@@ -69,6 +69,29 @@ def test_find_eigenvalues_from_sweep_is_bitwise_equal(circle_grid_128, coup):
         sp.find_eigenvalues(circle_grid_128, Coupling(2.0, 0.0), sweep=sweep)
 
 
+def test_roots_by_brentq_are_kernel_points_in_few_solves(circle_grid_128, monkeypatch):
+    # brentq on the sorted eigenvalue that changes sign between two sweep
+    # samples: residuals at roundoff, a handful of solves per root
+    found = {}
+    for coup in (Coupling(1.0, 0.0), Coupling(-4.0, 0.0), Coupling(-1.0, -1.0)):
+        sweep = sp.gap_sweep(circle_grid_128, coup, samples=48)
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **k: solves.append(1) or eigvalsh(*a, **k))
+        pairs = sp.find_eigenvalues(circle_grid_128, coup, sweep=sweep)
+        monkeypatch.undo()
+        assert len(pairs) >= 1
+        assert max(p.residual for p in pairs) <= 1e-12
+        assert len(solves) <= 6 * len(pairs)
+        found[coup] = pairs
+    scalar = found[Coupling(-1.0, -1.0)]
+    assert len(scalar) == 3
+    assert [p.cluster for p in scalar] == [0, 1, 1]
+    assert scalar[1].z0 == scalar[2].z0
+    assert scalar[1].z0 == pytest.approx(0.4111791917, abs=1e-10)
+
+
 def test_root_count_stable_under_refinement(circle_curve, circle_grid_128,
                                             circle_grid_256):
     for coup in (Coupling(1.0, 0.0), Coupling(0.0, 1.0), Coupling(1.0, 1.0)):
