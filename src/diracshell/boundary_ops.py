@@ -32,6 +32,7 @@ from .quadrature import (
 )
 
 _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
+_POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
 
 
 def spinor_from_blocks(b11, b12, b21, b22) -> np.ndarray:
@@ -76,6 +77,38 @@ def _pairwise(grid):
         np.fill_diagonal(r, 1.0)  # masked; diagonal handled explicitly
         cache["pairwise"] = (dx, r)
     return cache["pairwise"]
+
+
+def _upper_pairs(grid):
+    """Cached strict upper triangle (i < j) of the node pairs: its boolean
+    mask, and R and log R on it in row-major order."""
+    cache = grid.cache()
+    if "upper_pairs" not in cache:
+        n = grid.n_nodes
+        mask = np.triu(np.ones((n, n), dtype=bool), 1)
+        r = _pairwise(grid)[1][mask]
+        cache["upper_pairs"] = (mask, r, np.log(r))
+    return cache["upper_pairs"]
+
+
+def _symmetric(grid, upper, diag) -> np.ndarray:
+    """The symmetric (N, N) matrix with the given strict upper triangle
+    (row-major, as ``_upper_pairs`` orders it) and diagonal."""
+    mask = _upper_pairs(grid)[0]
+    out = np.empty(mask.shape)
+    out[mask] = upper
+    out.T[mask] = upper
+    np.fill_diagonal(out, diag)
+    return out
+
+
+def _k1_phase(grid):
+    """Cached (i/2pi) conj(DX)/R, the angular factor of the K1 kernel."""
+    cache = grid.cache()
+    if "k1_phase" not in cache:
+        dx, r = _pairwise(grid)
+        cache["k1_phase"] = 1j * (1.0 / (2 * np.pi)) * (np.conj(dx) / r)
+    return cache["k1_phase"]
 
 
 def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
@@ -219,14 +252,17 @@ def log_kernel_matrix(grid, a, b) -> np.ndarray:
 
 
 def _scalar_k0_matrix(grid, z: float, mass: float) -> np.ndarray:
-    """Matrix of (1/2pi) K0(kappa |x-y|) against arclength (real symmetric kernel)."""
+    """Matrix of (1/2pi) K0(kappa |x-y|) against arclength (real symmetric kernel).
+
+    R is exactly symmetric, so the Bessel factors are evaluated once per
+    unordered node pair and mirrored.
+    """
     kappa = K.gap_kappa(z, mass)
     pref = 1.0 / (2 * np.pi)
-    i0, b = K.b_k0(_pairwise(grid)[1], kappa)
-    a = -pref * i0
-    b = pref * b
-    np.fill_diagonal(a, -pref)
-    np.fill_diagonal(b, pref * K.b_k0_at_zero(kappa))
+    _, r, log_r = _upper_pairs(grid)
+    i0, b = K.b_k0(r, kappa, log_r)
+    a = _symmetric(grid, -pref * i0, -pref)
+    b = _symmetric(grid, pref * b, pref * K.b_k0_at_zero(kappa))
     return log_kernel_matrix(grid, a, b)
 
 
@@ -259,12 +295,11 @@ def cz_from_sz(grid: QuadratureGrid, z: float, coupling: Coupling,
 
 def _k1_block(grid, kappa: float) -> np.ndarray:
     """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r) conj(dx)/r."""
-    pref = 1.0 / (2 * np.pi)
-    dx, r = _pairwise(grid)
-    i1, b = K.b_k1(r, kappa)
-    phase = 1j * pref * (np.conj(dx) / r)
-    a = kappa * i1 * phase
-    b = b * phase
+    _, r, log_r = _upper_pairs(grid)
+    i1, b = K.b_k1(r, kappa, log_r)
+    phase = _k1_phase(grid)
+    a = _symmetric(grid, kappa * i1, 0.0) * phase
+    b = _symmetric(grid, b, 0.0) * phase
     np.fill_diagonal(a, 0.0)
     np.fill_diagonal(b, 0.0)
     return log_kernel_matrix(grid, a, b)
@@ -336,17 +371,33 @@ def lu_solve_with_cond(matrix: np.ndarray, rhs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _phi_z_apply(points, srcs, weights, g2, z, coupling, chunk=1_000_000):
-    """sum_j phi_z(p - y_j) g_j w_j for points (M,2), g2 (N,2), chunked."""
+def _phi_z_apply(points, srcs, weights, g2, z, coupling):
+    """sum_j phi_z(p - y_j) g_j w_j for points (M,2), g2 (N,2).
+
+    phi_z = (1/2pi) K0 (m sigma_3 + z sigma_0) + (i kappa / 2pi r) K1 (sigma . x),
+    so with gw = g w each component takes a product with the real field K0
+    and one with the complex field F = (kappa / 2pi r) K1 (dx + i dy):
+        out_0 = (m+z)/2pi K0 gw_0 + i conj(F conj(gw_1)),
+        out_1 = (z-m)/2pi K0 gw_1 + i F gw_0.
+    Rows are taken in chunks of about ``_POTENTIAL_PAIRS`` point-source pairs.
+    """
+    kappa = K.gap_kappa(z, coupling.mass)
+    pref = 1.0 / (2 * np.pi)
+    mass = coupling.mass
     gw = g2 * weights[:, None]
-    n = srcs.shape[0]
-    rows = max(1, chunk // max(n, 1))
-    out = np.empty((points.shape[0], 2), dtype=complex)
-    for lo in range(0, points.shape[0], rows):
-        hi = min(lo + rows, points.shape[0])
-        d = points[lo:hi, None, :] - srcs[None, :, :]
-        phi = K.phi_z(d, z, coupling)
-        out[lo:hi] = np.einsum("mnab,nb->ma", phi, gw)
+    gw_real = gw.view(float)  # (N, 4): real and imaginary parts side by side
+    gw_f = np.stack([gw[:, 0], np.conj(gw[:, 1])], axis=1)
+    pc = points[:, 0] + 1j * points[:, 1]
+    sc = srcs[:, 0] + 1j * srcs[:, 1]
+    rows = max(1, _POTENTIAL_PAIRS // max(len(sc), 1))
+    out = np.empty((len(pc), 2), dtype=complex)
+    for lo in range(0, len(pc), rows):
+        d = pc[lo:lo + rows, None] - sc[None, :]
+        r = np.abs(d)
+        k0_gw = (K.bessel_k0(kappa * r) @ gw_real).view(complex)
+        f_gw = (pref * kappa) * ((K.bessel_k1(kappa * r) / r * d) @ gw_f)
+        out[lo:lo + rows, 0] = pref * (mass + z) * k0_gw[:, 0] + 1j * np.conj(f_gw[:, 1])
+        out[lo:lo + rows, 1] = pref * (z - mass) * k0_gw[:, 1] + 1j * f_gw[:, 0]
     return out
 
 
@@ -391,18 +442,18 @@ def evaluate_potential(grid, density, z, coupling, points):
     if np.any(dmin < 1e-12 * scale):
         raise PointOnCurveError("evaluation point lies on the curve")
     near = dmin < 10.0 * grid.weights[jmin]
-    values = _phi_z_apply(points, grid.nodes, grid.weights, g2, z, coupling)
-    degraded = np.zeros(len(points), dtype=bool)
-    if not np.any(near) or grid.kind != "trapezoid":
-        degraded |= near
-        return values, degraded
-    # spectral upsampling for the near points
-    target = 8.0 / max(np.min(dmin[near]), 1e-6)
     factor = 1
-    while grid.n_nodes * factor < target and grid.n_nodes * factor < 131072:
-        factor *= 2
-    if grid.n_nodes * factor < target:
-        degraded |= near
+    degraded = near
+    if np.any(near) and grid.kind == "trapezoid":
+        # spectral upsampling for the near points
+        target = 8.0 / max(np.min(dmin[near]), 1e-6)
+        while grid.n_nodes * factor < target and grid.n_nodes * factor < 131072:
+            factor *= 2
+        if grid.n_nodes * factor >= target:
+            degraded = np.zeros(len(points), dtype=bool)
+    values = np.empty((len(points), 2), dtype=complex)
+    coarse = ~near if factor > 1 else slice(None)
+    values[coarse] = _phi_z_apply(points[coarse], grid.nodes, grid.weights, g2, z, coupling)
     if factor > 1:
         pos, w, g_up = _upsample_closed(grid, g2, factor)
         values[near] = _phi_z_apply(points[near], pos, w, g_up, z, coupling)

@@ -62,18 +62,34 @@ def _hermitian_matrix(grid, coupling, z):
     """The Hermitian part of Lambda_z, or of lambda_z on the scalar route."""
     if _route(coupling) == "scalar":
         return _scalar_hermitian(bo.assemble_Sz(grid, z, coupling), coupling, z)
-    return _hermitian_part(bo.assemble_lambda(grid, z, coupling))
+    return _lambda_hermitian(bo.assemble_Cz(grid, z, coupling), coupling)
 
 
 def _scalar_hermitian(s, coupling, z):
     """The Hermitian part of lambda_z = 1/(2 eps) + (z +- m) S_z from S_z."""
     sign = 1.0 if coupling.eps == coupling.mu else -1.0
     mat = (z + sign * coupling.mass) * s
-    return 0.5 * (mat + mat.T) + np.eye(s.shape[0]) / (2.0 * coupling.eps)
+    herm = 0.5 * (mat + mat.T)
+    herm[np.diag_indices_from(herm)] += 1.0 / (2.0 * coupling.eps)
+    return herm
 
 
-def _hermitian_part(mat):
-    return 0.5 * (mat + mat.conj().T)
+def _lambda_hermitian(cz, coupling):
+    """The Hermitian part (L + L^H)/2 of Lambda_z, written block by block from
+    the N x N blocks of C_z, without forming Lambda_z."""
+    b11, b12, b21, b22 = bo.blocks_from_spinor(cz)
+    herm = np.empty_like(cz)
+    for k, (b, diag) in enumerate(((b11, 1.0 / (coupling.eps + coupling.mu)),
+                                   (b22, 1.0 / (coupling.eps - coupling.mu)))):
+        block = b.real.copy()  # (z +- m) S_z, a real matrix
+        block[np.diag_indices_from(block)] += diag
+        herm[k::2, k::2] = 0.5 * (block + block.T)
+    # the lower block is summed on its own rather than taken as the conjugate
+    # transpose of the upper one: the two differ in the sign of zero
+    # imaginary parts, and the sum is what (L + L^H)/2 holds bitwise
+    herm[0::2, 1::2] = 0.5 * (b12 + b21.conj().T)
+    herm[1::2, 0::2] = 0.5 * (b21 + b12.conj().T)
+    return herm
 
 
 def _hermitian_eigs(grid, coupling, z):
@@ -88,7 +104,7 @@ def _root_operators(grid, coupling, z):
         cz = bo.cz_from_sz(grid, z, coupling, s)
         return _scalar_hermitian(s, coupling, z), bo.theta_from_cz(cz, coupling)
     cz = bo.assemble_Cz(grid, z, coupling)
-    return _hermitian_part(bo.lambda_from_cz(cz, coupling)), bo.theta_from_cz(cz, coupling)
+    return _lambda_hermitian(cz, coupling), bo.theta_from_cz(cz, coupling)
 
 
 def default_window(coupling: Coupling) -> tuple:
@@ -287,7 +303,11 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
     checks = []
 
     cz = bo.assemble_Cz(grid, z, coupling)
-    m1 = cz @ bo.sigma_nu_matrix(grid)
+    # C_z (sigma . nu): sigma . nu swaps the spinor components of node j and
+    # scales them by nu_j and conj(nu_j), so it acts on the columns of C_z
+    m1 = np.empty_like(cz)
+    m1[:, 0::2] = cz[:, 1::2] * grid.nc
+    m1[:, 1::2] = cz[:, 0::2] * np.conj(grid.nc)
     cc2 = float(np.linalg.norm(m1 @ m1 + 0.25 * np.eye(2 * n), 2))
     checks.append(IdentityCheck("cc2", cc2, tols["cc2"], cc2 <= tols["cc2"]))
 

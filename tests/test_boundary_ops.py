@@ -6,6 +6,7 @@ import pytest
 from conftest import smooth_density
 from diracshell import boundary_ops as bo
 from diracshell import geometry as geo
+from diracshell import kernels as K
 from diracshell.errors import (
     CriticalCouplingError,
     GridTooCoarse,
@@ -274,6 +275,58 @@ def test_jump_relations(circle_grid_256):
     want_out = +0.5j * snu_g + czg
     assert (np.linalg.norm(vin - want_in) / np.linalg.norm(want_in)) < 2e-2
     assert (np.linalg.norm(vout - want_out) / np.linalg.norm(want_out)) < 2e-2
+
+
+def _explicit_potential(points, srcs, weights, g2, z, coupling):
+    """sum_j phi_z(p - y_j) g_j w_j from the full 2x2 kernel matrices."""
+    phi = K.phi_z(points[:, None, :] - srcs[None, :, :], z, coupling)
+    return np.einsum("mnab,nb->ma", phi, g2 * weights[:, None])
+
+
+def _off_curve(grid, offset, step):
+    """Points at +-offset along the normal from every step-th node."""
+    nodes, normals = grid.nodes[::step], grid.normals[::step]
+    return np.concatenate([nodes - offset * normals, nodes + offset * normals])
+
+
+@pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 128), (geo.square(1.0), 16)])
+def test_potential_equals_explicit_sum(spec, nodes):
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    c, z = Coupling(3.0, 1.0, 1.0), 0.3
+    rng = np.random.default_rng(5)
+    g2 = rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))
+    # on the circle, points 0.6 off are far (ten mesh widths are 0.49) and
+    # take the coarse rule; points 0.01 off are near and take the upsampled
+    # rule with 8 / 0.01 = 800 sources wanted, so 128 nodes times 8.  Panel
+    # grids evaluate every point by the coarse rule.
+    far = np.concatenate([_off_curve(grid, 0.6, 8), [[0.05, -0.1], [2.5, 1.0]]])
+    near = _off_curve(grid, 0.01, 8)
+    vals, flags = bo.evaluate_potential(grid, g2, z, c, np.concatenate([far, near]))
+    want_far = _explicit_potential(far, grid.nodes, grid.weights, g2, z, c)
+    if grid.kind == "trapezoid":
+        pos, w, g_up = bo._upsample_closed(grid, g2, 8)
+        want_near = _explicit_potential(near, pos, w, g_up, z, c)
+        assert not flags.any()
+    else:
+        want_near = _explicit_potential(near, grid.nodes, grid.weights, g2, z, c)
+    want = np.concatenate([want_far, want_near])
+    assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_potential_near_curve_peak_memory(circle_grid_256):
+    # 256 points 1e-3 off the circle take the upsampled rule with 8192
+    # sources: 2M point-source pairs, contracted in bounded chunks
+    g = circle_grid_256
+    dens = smooth_density(g)
+    pts = g.nodes + 1e-3 * g.normals
+    tracemalloc.start()
+    try:
+        _, flags = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not flags.any()
+    assert peak < 32 * 2**20
 
 
 def test_potential_far_field_flagless(circle_grid_128):

@@ -135,6 +135,43 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
     assert np.array_equal(mat, sp._hermitian_matrix(grid, coup, 0.3))
 
 
+_SHAPES = [(geo.circle(1.0), 128), (geo.square(1.0), 16), (geo.l_shape(1.0), 16)]
+
+
+@pytest.mark.parametrize("spec, nodes", _SHAPES)
+def test_sweep_hermitian_matrix_is_bitwise_hermitian_part(spec, nodes):
+    # written block by block from the blocks of C_z, without Lambda_z; the
+    # bytes are those of (L + L^H)/2, signed zeros included, and of
+    # (M + M^T)/2 + I/(2 eps) on the scalar route
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    n = grid.n_nodes
+    for z in (-0.9, 0.3, 0.97):
+        c = Coupling(3.0, 1.0, 1.0)
+        lam = bo.assemble_lambda(grid, z, c)
+        want = 0.5 * (lam + lam.conj().T)
+        assert sp._hermitian_matrix(grid, c, z).tobytes() == want.tobytes()
+        for c, sign in ((Coupling(1.5, 1.5), 1.0), (Coupling(-1.0, 1.0), -1.0)):
+            m = (z + sign * c.mass) * bo.assemble_Sz(grid, z, c)
+            want = 0.5 * (m + m.T) + np.eye(n) / (2 * c.eps)
+            assert sp._hermitian_matrix(grid, c, z).tobytes() == want.tobytes()
+
+
+def test_one_z_evaluates_bessel_once_per_node_pair(monkeypatch):
+    # R is symmetric, so a Hermitian sample evaluates each Bessel function
+    # on the N(N-1)/2 unordered node pairs at most, not on all N^2
+    grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 128)
+    n = grid.n_nodes
+    points = {}
+    for name in ("bessel_i0", "bessel_k0", "bessel_i1", "bessel_k1"):
+        def counted(x, name=name, fn=getattr(bo.K, name)):
+            points[name] = points.get(name, 0) + np.size(x)
+            return fn(x)
+        monkeypatch.setattr(bo.K, name, counted)
+    sp._hermitian_matrix(grid, Coupling(1.0, 0.0), 0.3)
+    assert set(points) == {"bessel_i0", "bessel_k0", "bessel_i1", "bessel_k1"}
+    assert max(points.values()) <= n * (n - 1) // 2
+
+
 def test_scalar_route_positive_coupling_empty(circle_grid_128):
     assert sp.find_eigenvalues(circle_grid_128, Coupling(1.0, 1.0), samples=48) == []
 
