@@ -21,7 +21,7 @@ from .errors import (
     GridTooCoarse,
     PointOnCurveError,
 )
-from .geometry import QuadratureGrid
+from .geometry import PANEL_ORDER, QuadratureGrid
 from .kernels import Coupling
 from .quadrature import (
     cauchy_moments,
@@ -67,16 +67,15 @@ def sigma_nu_matrix(grid: QuadratureGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pairwise(grid):
-    """Cached displacement matrices: DX (complex x_i - y_j), R = |DX|."""
+def _distances(grid) -> np.ndarray:
+    """Cached node distances R = |x_i - y_j|, with 1.0 on the diagonal."""
     cache = grid.cache()
-    if "pairwise" not in cache:
+    if "distances" not in cache:
         z = grid.zc
-        dx = z[:, None] - z[None, :]
-        r = np.abs(dx)
+        r = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(r, 1.0)  # masked; diagonal handled explicitly
-        cache["pairwise"] = (dx, r)
-    return cache["pairwise"]
+        cache["distances"] = r
+    return cache["distances"]
 
 
 def _upper_pairs(grid):
@@ -86,7 +85,7 @@ def _upper_pairs(grid):
     if "upper_pairs" not in cache:
         n = grid.n_nodes
         mask = np.triu(np.ones((n, n), dtype=bool), 1)
-        r = _pairwise(grid)[1][mask]
+        r = _distances(grid)[mask]
         cache["upper_pairs"] = (mask, r, np.log(r))
     return cache["upper_pairs"]
 
@@ -106,8 +105,9 @@ def _k1_phase(grid):
     """Cached (i/2pi) conj(DX)/R, the angular factor of the K1 kernel."""
     cache = grid.cache()
     if "k1_phase" not in cache:
-        dx, r = _pairwise(grid)
-        cache["k1_phase"] = 1j * (1.0 / (2 * np.pi)) * (np.conj(dx) / r)
+        z = grid.zc
+        dx = z[:, None] - z[None, :]
+        cache["k1_phase"] = 1j * (1.0 / (2 * np.pi)) * (np.conj(dx) / _distances(grid))
     return cache["k1_phase"]
 
 
@@ -129,22 +129,21 @@ def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             V = dy[None, :] / (z[None, :] - z[:, None])
         np.fill_diagonal(V, 0.0)
-        norder = len(gauss_legendre(8)[0])
+        snod = gauss_legendre(PANEL_ORDER)[0]  # the same abscissae on every panel
         for p in grid.panels:
             sl = slice(p.start, p.stop)
             mid = 0.5 * (p.za + p.zb)
             half = 0.5 * (p.zb - p.za)
             xhat = (z - mid) / half
-            snod = grid.panel_s[sl]
             dyds = grid.dy_dparam[sl]
             ynod = z[sl]
             # self-panel rows: parameter-space principal value
             for row in range(p.start, p.stop):
                 s0 = snod[row - p.start]
-                vt = product_weights(cauchy_moments(s0, norder, True), norder)
+                vt = product_weights(cauchy_moments(s0, PANEL_ORDER, True), PANEL_ORDER)
                 num = snod - s0
                 den = ynod - z[row]
-                ratio = np.empty(norder, dtype=complex)
+                ratio = np.empty(PANEL_ORDER, dtype=complex)
                 nz = num != 0.0
                 ratio[nz] = num[nz] / den[nz]
                 ratio[~nz] = 1.0 / dyds[~nz]
@@ -155,7 +154,7 @@ def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
             near[sl] = False
             for row in np.nonzero(near)[0]:
                 x0 = xhat[row]
-                vt = product_weights(cauchy_moments(x0, norder, False), norder)
+                vt = product_weights(cauchy_moments(x0, PANEL_ORDER, False), PANEL_ORDER)
                 num = snod - x0
                 den = ynod - z[row]
                 V[row, sl] = vt * dyds * num / den
@@ -214,7 +213,7 @@ def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
     if "log_L" in cache:
         return cache["log_L"]
     n = grid.n_nodes
-    _, r = _pairwise(grid)
+    r = _distances(grid)
     if grid.kind == "trapezoid":
         sp = np.abs(grid.dy_dparam)  # |dz/dtheta|
         th = grid.param
@@ -227,8 +226,9 @@ def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
         L = (0.5 * KW + (2 * np.pi / n) * logpsi) * sp[None, :]
     else:
         L = np.log(r) * grid.weights[None, :]
-        snod, _ = gauss_legendre(8)
-        lw = np.array([product_weights(log_moments(s0, 8, True).real, 8) for s0 in snod])
+        snod, _ = gauss_legendre(PANEL_ORDER)
+        lw = np.array([product_weights(log_moments(s0, PANEL_ORDER, True).real, PANEL_ORDER)
+                       for s0 in snod])
         dspar = np.abs(snod[:, None] - snod[None, :])
         np.fill_diagonal(dspar, 1.0)
         for p in grid.panels:
@@ -273,12 +273,13 @@ def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarra
 
 def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """Principal-value operator with the full gap kernel at real z, |z| < m."""
-    return cz_from_sz(grid, z, coupling, _scalar_k0_matrix(grid, z, coupling.mass))
+    return spinor_from_blocks(
+        *cz_blocks(grid, z, coupling, _scalar_k0_matrix(grid, z, coupling.mass)))
 
 
-def cz_from_sz(grid: QuadratureGrid, z: float, coupling: Coupling,
-               s_mat: np.ndarray) -> np.ndarray:
-    """C_z at |z| < m from the matrix of S_z at the same z (its diagonal blocks)."""
+def cz_blocks(grid: QuadratureGrid, z: float, coupling: Coupling, s_mat: np.ndarray):
+    """The N x N blocks (b11, b12, b21, b22) of C_z at |z| < m, from the
+    matrix of S_z at the same z (the diagonal blocks are real)."""
     mass = coupling.mass
     b12 = _k1_block(grid, K.gap_kappa(z, mass))
     # The lower block's kernel (dx/r in place of conj(dx)/r) is minus the
@@ -289,8 +290,7 @@ def cz_from_sz(grid: QuadratureGrid, z: float, coupling: Coupling,
     # entries +0.0, as a direct assembly gives them.
     b21 = 0.0 - np.conj(b12)
     upper, lower = cauchy_block_matrices(grid)
-    return spinor_from_blocks((mass + z) * s_mat, upper + b12, lower + b21,
-                              (z - mass) * s_mat)
+    return (mass + z) * s_mat, upper + b12, lower + b21, (z - mass) * s_mat
 
 
 def _k1_block(grid, kappa: float) -> np.ndarray:

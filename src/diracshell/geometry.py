@@ -28,10 +28,11 @@ from .errors import (
     OpenCurveError,
     SelfIntersectionError,
 )
+from .quadrature import gauss_legendre
 
 _ANGLE_TOL = 1e-9
 _CLOSURE_TOL = 1e-12
-_PANEL_ORDER = 8
+PANEL_ORDER = 8  # Gauss-Legendre nodes per panel
 
 
 @dataclass(frozen=True)
@@ -159,18 +160,11 @@ class Corner:
 class Curve:
     edges: tuple
     corners: tuple
-    edge_lengths: np.ndarray
-    length: float
     signed_area: float
 
     @property
     def is_single_smooth(self) -> bool:
         return len(self.edges) == 1 and len(self.corners) == 0
-
-    def corner_positions(self) -> np.ndarray:
-        if not self.corners:
-            return np.zeros((0, 2))
-        return np.array([c.position for c in self.corners])
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +255,8 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
-def _edge_length(edge, rel_tol=1e-12) -> float:
-    n = 32
-    prev = None
-    for _ in range(12):
-        s, w = np.polynomial.legendre.leggauss(n)
-        t = 0.5 * (s + 1.0)
-        speed = np.linalg.norm(edge.velocity(t), axis=-1)
-        val = 0.5 * np.sum(w * speed)
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
-            return float(val)
-        prev = val
-        n *= 2
-    return float(prev)
-
-
 def _signed_area(edges) -> float:
-    s, w = np.polynomial.legendre.leggauss(96)
+    s, w = gauss_legendre(96)
     t = 0.5 * (s + 1.0)
     total = 0.0
     for e in edges:
@@ -346,9 +325,10 @@ def build_curve(spec: CurveSpec) -> Curve:
             raise OpenCurveError(
                 f"edge {i} ends at {p_end} but edge {(i + 1) % len(edges)} starts at {p_start}")
 
-    if _signed_area(edges) < 0:
-        edges = [e.reversed_() for e in reversed(edges)]
     area = _signed_area(edges)
+    if area < 0:
+        edges = [e.reversed_() for e in reversed(edges)]
+        area = -area
 
     _check_self_intersection(edges, scale)
 
@@ -379,8 +359,7 @@ def build_curve(spec: CurveSpec) -> Curve:
             edge_out=j,
         ))
 
-    lengths = np.array([_edge_length(e) for e in edges])
-    return Curve(tuple(edges), tuple(corners), lengths, float(lengths.sum()), area)
+    return Curve(tuple(edges), tuple(corners), area)
 
 
 def interior_angles(curve: Curve) -> np.ndarray:
@@ -428,11 +407,9 @@ class QuadratureGrid:
     weights: np.ndarray  # (N,) arclength weights
     tangents: np.ndarray  # (N, 2), tau = (-nu2, nu1)
     normals: np.ndarray  # (N, 2), pointing into Omega_-
-    corner_distance: np.ndarray  # (N,)
     panels: tuple  # Panel tuple, empty on trapezoid grids
     param: np.ndarray  # (N,) trapezoid angle theta in [0, 2pi); empty otherwise
     dy_dparam: np.ndarray  # complex velocity dz/dtheta (trapezoid) or dz/ds (panel)
-    panel_s: np.ndarray  # (N,) panel-local Gauss abscissa, 0.0 on trapezoid
 
     @property
     def n_nodes(self) -> int:
@@ -507,20 +484,18 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
             kind="trapezoid", curve=curve,
             nodes=_freeze(pos), weights=_freeze(weights),
             tangents=_freeze(tang), normals=_freeze(norm),
-            corner_distance=_freeze(np.full(n, np.inf)),
             panels=(),
             param=_freeze(2 * np.pi * t),
             dy_dparam=_freeze(dy_dparam),
-            panel_s=_freeze(np.zeros(n)),
         )
 
     # panel flavour
-    n_pan = int(np.ceil(nodes_per_edge / _PANEL_ORDER))
-    sgl, wgl = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    n_pan = int(np.ceil(nodes_per_edge / PANEL_ORDER))
+    sgl, wgl = gauss_legendre(PANEL_ORDER)
     corner_edges_in = {c.edge_in for c in curve.corners}
     corner_edges_out = {c.edge_out for c in curve.corners}
     nodes, weights, tangs, norms = [], [], [], []
-    panels, dyds_all, svals_all = [], [], []
+    panels, dyds_all = [], []
     count = 0
     for ei, edge in enumerate(curve.edges):
         at_start = ei in corner_edges_out
@@ -536,7 +511,7 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
             tang = np.stack([dyds.real, dyds.imag], axis=-1) / speed[:, None]
             pa = edge.point(np.array(ta))
             pb = edge.point(np.array(tb))
-            panels.append(Panel(count, count + _PANEL_ORDER, ei, ta, tb,
+            panels.append(Panel(count, count + PANEL_ORDER, ei, ta, tb,
                                 complex(pa[0], pa[1]), complex(pb[0], pb[1]),
                                 getattr(edge, "is_straight", False)))
             nodes.append(pos)
@@ -544,21 +519,12 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
             tangs.append(tang)
             norms.append(np.stack([tang[:, 1], -tang[:, 0]], axis=-1))
             dyds_all.append(dyds)
-            svals_all.append(sgl.copy())
-            count += _PANEL_ORDER
-    nodes = np.concatenate(nodes)
-    cpos = curve.corner_positions()
-    if cpos.shape[0]:
-        cd = np.min(np.linalg.norm(nodes[:, None, :] - cpos[None, :, :], axis=-1), axis=1)
-    else:
-        cd = np.full(nodes.shape[0], np.inf)
+            count += PANEL_ORDER
     return QuadratureGrid(
         kind="panel", curve=curve,
-        nodes=_freeze(nodes), weights=_freeze(np.concatenate(weights)),
+        nodes=_freeze(np.concatenate(nodes)), weights=_freeze(np.concatenate(weights)),
         tangents=_freeze(np.concatenate(tangs)), normals=_freeze(np.concatenate(norms)),
-        corner_distance=_freeze(cd),
         panels=tuple(panels),
         param=_freeze(np.zeros(0)),
         dy_dparam=_freeze(np.concatenate(dyds_all)),
-        panel_s=_freeze(np.concatenate(svals_all)),
     )

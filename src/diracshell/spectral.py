@@ -60,9 +60,10 @@ def _route(coupling: Coupling) -> str:
 
 def _hermitian_matrix(grid, coupling, z):
     """The Hermitian part of Lambda_z, or of lambda_z on the scalar route."""
+    s = bo.assemble_Sz(grid, z, coupling)
     if _route(coupling) == "scalar":
-        return _scalar_hermitian(bo.assemble_Sz(grid, z, coupling), coupling, z)
-    return _lambda_hermitian(bo.assemble_Cz(grid, z, coupling), coupling)
+        return _scalar_hermitian(s, coupling, z)
+    return _lambda_hermitian(bo.cz_blocks(grid, z, coupling, s), coupling)
 
 
 def _scalar_hermitian(s, coupling, z):
@@ -74,14 +75,15 @@ def _scalar_hermitian(s, coupling, z):
     return herm
 
 
-def _lambda_hermitian(cz, coupling):
+def _lambda_hermitian(blocks, coupling):
     """The Hermitian part (L + L^H)/2 of Lambda_z, written block by block from
-    the N x N blocks of C_z, without forming Lambda_z."""
-    b11, b12, b21, b22 = bo.blocks_from_spinor(cz)
-    herm = np.empty_like(cz)
+    the N x N blocks of C_z, without forming C_z or Lambda_z."""
+    b11, b12, b21, b22 = blocks
+    n = b11.shape[0]
+    herm = np.empty((2 * n, 2 * n), dtype=complex)
     for k, (b, diag) in enumerate(((b11, 1.0 / (coupling.eps + coupling.mu)),
                                    (b22, 1.0 / (coupling.eps - coupling.mu)))):
-        block = b.real.copy()  # (z +- m) S_z, a real matrix
+        block = b.copy()  # (z +- m) S_z, a real matrix
         block[np.diag_indices_from(block)] += diag
         herm[k::2, k::2] = 0.5 * (block + block.T)
     # the lower block is summed on its own rather than taken as the conjugate
@@ -97,14 +99,15 @@ def _hermitian_eigs(grid, coupling, z):
 
 
 def _root_operators(grid, coupling, z):
-    """(Hermitian matrix, Theta_z) at a root from one C_z assembly; on the
-    scalar route C_z is built from the S_z that gives the Hermitian matrix."""
+    """(Hermitian matrix, Theta_z) at a root from one S_z and one set of C_z
+    blocks."""
+    s = bo.assemble_Sz(grid, z, coupling)
+    blocks = bo.cz_blocks(grid, z, coupling, s)
     if _route(coupling) == "scalar":
-        s = bo.assemble_Sz(grid, z, coupling)
-        cz = bo.cz_from_sz(grid, z, coupling, s)
-        return _scalar_hermitian(s, coupling, z), bo.theta_from_cz(cz, coupling)
-    cz = bo.assemble_Cz(grid, z, coupling)
-    return _lambda_hermitian(cz, coupling), bo.theta_from_cz(cz, coupling)
+        herm = _scalar_hermitian(s, coupling, z)
+    else:
+        herm = _lambda_hermitian(blocks, coupling)
+    return herm, bo.theta_from_cz(bo.spinor_from_blocks(*blocks), coupling)
 
 
 def default_window(coupling: Coupling) -> tuple:
@@ -151,18 +154,20 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
     changes sign, to |dz| <= tol.  Roots within 10 tol are one cluster, its
     size the multiplicity.
 
-    With ``sweep``, a ``gap_sweep`` of the same grid and coupling, the sample
-    points and their spectra are taken from it (z_range and samples are then
-    unused) instead of being solved again.  Each distinct z is solved once.
+    The sample points and their spectra are those of ``sweep``, a
+    ``gap_sweep`` of the same grid and coupling; without it the search runs
+    ``gap_sweep(grid, coupling, z_range, samples)`` itself (with it, z_range
+    and samples are unused).  Each distinct z is solved once.
     """
     if tol < 1e-12:
         raise SpectralParameterError("z tolerance below supported resolution")
-    if sweep is not None and sweep.coupling != coupling:
+    if sweep is None:
+        sweep = gap_sweep(grid, coupling, z_range, samples)
+    elif sweep.coupling != coupling:
         raise SpectralParameterError("the sweep was computed for another coupling")
-    route = _route(coupling)
-    if route == "empty":
-        return []
-    spectra = {}  # float(z) -> eigenvalues of the Hermitian operator at z
+    zs = sweep.z_samples
+    # float(z) -> eigenvalues of the Hermitian operator at z
+    spectra = dict(zip(map(float, zs), sweep.eigenvalues))
 
     def eigs_at(z):
         key = float(z)
@@ -170,12 +175,6 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
             spectra[key] = _hermitian_eigs(grid, coupling, z)
         return spectra[key]
 
-    if sweep is None:
-        lo, hi = z_range if z_range is not None else default_window(coupling)
-        zs = np.linspace(lo, hi, samples)
-    else:
-        zs = sweep.z_samples
-        spectra.update(zip(map(float, zs), sweep.eigenvalues))
     counts = [int(np.sum(eigs_at(z) < 0.0)) for z in zs]
     # the j-th sorted eigenvalue is continuous in z, so each j between the
     # counts of two samples changes sign between them
@@ -203,7 +202,7 @@ def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
                 "possible multiplicity", IllConditionedWarning)
         cond = float(np.max(np.abs(ev)) / max(second, np.finfo(float).tiny))
         for k in range(mult):
-            g = _embed_density(vec[:, order[k]], route, coupling, grid)
+            g = _embed_density(vec[:, order[k]], sweep.route, coupling, grid)
             g = g / np.linalg.norm(g)
             residual = float(np.linalg.norm(theta @ g))
             pairs.append(Eigenpair(float(z0), g, residual, cluster, second, cond,

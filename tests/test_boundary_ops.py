@@ -7,6 +7,7 @@ from conftest import smooth_density
 from diracshell import boundary_ops as bo
 from diracshell import geometry as geo
 from diracshell import kernels as K
+from diracshell import spectral as sp
 from diracshell.errors import (
     CriticalCouplingError,
     GridTooCoarse,
@@ -76,7 +77,9 @@ def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
     pref = 1.0 / (2 * np.pi)
 
     def off_block(conj):
-        dx, r = bo._pairwise(grid)
+        dx = grid.zc[:, None] - grid.zc[None, :]
+        r = np.abs(dx)
+        np.fill_diagonal(r, 1.0)
         i1, b = bo.K.b_k1(r, kappa)
         ph = 1j * pref * (conj(dx) / r)
         a = kappa * i1 * ph
@@ -91,6 +94,24 @@ def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
     want = bo.assemble_Cm(grid) + diff
     got = bo.assemble_Cz(grid, z, COUP)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
+
+
+def _complex_cache_bytes(obj):
+    if isinstance(obj, dict):
+        return sum(_complex_cache_bytes(v) for v in obj.values())
+    if isinstance(obj, tuple):
+        return sum(_complex_cache_bytes(v) for v in obj)
+    return obj.nbytes if np.iscomplexobj(obj) else 0
+
+
+@pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 128), (geo.square(1.0), 16)])
+def test_grid_cache_holds_four_complex_matrices(spec, nodes):
+    # after one sweep sample: the K1 phase, the Cauchy weights and the two
+    # Cauchy blocks; the displacements themselves are not kept
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    sp._hermitian_eigs(grid, Coupling(3.0, 1.0, 1.0), 0.3)
+    n = grid.n_nodes
+    assert _complex_cache_bytes(grid.cache()) <= 4 * 16 * n * n
 
 
 def test_log_weight_table_built_once_per_grid(monkeypatch):

@@ -192,7 +192,6 @@ nodes_per_edge = 128
 samples = 24
 """)
     solves, assembled = [], []
-    assemble_Cz = bo.assemble_Cz
 
     def count_solves(fn):
         def wrapper(*args, **kwargs):
@@ -202,13 +201,17 @@ samples = 24
             return fn(*args, **kwargs)
         return wrapper
 
-    def count_assembly(grid, z, coupling):
-        assembled.append(float(z))
-        return assemble_Cz(grid, z, coupling)
+    def count_assembly(fn):
+        # a per-z assembly is a call of assemble_Sz or assemble_Cz
+        def wrapper(grid, z, coupling):
+            assembled.append(float(z))
+            return fn(grid, z, coupling)
+        return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", count_solves(np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", count_solves(np.linalg.eigh))
-    monkeypatch.setattr(bo, "assemble_Cz", count_assembly)
+    monkeypatch.setattr(bo, "assemble_Sz", count_assembly(bo.assemble_Sz))
+    monkeypatch.setattr(bo, "assemble_Cz", count_assembly(bo.assemble_Cz))
     out = tmp_path / "out"
     assert cli.main(["eigs", "--config", p, "--out", str(out)]) == 0
     roots = len({e["z0"] for e in json.loads((out / "eigenvalues.json").read_text())

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,24 +15,35 @@ from diracshell.errors import (
     SelfIntersectionError,
 )
 
+# closed-form perimeters of the presets, independent of any quadrature
+PERIMETER_CIRCLE = 2 * math.pi
+PERIMETER_SQUARE = 4.0
+PERIMETER_L_SHAPE = 8.0
+PERIMETER_ROUNDED_SQUARE = 4 * (1.0 - 0.3) + 0.3 * math.pi  # rounded_square(1, 0.15)
+PERIMETER_ELLIPSE = 16 * scipy.special.ellipe(15 / 16)  # ellipse(4, 1)
+
+
+def _perimeter(curve, nodes=64):
+    return geo.discretize(curve, nodes).weights.sum()
+
 
 def test_circle_build(circle_curve):
     assert len(circle_curve.corners) == 0
-    assert circle_curve.length == pytest.approx(2 * math.pi, abs=1e-10)
+    assert _perimeter(circle_curve) == pytest.approx(PERIMETER_CIRCLE, abs=1e-10)
     assert circle_curve.is_single_smooth
 
 
 def test_square_build(square_curve):
     assert len(square_curve.corners) == 4
     assert np.allclose(geo.interior_angles(square_curve), math.pi / 2)
-    assert square_curve.length == pytest.approx(4.0, abs=1e-12)
+    assert _perimeter(square_curve) == pytest.approx(PERIMETER_SQUARE, abs=1e-12)
 
 
 def test_regular_polygon_square_equivalent():
     c = geo.build_curve(geo.regular_polygon(4, 1.0 / math.sqrt(2.0)))
     assert len(c.corners) == 4
     assert np.allclose(geo.interior_angles(c), math.pi / 2)
-    assert c.length == pytest.approx(4.0, abs=1e-12)
+    assert _perimeter(c) == pytest.approx(PERIMETER_SQUARE, abs=1e-12)
 
 
 def test_l_shape_angles():
@@ -56,7 +68,9 @@ def test_square_grid_counts_and_perimeter(square_curve):
     assert g.weights.sum() == pytest.approx(4.0, abs=1e-8)
     assert np.all(g.weights > 0)
     # corners never collide with nodes
-    assert g.corner_distance.min() > 1e-4
+    vertices = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+    corner_distance = np.linalg.norm(g.nodes[:, None, :] - vertices[None, :, :], axis=-1)
+    assert corner_distance.min() > 1e-4
 
 
 def test_square_grading_follows_cubic_law(square_curve):
@@ -95,15 +109,18 @@ def test_sharpest_angle():
 
 
 def test_refinement_convergence_of_perimeter():
-    presets = [geo.circle(1.0), geo.ellipse(4.0, 1.0), geo.square(1.0),
-               geo.l_shape(1.0), geo.rounded_square(1.0, 0.15)]
-    for spec in presets:
+    presets = [(geo.circle(1.0), PERIMETER_CIRCLE),
+               (geo.ellipse(4.0, 1.0), PERIMETER_ELLIPSE),
+               (geo.square(1.0), PERIMETER_SQUARE),
+               (geo.l_shape(1.0), PERIMETER_L_SHAPE),
+               (geo.rounded_square(1.0, 0.15), PERIMETER_ROUNDED_SQUARE)]
+    for spec, length in presets:
         c = geo.build_curve(spec)
         errs = []
         for n in (64, 128, 256):
             g = geo.discretize(c, n)
-            errs.append(abs(g.weights.sum() - c.length))
-        floor = 64 * np.finfo(float).eps * c.length
+            errs.append(abs(g.weights.sum() - length))
+        floor = 64 * np.finfo(float).eps * length
         assert errs[1] <= errs[0] + floor
         assert errs[2] <= errs[1] + floor
 
@@ -126,6 +143,19 @@ def test_orientation_normalized():
     c = geo.build_curve(cw)
     assert c.signed_area > 0
     assert np.allclose(geo.interior_angles(c), math.pi / 2)
+
+
+def test_orientation_needs_one_area_pass(monkeypatch):
+    # the area of the reversed chain is the negative of the clockwise one,
+    # so build_curve integrates it once
+    calls = []
+    area = geo._signed_area
+    monkeypatch.setattr(geo, "_signed_area", lambda edges: calls.append(1) or area(edges))
+    cw = geo.polygon_from_vertices([(0, 0), (0, 1), (1, 1), (1, 0)])
+    c = geo.build_curve(cw)
+    assert len(calls) == 1
+    assert c.signed_area == pytest.approx(1.0, abs=1e-14)
+    assert area(c.edges) == pytest.approx(c.signed_area, abs=1e-14)  # anticlockwise
 
 
 def test_open_curve_error():
@@ -162,8 +192,7 @@ def test_invalid_refinement(circle_curve, square_curve):
 def test_rounded_square_is_smooth():
     c = geo.build_curve(geo.rounded_square(1.0, 0.15))
     assert len(c.corners) == 0
-    s = 1.0 - 2 * 0.15
-    assert c.length == pytest.approx(4 * s + 2 * math.pi * 0.15, abs=1e-10)
+    assert _perimeter(c) == pytest.approx(PERIMETER_ROUNDED_SQUARE, abs=1e-10)
 
 
 def test_corner_frame_convention(square_curve):

@@ -36,6 +36,16 @@ def test_sweep_window_validation(circle_grid_128):
         sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), samples=4)
 
 
+def test_find_eigenvalues_validates_like_gap_sweep(circle_grid_128):
+    # without a sweep the search samples through gap_sweep, so it refuses
+    # what the sweep refuses, with the same error
+    c = Coupling(1.0, 0.0)
+    with pytest.raises(SpectralParameterError, match="at least 16 sweep samples"):
+        sp.find_eigenvalues(circle_grid_128, c, samples=8)
+    with pytest.raises(SpectralParameterError, match="inside the open gap"):
+        sp.find_eigenvalues(circle_grid_128, c, z_range=(-2.0, 0.5))
+
+
 def test_branch_mirror_symmetry(circle_grid_128):
     # eigenvalue trajectories for (eps, mu) at z mirror those for (-eps, mu)
     # at -z; numerical observation on the circle, checked by recomputation
@@ -136,6 +146,21 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
 
 
 _SHAPES = [(geo.circle(1.0), 128), (geo.square(1.0), 16), (geo.l_shape(1.0), 16)]
+
+
+@pytest.mark.parametrize("spec, nodes", _SHAPES[:2])
+def test_lambda_sample_forms_no_spinor_cz(spec, nodes, monkeypatch):
+    # a sweep sample writes the Hermitian matrix from the N x N blocks of
+    # C_z; the interleaved 2N x 2N C_z is never formed
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+
+    def refuse(*args):
+        raise AssertionError("sweep sample formed the 2N x 2N C_z")
+
+    monkeypatch.setattr(bo, "assemble_Cz", refuse)
+    monkeypatch.setattr(bo, "spinor_from_blocks", refuse)
+    herm = sp._hermitian_matrix(grid, Coupling(3.0, 1.0, 1.0), 0.3)
+    assert herm.shape == (2 * grid.n_nodes, 2 * grid.n_nodes)
 
 
 @pytest.mark.parametrize("spec, nodes", _SHAPES)
