@@ -37,7 +37,8 @@ def main():
         coupling = Coupling(float(eps), args.mu, 1.0)
         if coupling.is_critical:
             continue
-        pairs = sp.find_eigenvalues(grid, coupling, samples=args.samples)
+        sweep = sp.gap_sweep(grid, coupling, samples=args.samples)
+        pairs = sp.find_eigenvalues(grid, sweep)
         for p in pairs:
             rows.append((eps, args.mu, p.z0, p.residual, p.cluster))
         print(f"eps = {eps:.3f}: {len(pairs)} eigenvalue(s) "

@@ -45,10 +45,6 @@ def spinor_from_blocks(b11, b12, b21, b22) -> np.ndarray:
     return m
 
 
-def blocks_from_spinor(m):
-    return m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2]
-
-
 def coupling_diagonal(coupling: Coupling, n: int) -> np.ndarray:
     """(eps sigma_0 + mu sigma_3) as a (2N,) diagonal, interleaved."""
     return np.tile([coupling.eps + coupling.mu, coupling.eps - coupling.mu], n)
@@ -130,6 +126,12 @@ def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
             V = dy[None, :] / (z[None, :] - z[:, None])
         np.fill_diagonal(V, 0.0)
         snod = gauss_legendre(PANEL_ORDER)[0]  # the same abscissae on every panel
+        # self-panel rows: parameter-space principal value, one product-weight
+        # vector per abscissa, the same on every panel
+        vself = np.array([product_weights(cauchy_moments(s0, PANEL_ORDER, True), PANEL_ORDER)
+                          for s0 in snod])
+        dsnod = snod[None, :] - snod[:, None]
+        diag = np.diag_indices(PANEL_ORDER)
         for p in grid.panels:
             sl = slice(p.start, p.stop)
             mid = 0.5 * (p.za + p.zb)
@@ -137,17 +139,10 @@ def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
             xhat = (z - mid) / half
             dyds = grid.dy_dparam[sl]
             ynod = z[sl]
-            # self-panel rows: parameter-space principal value
-            for row in range(p.start, p.stop):
-                s0 = snod[row - p.start]
-                vt = product_weights(cauchy_moments(s0, PANEL_ORDER, True), PANEL_ORDER)
-                num = snod - s0
-                den = ynod - z[row]
-                ratio = np.empty(PANEL_ORDER, dtype=complex)
-                nz = num != 0.0
-                ratio[nz] = num[nz] / den[nz]
-                ratio[~nz] = 1.0 / dyds[~nz]
-                V[row, sl] = vt * dyds * ratio
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = dsnod / (ynod[None, :] - ynod[:, None])
+            ratio[diag] = 1.0 / dyds
+            V[sl, sl] = vself * dyds * ratio
             if not p.straight:
                 continue
             near = (np.abs(xhat) <= _NEAR_SCALED)

@@ -306,17 +306,13 @@ def curve_class_from_config(cfg: dict):
         return CurveClass.lipschitz()
     if kind == "c1":
         return CurveClass.c1()
-    if kind == "polygon":
-        angles = sec.get("angles_pi")
-        if angles is not None:
-            if not isinstance(angles, list):
-                angles = [angles]
-            return CurveClass.polygon([float(a) * math.pi for a in angles])
-        curve = build_curve_from_config(cfg)
-        return CurveClass.from_curve(curve)
-    if kind == "auto":
-        curve = build_curve_from_config(cfg)
-        return CurveClass.from_curve(curve)
+    if kind == "polygon" and "angles_pi" in sec:
+        angles = sec["angles_pi"]
+        if not isinstance(angles, list):
+            angles = [angles]
+        return CurveClass.polygon([float(a) * math.pi for a in angles])
+    if kind in ("polygon", "auto"):
+        return CurveClass.from_curve(build_curve_from_config(cfg))
     raise ConfigError(f"unknown curve_class {kind!r}")
 
 
@@ -398,22 +394,20 @@ def cmd_eigs(cfg, args, out):
     grid = grid_from_config(cfg)
     coupling = coupling_from_config(cfg, args)
     sec = cfg["eigs"]
-    window = None
-    if "z_min" in sec or "z_max" in sec:
-        window = (float(sec.get("z_min", -0.99 * coupling.mass)),
-                  float(sec.get("z_max", 0.99 * coupling.mass)))
+    lo, hi = sp.default_window(coupling)
+    window = (float(sec.get("z_min", lo)), float(sec.get("z_max", hi)))
     samples = int(sec.get("samples", 128))
     tol = float(sec.get("tol", 1e-12))
     sweep = sp.gap_sweep(grid, coupling, window, samples)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedWarning)
-        pairs = sp.find_eigenvalues(grid, coupling, tol=tol, sweep=sweep)
+        pairs = sp.find_eigenvalues(grid, sweep, tol)
     if args.strict and any(issubclass(w.category, IllConditionedWarning)
                            for w in caught):
         raise ConvergenceError("ill-conditioned eigenvalue root under --strict")
     doc = {
         "route": sweep.route,
-        "window": list(window) if window else list(sp.default_window(coupling)),
+        "window": list(window),
         "n_nodes": grid.n_nodes,
         "eigenvalues": [
             {"z0": p.z0, "residual": p.residual, "cluster": p.cluster,

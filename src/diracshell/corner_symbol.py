@@ -24,7 +24,6 @@ from .geometry import sharpest_angle
 from .kernels import Coupling
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def M(theta: float, x):
@@ -42,12 +41,12 @@ def M(theta: float, x):
     return float(val) if np.isscalar(x) else val
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 90):
+def _golden_max(f, lo: float, hi: float):
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(90):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -513,7 +513,7 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
             pb = edge.point(np.array(tb))
             panels.append(Panel(count, count + PANEL_ORDER, ei, ta, tb,
                                 complex(pa[0], pa[1]), complex(pb[0], pb[1]),
-                                getattr(edge, "is_straight", False)))
+                                edge.is_straight))
             nodes.append(pos)
             weights.append(wgl * speed)
             tangs.append(tang)

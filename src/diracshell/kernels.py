@@ -123,25 +123,25 @@ _K1_SERIES = np.array([
 ])
 
 
-def b_k0(r, kappa, log_r=None):
+def b_k0(r, kappa, log_r):
     """(I0(kappa r), b) with K0(kappa r) = -log(r) I0(kappa r) + b, for r > 0.
 
-    ``log_r``, if given, is np.log(r) computed beforehand.
+    ``log_r`` is np.log(r) computed beforehand.
     """
     w = kappa * np.asarray(r, dtype=float)
     i0 = bessel_i0(w)
-    return i0, bessel_k0(w) + (np.log(r) if log_r is None else log_r) * i0
+    return i0, bessel_k0(w) + log_r * i0
 
 
 def b_k0_at_zero(kappa):
     return -(np.log(0.5 * kappa) + EULER_GAMMA)
 
 
-def b_k1(r, kappa, log_r=None):
+def b_k1(r, kappa, log_r):
     """(I1(kappa r), b) with kappa K1(kappa r) - 1/r = kappa log(r) I1(kappa r) + b.
 
-    r > 0; the pair comes from one evaluation of I1.  ``log_r``, if given,
-    is np.log(r) computed beforehand.
+    r > 0; the pair comes from one evaluation of I1.  ``log_r`` is np.log(r)
+    computed beforehand.
     """
     r = np.asarray(r, dtype=float)
     w = kappa * r
@@ -153,8 +153,7 @@ def b_k1(r, kappa, log_r=None):
     b[small] = kappa * (np.log(0.5 * kappa) * i1[small] - 0.25 * ws * series)
     large = ~small
     rl = r[large]
-    log_rl = np.log(rl) if log_r is None else log_r[large]
-    b[large] = kappa * bessel_k1(w[large]) - 1.0 / rl - kappa * log_rl * i1[large]
+    b[large] = kappa * bessel_k1(w[large]) - 1.0 / rl - kappa * log_r[large] * i1[large]
     return i1, b
 
 

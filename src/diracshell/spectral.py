@@ -30,13 +30,7 @@ class BranchData:
     eigenvalues: np.ndarray  # (samples, k), ascending per sample
     route: str  # "lambda" | "scalar" | "empty"
     coupling: Coupling
-    max_jump: float
-    jump_threshold: float
     notes: tuple = ()
-
-    @property
-    def continuous(self) -> bool:
-        return self.max_jump <= self.jump_threshold
 
 
 @dataclass
@@ -116,20 +110,13 @@ def default_window(coupling: Coupling) -> tuple:
 
 
 def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
-              z_range: tuple | None = None, samples: int = 128,
-              jump_threshold: float | None = None) -> BranchData:
-    """Sorted Hermitian eigenvalue trajectories over a z sweep in the gap.
-
-    The default continuity threshold (a quarter of the median eigenvalue
-    spacing) is meaningful for well-separated branches only; for clustered
-    spectra pass an explicit jump_threshold, e.g. calibrated against a
-    denser sweep (jumps of continuous branches scale linearly in the step).
-    """
+              z_range: tuple | None = None, samples: int = 128) -> BranchData:
+    """Sorted Hermitian eigenvalue trajectories over a z sweep in the gap."""
     if samples < 16:
         raise SpectralParameterError("need at least 16 sweep samples")
     route = _route(coupling)
     if route == "empty":
-        return BranchData(np.zeros(0), np.zeros((0, 0)), "empty", coupling, 0.0, np.inf,
+        return BranchData(np.zeros(0), np.zeros((0, 0)), "empty", coupling,
                           notes=("free operator: spectrum (-inf,-|m|] U [|m|,inf), "
                                  "no shell interaction",))
     lo, hi = z_range if z_range is not None else default_window(coupling)
@@ -138,33 +125,22 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
         raise SpectralParameterError("sweep window must lie inside the open gap")
     zs = np.linspace(lo, hi, samples)
     eigs = np.stack([_hermitian_eigs(grid, coupling, z) for z in zs])
-    jumps = np.abs(np.diff(eigs, axis=0))
-    max_jump = float(jumps.max()) if jumps.size else 0.0
-    if jump_threshold is None:
-        spacing = float(np.median(np.diff(eigs, axis=1))) if eigs.shape[1] > 1 else np.inf
-        jump_threshold = 0.25 * spacing
-    return BranchData(zs, eigs, route, coupling, max_jump, float(jump_threshold))
+    return BranchData(zs, eigs, route, coupling)
 
 
-def find_eigenvalues(grid: QuadratureGrid, coupling: Coupling,
-                     z_range: tuple | None = None, samples: int = 128,
-                     tol: float = 1e-12, sweep: BranchData | None = None) -> list:
-    """Locate gap eigenvalues: between two samples whose negative-eigenvalue
-    counts differ, brentq finds the zero of each sorted eigenvalue that
-    changes sign, to |dz| <= tol.  Roots within 10 tol are one cluster, its
-    size the multiplicity.
+def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
+                     tol: float = 1e-12) -> list:
+    """Locate the gap eigenvalues of a ``gap_sweep`` of this grid: between
+    two samples whose negative-eigenvalue counts differ, brentq finds the
+    zero of each sorted eigenvalue that changes sign, to |dz| <= tol.  Roots
+    within 10 tol are one cluster, its size the multiplicity.
 
-    The sample points and their spectra are those of ``sweep``, a
-    ``gap_sweep`` of the same grid and coupling; without it the search runs
-    ``gap_sweep(grid, coupling, z_range, samples)`` itself (with it, z_range
-    and samples are unused).  Each distinct z is solved once.
+    The coupling, the sample points and their spectra are those of the
+    sweep; each distinct z is solved once.
     """
     if tol < 1e-12:
         raise SpectralParameterError("z tolerance below supported resolution")
-    if sweep is None:
-        sweep = gap_sweep(grid, coupling, z_range, samples)
-    elif sweep.coupling != coupling:
-        raise SpectralParameterError("the sweep was computed for another coupling")
+    coupling = sweep.coupling
     zs = sweep.z_samples
     # float(z) -> eigenvalues of the Hermitian operator at z
     spectra = dict(zip(map(float, zs), sweep.eigenvalues))

@@ -251,10 +251,10 @@ def test_criterion_10_reduction_pairing(circle_grid_256, circle_grid_512):
     t0 = time.time()
     failures = []
     samples = 48
-    e_base = sp.find_eigenvalues(circle_grid_512, Coupling(1.0, 0.0, 1.0),
-                                 samples=samples)
-    e_partner = sp.find_eigenvalues(circle_grid_512, Coupling(-4.0, 0.0, 1.0),
-                                    samples=samples)
+    e_base = sp.find_eigenvalues(circle_grid_512, sp.gap_sweep(
+        circle_grid_512, Coupling(1.0, 0.0, 1.0), samples=samples))
+    e_partner = sp.find_eigenvalues(circle_grid_512, sp.gap_sweep(
+        circle_grid_512, Coupling(-4.0, 0.0, 1.0), samples=samples))
     z1 = sorted(p.z0 for p in e_base)
     z2 = sorted(p.z0 for p in e_partner)
     if not z1 or not z2:
@@ -271,8 +271,8 @@ def test_criterion_10_reduction_pairing(circle_grid_256, circle_grid_512):
         r = _pde_residual(circle_grid_512, p, rng)
         if r > 1e-3:
             failures.append(f"PDE residual {r:.2e} > 1e-3 at z0 = {p.z0:.6f}")
-    e_coarse = sorted(p.z0 for p in sp.find_eigenvalues(
-        circle_grid_256, Coupling(1.0, 0.0, 1.0), samples=samples))
+    e_coarse = sorted(p.z0 for p in sp.find_eigenvalues(circle_grid_256, sp.gap_sweep(
+        circle_grid_256, Coupling(1.0, 0.0, 1.0), samples=samples)))
     if len(e_coarse) != len(z1):
         failures.append(f"root count changed under refinement: "
                         f"{len(e_coarse)} vs {len(z1)}")
@@ -307,8 +307,8 @@ def test_criterion_11_critical_scalar_route(circle_grid_256):
     # stated case eps = mu = 1: the scalar operator is strictly positive in
     # the gap, so both routes must agree on "no eigenvalues"
     coup = Coupling(1.0, 1.0, 1.0)
-    scalar_roots = [p.z0 for p in sp.find_eigenvalues(circle_grid_256, coup,
-                                                      samples=48)]
+    scalar_roots = [p.z0 for p in sp.find_eigenvalues(
+        circle_grid_256, sp.gap_sweep(circle_grid_256, coup, samples=48))]
     if scalar_roots:
         failures.append(f"unexpected scalar-route roots {scalar_roots}")
     sigma_scan = [sp.theta_min_singular(circle_grid_256, coup, z)
@@ -319,7 +319,7 @@ def test_criterion_11_critical_scalar_route(circle_grid_256):
     # exercised variant eps = mu = -1: both routes locate the same roots
     coup_neg = Coupling(-1.0, -1.0, 1.0)
     scalar_roots = sorted(p.z0 for p in sp.find_eigenvalues(
-        circle_grid_256, coup_neg, samples=48))
+        circle_grid_256, sp.gap_sweep(circle_grid_256, coup_neg, samples=48)))
     if not scalar_roots:
         failures.append("no scalar-route roots found for eps = mu = -1")
     else:

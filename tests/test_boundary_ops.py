@@ -46,9 +46,9 @@ def test_cauchy_polynomial_oracle_on_square(square_curve):
 
 def test_cm_block_structure(circle_grid_256):
     cm = bo.assemble_Cm(circle_grid_256)
-    b11, b12, b21, b22 = bo.blocks_from_spinor(cm)
-    assert np.max(np.abs(b11)) == 0.0
-    assert np.max(np.abs(b22)) == 0.0
+    b12 = cm[0::2, 1::2]
+    assert np.max(np.abs(cm[0::2, 0::2])) == 0.0
+    assert np.max(np.abs(cm[1::2, 1::2])) == 0.0
     assert bo.hermitian_defect(cm) < 1e-8
     one = np.ones(circle_grid_256.n_nodes)
     th = circle_grid_256.param
@@ -80,7 +80,7 @@ def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
         dx = grid.zc[:, None] - grid.zc[None, :]
         r = np.abs(dx)
         np.fill_diagonal(r, 1.0)
-        i1, b = bo.K.b_k1(r, kappa)
+        i1, b = bo.K.b_k1(r, kappa, np.log(r))
         ph = 1j * pref * (conj(dx) / r)
         a = kappa * i1 * ph
         b = b * ph
@@ -112,6 +112,30 @@ def test_grid_cache_holds_four_complex_matrices(spec, nodes):
     sp._hermitian_eigs(grid, Coupling(3.0, 1.0, 1.0), 0.3)
     n = grid.n_nodes
     assert _complex_cache_bytes(grid.cache()) <= 4 * 16 * n * n
+
+
+@pytest.mark.parametrize("spec", [geo.square(1.0), geo.rounded_square(1.0, 0.15)])
+def test_cauchy_self_panel_rows_equal_the_per_row_rule(spec, monkeypatch):
+    # the self-panel block of each panel, against the rule applied row by row;
+    # the principal-value moments are taken once per abscissa, not per row
+    grid = geo.discretize(geo.build_curve(spec), 16)
+    calls = []
+    moments = bo.cauchy_moments
+    monkeypatch.setattr(bo, "cauchy_moments",
+                        lambda *a: calls.append(a[2]) or moments(*a))
+    table = bo.cauchy_weight_table(grid)
+    assert calls.count(True) == geo.PANEL_ORDER
+    snod = bo.gauss_legendre(geo.PANEL_ORDER)[0]
+    for p in grid.panels:
+        sl = slice(p.start, p.stop)
+        dyds, ynod = grid.dy_dparam[sl], grid.zc[sl]
+        for i, s0 in enumerate(snod):
+            vt = bo.product_weights(moments(s0, geo.PANEL_ORDER, True), geo.PANEL_ORDER)
+            ratio = np.empty(geo.PANEL_ORDER, dtype=complex)
+            off = np.arange(geo.PANEL_ORDER) != i
+            ratio[off] = (snod - s0)[off] / (ynod - ynod[i])[off]
+            ratio[i] = 1.0 / dyds[i]
+            assert table[p.start + i, sl].tobytes() == (vt * dyds * ratio).tobytes()
 
 
 def test_log_weight_table_built_once_per_grid(monkeypatch):
@@ -193,8 +217,7 @@ def test_lambda_critical_coupling_error(circle_grid_128):
 def test_gamma_structure_and_bounds(circle_grid_256):
     n = circle_grid_256.n_nodes
     g0 = bo.assemble_gamma(circle_grid_256, Coupling(1.5, 0.0, 1.0))
-    b11, _, _, b22 = bo.blocks_from_spinor(g0)
-    assert np.max(np.abs(b11)) == 0.0 and np.max(np.abs(b22)) == 0.0
+    assert np.max(np.abs(g0[0::2, 0::2])) == 0.0 and np.max(np.abs(g0[1::2, 1::2])) == 0.0
 
     c = Coupling(1.0, 2.0, 1.0)
     gam = bo.assemble_gamma(circle_grid_256, c)

@@ -176,6 +176,32 @@ branch_csv = true
     assert branches.shape[0] == 24
 
 
+def test_eigs_window_end_left_unset_is_the_default_one(tmp_path):
+    # a config that sets one end of the window gets the other end of
+    # spectral.default_window, bit for bit
+    base = """
+[curve]
+preset = circle
+
+[coupling]
+eps = 1.0
+mu = 0.0
+
+[discretization]
+nodes_per_edge = 32
+
+[eigs]
+samples = 16
+"""
+    windows = []
+    for name, extra in (("default", ""), ("z_min", "z_min = -2.5\n")):
+        p = _write(tmp_path, f"{name}.cfg", base + extra)
+        out = tmp_path / name
+        assert cli.main(["eigs", "--config", p, "--out", str(out), "--mass", "3"]) == 0
+        windows.append(json.loads((out / "eigenvalues.json").read_text())["window"])
+    assert windows[1] == [-2.5, windows[0][1]]
+
+
 def test_eigs_solves_each_distinct_z_once(tmp_path, monkeypatch):
     p = _write(tmp_path, "e.cfg", """
 [curve]

@@ -88,10 +88,11 @@ def test_log_splits_against_arbitrary_precision():
     kappa = 0.87
     for r in (1e-10, 1e-4, 0.3, 1.9, 2.5, 6.0):
         want0 = mp.besselk(0, kappa * mp.mpf(r)) + mp.log(mp.mpf(r)) * mp.besseli(0, kappa * mp.mpf(r))
-        assert abs(float(b_k0(np.array([r]), kappa)[1][0]) - float(want0)) < 1e-13
+        rr = np.array([r])
+        assert abs(float(b_k0(rr, kappa, np.log(rr))[1][0]) - float(want0)) < 1e-13
         want1 = (kappa * mp.besselk(1, kappa * mp.mpf(r)) - 1 / mp.mpf(r)
                  - kappa * mp.log(mp.mpf(r)) * mp.besseli(1, kappa * mp.mpf(r)))
-        assert abs(float(b_k1(np.array([r]), kappa)[1][0]) - float(want1)) < 1e-12
+        assert abs(float(b_k1(rr, kappa, np.log(rr))[1][0]) - float(want1)) < 1e-12
     assert b_k0_at_zero(kappa) == pytest.approx(
         -(math.log(kappa / 2) + 0.5772156649015329), abs=1e-15)
 
@@ -101,8 +102,8 @@ def test_log_splits_large_argument_against_arbitrary_precision():
     # on both sides of r = 1; no point sits where K0 and log(r) I0 cancel
     for kappa in (0.87, 1.0, 40.0):
         r = np.geomspace(2.0, 150.0, 40) / kappa
-        i0, b0 = b_k0(r, kappa)
-        i1, b1 = b_k1(r, kappa)
+        i0, b0 = b_k0(r, kappa, np.log(r))
+        i1, b1 = b_k1(r, kappa, np.log(r))
         for k, rk in enumerate(r):
             rm = mp.mpf(float(rk))
             w = kappa * rm

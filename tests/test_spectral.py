@@ -15,18 +15,18 @@ def test_free_coupling_empty_sweep(circle_grid_128):
     assert bd.route == "empty"
     assert bd.z_samples.size == 0
     assert any("free operator" in n for n in bd.notes)
-    assert sp.find_eigenvalues(circle_grid_128, Coupling(0.0, 0.0, 1.0)) == []
+    assert sp.find_eigenvalues(circle_grid_128, bd) == []
 
 
 def test_sweep_continuity_dense_oracle(circle_grid_256):
     c = Coupling(0.0, 1.0, 1.0)
     coarse = sp.gap_sweep(circle_grid_256, c, z_range=(-0.9, 0.9), samples=64)
     fine = sp.gap_sweep(circle_grid_256, c, z_range=(-0.9, 0.9), samples=127)
+    coarse_jump, fine_jump = (float(np.abs(np.diff(s.eigenvalues, axis=0)).max())
+                              for s in (coarse, fine))
     # jumps of continuous branches scale linearly with the step
-    assert fine.max_jump <= 0.6 * coarse.max_jump + 1e-12
-    recheck = sp.gap_sweep(circle_grid_256, c, z_range=(-0.9, 0.9), samples=64,
-                           jump_threshold=2.2 * fine.max_jump)
-    assert recheck.continuous
+    assert fine_jump <= 0.6 * coarse_jump + 1e-12
+    assert coarse_jump <= 2.2 * fine_jump
 
 
 def test_sweep_window_validation(circle_grid_128):
@@ -34,16 +34,6 @@ def test_sweep_window_validation(circle_grid_128):
         sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), z_range=(-2.0, 0.5))
     with pytest.raises(SpectralParameterError):
         sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), samples=4)
-
-
-def test_find_eigenvalues_validates_like_gap_sweep(circle_grid_128):
-    # without a sweep the search samples through gap_sweep, so it refuses
-    # what the sweep refuses, with the same error
-    c = Coupling(1.0, 0.0)
-    with pytest.raises(SpectralParameterError, match="at least 16 sweep samples"):
-        sp.find_eigenvalues(circle_grid_128, c, samples=8)
-    with pytest.raises(SpectralParameterError, match="inside the open gap"):
-        sp.find_eigenvalues(circle_grid_128, c, z_range=(-2.0, 0.5))
 
 
 def test_branch_mirror_symmetry(circle_grid_128):
@@ -57,7 +47,8 @@ def test_branch_mirror_symmetry(circle_grid_128):
 
 
 def test_find_eigenvalues_circle(circle_grid_128):
-    pairs = sp.find_eigenvalues(circle_grid_128, Coupling(1.0, 0.0, 1.0), samples=48)
+    sweep = sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0, 1.0), samples=48)
+    pairs = sp.find_eigenvalues(circle_grid_128, sweep)
     assert len(pairs) >= 1
     for p in pairs:
         assert -1.0 < p.z0 < 1.0
@@ -66,17 +57,11 @@ def test_find_eigenvalues_circle(circle_grid_128):
 
 
 @pytest.mark.parametrize("coup", [Coupling(1.0, 0.0), Coupling(-1.0, -1.0)])
-def test_find_eigenvalues_from_sweep_is_bitwise_equal(circle_grid_128, coup):
-    own = sp.find_eigenvalues(circle_grid_128, coup, samples=48)
+def test_find_eigenvalues_reads_the_coupling_of_the_sweep(circle_grid_128, coup):
     sweep = sp.gap_sweep(circle_grid_128, coup, samples=48)
-    shared = sp.find_eigenvalues(circle_grid_128, coup, sweep=sweep)
-    assert len(own) == len(shared) >= 1
-    for p, q in zip(own, shared):
-        assert (p.z0, p.residual, p.second_smallest, p.condition) == \
-            (q.z0, q.residual, q.second_smallest, q.condition)
-        assert p.density.tobytes() == q.density.tobytes()
-    with pytest.raises(SpectralParameterError):
-        sp.find_eigenvalues(circle_grid_128, Coupling(2.0, 0.0), sweep=sweep)
+    pairs = sp.find_eigenvalues(circle_grid_128, sweep)
+    assert len(pairs) >= 1
+    assert all(p.coupling == sweep.coupling for p in pairs)
 
 
 def test_roots_by_brentq_are_kernel_points_in_few_solves(circle_grid_128, monkeypatch):
@@ -89,7 +74,7 @@ def test_roots_by_brentq_are_kernel_points_in_few_solves(circle_grid_128, monkey
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda *a, **k: solves.append(1) or eigvalsh(*a, **k))
-        pairs = sp.find_eigenvalues(circle_grid_128, coup, sweep=sweep)
+        pairs = sp.find_eigenvalues(circle_grid_128, sweep)
         monkeypatch.undo()
         assert len(pairs) >= 1
         assert max(p.residual for p in pairs) <= 1e-12
@@ -105,22 +90,22 @@ def test_roots_by_brentq_are_kernel_points_in_few_solves(circle_grid_128, monkey
 def test_root_count_stable_under_refinement(circle_curve, circle_grid_128,
                                             circle_grid_256):
     for coup in (Coupling(1.0, 0.0), Coupling(0.0, 1.0), Coupling(1.0, 1.0)):
-        n1 = len(sp.find_eigenvalues(circle_grid_128, coup, samples=48))
-        n2 = len(sp.find_eigenvalues(circle_grid_256, coup, samples=48))
+        n1, n2 = (len(sp.find_eigenvalues(g, sp.gap_sweep(g, coup, samples=48)))
+                  for g in (circle_grid_128, circle_grid_256))
         assert n1 == n2
 
 
 def test_remark_reduction_pairing(circle_grid_128):
-    e1 = sorted(p.z0 for p in sp.find_eigenvalues(circle_grid_128,
-                                                  Coupling(1.0, 0.0), samples=48))
-    e2 = sorted(p.z0 for p in sp.find_eigenvalues(circle_grid_128,
-                                                  Coupling(-4.0, 0.0), samples=48))
+    e1, e2 = (sorted(p.z0 for p in sp.find_eigenvalues(
+        circle_grid_128, sp.gap_sweep(circle_grid_128, Coupling(eps, 0.0), samples=48)))
+        for eps in (1.0, -4.0))
     assert len(e1) == len(e2)
     assert np.max(np.abs(np.array(e1) - np.array(e2))) < 1e-6
 
 
 def test_scalar_route_negative_coupling(circle_grid_128):
-    pairs = sp.find_eigenvalues(circle_grid_128, Coupling(-1.0, -1.0), samples=48)
+    sweep = sp.gap_sweep(circle_grid_128, Coupling(-1.0, -1.0), samples=48)
+    pairs = sp.find_eigenvalues(circle_grid_128, sweep)
     assert len(pairs) >= 1
     for p in pairs:
         # density is supported on the first spinor component for eps = mu
@@ -198,14 +183,16 @@ def test_one_z_evaluates_bessel_once_per_node_pair(monkeypatch):
 
 
 def test_scalar_route_positive_coupling_empty(circle_grid_128):
-    assert sp.find_eigenvalues(circle_grid_128, Coupling(1.0, 1.0), samples=48) == []
+    sweep = sp.gap_sweep(circle_grid_128, Coupling(1.0, 1.0), samples=48)
+    assert sp.find_eigenvalues(circle_grid_128, sweep) == []
 
 
 def test_no_spurious_roots_dominated_coupling(circle_grid_256):
     # |eps| < |mu| away from thresholds: every detected root must survive the
     # PDE-residual test (none may be a quadrature artifact)
     c = Coupling(0.0, 1.0, 1.0)
-    pairs = sp.find_eigenvalues(circle_grid_256, c, samples=48)
+    sweep = sp.gap_sweep(circle_grid_256, c, samples=48)
+    pairs = sp.find_eigenvalues(circle_grid_256, sweep)
     rng = np.random.default_rng(21)
     for p in pairs:
         pts = []
@@ -239,7 +226,8 @@ def test_lambda_m_lower_bound(circle_grid_256):
 
 def test_eigenfunction_pde_residual(circle_grid_256):
     c = Coupling(1.0, 0.0, 1.0)
-    pairs = sp.find_eigenvalues(circle_grid_256, c, samples=48)
+    sweep = sp.gap_sweep(circle_grid_256, c, samples=48)
+    pairs = sp.find_eigenvalues(circle_grid_256, sweep)
     p = pairs[-1]
     rng = np.random.default_rng(3)
     pts = []
@@ -267,7 +255,8 @@ def test_eigenfunction_pde_residual(circle_grid_256):
 
 def test_eigenfunction_decay(circle_grid_256):
     c = Coupling(1.0, 0.0, 1.0)
-    p = sp.find_eigenvalues(circle_grid_256, c, samples=48)[-1]
+    sweep = sp.gap_sweep(circle_grid_256, c, samples=48)
+    p = sp.find_eigenvalues(circle_grid_256, sweep)[-1]
     kappa = math.sqrt(1.0 - p.z0**2)
     v3, _ = sp.eigenfunction(circle_grid_256, p, np.array([[3.0, 0.0]]))
     v8, _ = sp.eigenfunction(circle_grid_256, p, np.array([[8.0, 0.0]]))
@@ -278,7 +267,8 @@ def test_eigenfunction_decay(circle_grid_256):
 
 def test_eigenfunction_transmission_condition(circle_grid_256):
     c = Coupling(1.0, 0.0, 1.0)
-    p = sp.find_eigenvalues(circle_grid_256, c, samples=48)[-1]
+    sweep = sp.gap_sweep(circle_grid_256, c, samples=48)
+    p = sp.find_eigenvalues(circle_grid_256, sweep)[-1]
     g = circle_grid_256
     h = 1e-3
     fin, _ = sp.eigenfunction(circle_grid_256, p, g.nodes - h * g.normals)
