@@ -11,6 +11,8 @@ split on the singular panel.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
@@ -63,27 +65,39 @@ def sigma_nu_matrix(grid: QuadratureGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _per_grid(build):
+    """Build a z-independent table once per grid: the result of build(grid)
+    is kept in ``grid.cache()`` under the builder's name, its arrays
+    read-only."""
+    @functools.wraps(build)
+    def cached(grid):
+        tables = grid.cache()
+        if build.__name__ not in tables:
+            table = build(grid)
+            for arr in table if isinstance(table, tuple) else (table,):
+                arr.setflags(write=False)
+            tables[build.__name__] = table
+        return tables[build.__name__]
+    return cached
+
+
+@_per_grid
 def _distances(grid) -> np.ndarray:
-    """Cached node distances R = |x_i - y_j|, with 1.0 on the diagonal."""
-    cache = grid.cache()
-    if "distances" not in cache:
-        z = grid.zc
-        r = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(r, 1.0)  # masked; diagonal handled explicitly
-        cache["distances"] = r
-    return cache["distances"]
+    """Node distances R = |x_i - y_j|, with 1.0 on the diagonal."""
+    z = grid.zc
+    r = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(r, 1.0)  # masked; diagonal handled explicitly
+    return r
 
 
+@_per_grid
 def _upper_pairs(grid):
-    """Cached strict upper triangle (i < j) of the node pairs: its boolean
-    mask, and R and log R on it in row-major order."""
-    cache = grid.cache()
-    if "upper_pairs" not in cache:
-        n = grid.n_nodes
-        mask = np.triu(np.ones((n, n), dtype=bool), 1)
-        r = _distances(grid)[mask]
-        cache["upper_pairs"] = (mask, r, np.log(r))
-    return cache["upper_pairs"]
+    """Strict upper triangle (i < j) of the node pairs: its boolean mask,
+    and R and log R on it in row-major order."""
+    n = grid.n_nodes
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    r = _distances(grid)[mask]
+    return mask, r, np.log(r)
 
 
 def _symmetric(grid, upper, diag) -> np.ndarray:
@@ -97,31 +111,26 @@ def _symmetric(grid, upper, diag) -> np.ndarray:
     return out
 
 
+@_per_grid
 def _k1_phase(grid):
-    """Cached (i/2pi) conj(DX)/R, the angular factor of the K1 kernel."""
-    cache = grid.cache()
-    if "k1_phase" not in cache:
-        z = grid.zc
-        dx = z[:, None] - z[None, :]
-        cache["k1_phase"] = 1j * (1.0 / (2 * np.pi)) * (np.conj(dx) / _distances(grid))
-    return cache["k1_phase"]
+    """(i/2pi) conj(DX)/R, the angular factor of the K1 kernel."""
+    z = grid.zc
+    dx = z[:, None] - z[None, :]
+    return 1j * (1.0 / (2 * np.pi)) * (np.conj(dx) / _distances(grid))
 
 
+@_per_grid
 def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
     """Complex weights V with sum_j V[i,j] h(y_j) ~ pv int h(y)/(y - x_i) dy."""
-    cache = grid.cache()
-    if "cauchy_V" in cache:
-        return cache["cauchy_V"]
     n = grid.n_nodes
     z = grid.zc
+    dy = grid.weights * grid.tc  # complex line elements
     if grid.kind == "trapezoid":
-        dy = grid.weights * grid.tc  # complex line elements
         with np.errstate(divide="ignore", invalid="ignore"):
             V = 2.0 * dy[None, :] / (z[None, :] - z[:, None])
         parity = (np.arange(n)[:, None] - np.arange(n)[None, :]) % 2 == 1
         V = np.where(parity, V, 0.0)
     else:
-        dy = grid.weights * grid.tc
         with np.errstate(divide="ignore", invalid="ignore"):
             V = dy[None, :] / (z[None, :] - z[:, None])
         np.fill_diagonal(V, 0.0)
@@ -153,8 +162,6 @@ def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
                 num = snod - x0
                 den = ynod - z[row]
                 V[row, sl] = vt * dyds * num / den
-    V.setflags(write=False)
-    cache["cauchy_V"] = V
     return V
 
 
@@ -172,16 +179,12 @@ def assemble_cauchy(grid: QuadratureGrid) -> np.ndarray:
     return -(1j / (2 * np.pi)) * V
 
 
+@_per_grid
 def cauchy_block_matrices(grid: QuadratureGrid):
     """Matrices of C_Sigma t* and t C_Sigma* (the off-diagonal blocks at z = m)."""
-    cache = grid.cache()
-    if "cauchy_blocks" not in cache:
-        a = assemble_cauchy(grid)
-        tc = grid.tc
-        upper = a * np.conj(tc)[None, :]
-        lower = -np.conj(a) * tc[None, :]
-        cache["cauchy_blocks"] = (upper, lower)
-    return cache["cauchy_blocks"]
+    a = assemble_cauchy(grid)
+    tc = grid.tc
+    return a * np.conj(tc)[None, :], -np.conj(a) * tc[None, :]
 
 
 def assemble_Cm(grid: QuadratureGrid) -> np.ndarray:
@@ -196,6 +199,7 @@ def assemble_Cm(grid: QuadratureGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@_per_grid
 def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
     """Real weights L with sum_j L[i,j] a(y_j) ~ int a(y) log|x_i - y| ds(y).
 
@@ -204,9 +208,6 @@ def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
     rule off the own panel and a parameter-space log split on it (the same
     eight product-weight vectors on every panel, whose Gauss nodes agree).
     """
-    cache = grid.cache()
-    if "log_L" in cache:
-        return cache["log_L"]
     n = grid.n_nodes
     r = _distances(grid)
     if grid.kind == "trapezoid":
@@ -232,8 +233,6 @@ def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
             logphi = np.log(r[sl, sl] / dspar)
             np.fill_diagonal(logphi, np.log(jac))
             L[sl, sl] = lw * jac + logphi * grid.weights[sl]
-    L.setflags(write=False)
-    cache["log_L"] = L
     return L
 
 

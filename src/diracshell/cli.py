@@ -85,19 +85,36 @@ def parse_config(path: str) -> dict:
     return sections
 
 
+# section -> key -> value type; "edge" stands for every [edge.N] section
 _KNOWN_KEYS = {
-    "curve": {"preset", "radius", "center_x", "center_y", "a", "b", "side",
-              "k", "circumradius", "scale", "corner_radius"},
-    "coupling": {"eps", "mu", "mass"},
-    "discretization": {"nodes_per_edge", "grading_exponent"},
-    "classify": {"curve_class", "angles_pi"},
-    "eigs": {"z_min", "z_max", "samples", "tol", "branch_csv"},
-    "verify": {"z", "offset", "seed"},
+    "curve": {"preset": str, "radius": float, "center_x": float, "center_y": float,
+              "a": float, "b": float, "side": float, "k": int, "circumradius": float,
+              "scale": float, "corner_radius": float},
+    "coupling": {"eps": float, "mu": float, "mass": float},
+    "discretization": {"nodes_per_edge": int, "grading_exponent": float},
+    "classify": {"curve_class": str, "angles_pi": list},
+    "eigs": {"z_min": float, "z_max": float, "samples": int, "tol": float,
+             "branch_csv": bool},
+    "verify": {"z": float, "offset": float, "seed": int},
     # "tol" is accepted and ignored (m_of has no tolerance): older configs set it
-    "mtheta": {"theta_min_pi", "theta_max_pi", "steps", "tol"},
-    "symbol": {"theta_pi", "eta_min", "eta_max", "eta_steps", "trunc", "tol"},
-    "sweep": {"eps_min", "eps_max", "eps_steps", "mu_min", "mu_max", "mu_steps"},
+    "mtheta": {"theta_min_pi": float, "theta_max_pi": float, "steps": int, "tol": float},
+    "symbol": {"theta_pi": list, "eta_min": float, "eta_max": float, "eta_steps": int,
+               "trunc": float, "tol": float},
+    "sweep": {"eps_min": float, "eps_max": float, "eps_steps": int,
+              "mu_min": float, "mu_max": float, "mu_steps": int},
+    "edge": {"kind": str, "x": list, "y": list, "xs": list, "ys": list,
+             "center": list, "radius": float, "phi0": float, "phi1": float},
 }
+
+
+def _has_type(value, kind) -> bool:
+    """float takes any number, int an integer literal, list one number or several."""
+    if kind is list:
+        return all(_has_type(v, float) for v in (value if isinstance(value, list) else [value]))
+    if isinstance(value, bool):  # a subclass of int, but not a number here
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
 
 _REQUIRED_SECTIONS = {
     "classify": ("coupling",),
@@ -119,16 +136,17 @@ class RunConfig(dict):
 
 def validate_config(cfg, command: str):
     for section, entries in cfg.items():
-        if section.startswith("edge."):
-            unknown = set(entries) - {"kind", "x", "y", "center", "radius",
-                                      "phi0", "phi1", "xs", "ys"}
-        else:
-            if section not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown config section [{section}]")
-            unknown = set(entries) - _KNOWN_KEYS[section]
+        known = _KNOWN_KEYS.get("edge" if section.startswith("edge.") else section)
+        if known is None:
+            raise ConfigError(f"unknown config section [{section}]")
+        unknown = set(entries) - set(known)
         if unknown:
             raise ConfigError(
                 f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
+        for key, value in entries.items():
+            if not _has_type(value, known[key]):
+                raise ConfigError(
+                    f"[{section}] {key}: expected {known[key].__name__}, got {value!r}")
     has_edges = any(section.startswith("edge.") for section in cfg)
     for needed in _REQUIRED_SECTIONS.get(command, ()):
         if needed == "curve" and has_edges:
@@ -225,6 +243,26 @@ def write_csv(path: str, header: list, rows: list):
 # ---------------------------------------------------------------------------
 
 
+# preset -> [curve] key -> (keyword of the preset function, default)
+_PRESET_KEYS = {
+    "circle": {"radius": ("radius", 1.0), "center_x": ("center_x", 0.0),
+               "center_y": ("center_y", 0.0)},
+    "ellipse": {"a": ("a", 2.0), "b": ("b", 1.0)},
+    "square": {"side": ("side", 1.0)},
+    "regular_polygon": {"k": ("k", 3), "circumradius": ("circumradius", 1.0)},
+    "l_shape": {"scale": ("scale", 1.0)},
+    "rounded_square": {"side": ("side", 1.0), "corner_radius": ("radius", 0.2)},
+    "rounded_polygon": {"k": ("k", 4), "circumradius": ("circumradius", 1.0),
+                        "corner_radius": ("radius", 0.2)},
+}
+
+
+def _numbers(section: dict, key: str, default=()) -> tuple:
+    """One number or a list of numbers, as a tuple of floats."""
+    value = section.get(key, default)
+    return tuple(float(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+
+
 def build_curve_from_config(cfg: dict):
     from . import geometry as geo
 
@@ -237,21 +275,18 @@ def build_curve_from_config(cfg: dict):
             e = cfg[name]
             kind = e.get("kind", "poly")
             if kind == "poly":
-                xc = e.get("x", 0.0)
-                yc = e.get("y", 0.0)
-                xc = tuple(float(v) for v in (xc if isinstance(xc, list) else [xc]))
-                yc = tuple(float(v) for v in (yc if isinstance(yc, list) else [yc]))
-                edges.append(geo.Edge("poly", xc, yc))
+                edges.append(geo.Edge("poly", _numbers(e, "x", 0.0),
+                                      _numbers(e, "y", 0.0)))
             elif kind == "trig":
-                xc = tuple(float(v) for v in e.get("x", [0.0]))
-                yc = tuple(float(v) for v in e.get("y", [0.0]))
-                xs = tuple(float(v) for v in e.get("xs", []))
-                ys = tuple(float(v) for v in e.get("ys", []))
-                edges.append(geo.Edge("trig", xc, yc, xs, ys))
+                edges.append(geo.Edge("trig", _numbers(e, "x", 0.0),
+                                      _numbers(e, "y", 0.0),
+                                      _numbers(e, "xs"), _numbers(e, "ys")))
             elif kind == "arc":
-                center = e.get("center", [0.0, 0.0])
-                edges.append(geo.ArcEdge((float(center[0]), float(center[1])),
-                                         float(e["radius"]),
+                center = _numbers(e, "center")
+                if len(center) != 2 or not {"radius", "phi0", "phi1"} <= set(e):
+                    raise ConfigError(f"[{name}] an arc needs a two-number center, "
+                                      "a radius, phi0 and phi1")
+                edges.append(geo.ArcEdge(center, float(e["radius"]),
                                          float(e["phi0"]), float(e["phi1"])))
             else:
                 raise ConfigError(f"unknown edge kind {kind!r} in [{name}]")
@@ -260,30 +295,15 @@ def build_curve_from_config(cfg: dict):
     if not sec:
         raise ConfigError("config needs a [curve] section or [edge.N] sections")
     preset = sec.get("preset")
-    if preset not in geo.PRESETS:
+    if preset not in _PRESET_KEYS:
         raise ConfigError(f"unknown curve preset {preset!r}")
-    kwargs = {}
+    keys = _PRESET_KEYS[preset]
+    unread = set(sec) - set(keys) - {"preset"}
+    if unread:
+        raise ConfigError(f"preset {preset} does not read {', '.join(sorted(unread))}")
+    kwargs = {kw: type(default)(sec.get(key, default)) for key, (kw, default) in keys.items()}
     if preset == "circle":
-        kwargs["radius"] = float(sec.get("radius", 1.0))
-        kwargs["center"] = (float(sec.get("center_x", 0.0)),
-                            float(sec.get("center_y", 0.0)))
-    elif preset == "ellipse":
-        kwargs["a"] = float(sec.get("a", 2.0))
-        kwargs["b"] = float(sec.get("b", 1.0))
-    elif preset == "square":
-        kwargs["side"] = float(sec.get("side", 1.0))
-    elif preset == "regular_polygon":
-        kwargs["k"] = int(sec.get("k", 3))
-        kwargs["circumradius"] = float(sec.get("circumradius", 1.0))
-    elif preset == "l_shape":
-        kwargs["scale"] = float(sec.get("scale", 1.0))
-    elif preset == "rounded_square":
-        kwargs["side"] = float(sec.get("side", 1.0))
-        kwargs["radius"] = float(sec.get("corner_radius", 0.2))
-    elif preset == "rounded_polygon":
-        kwargs["k"] = int(sec.get("k", 4))
-        kwargs["circumradius"] = float(sec.get("circumradius", 1.0))
-        kwargs["radius"] = float(sec.get("corner_radius", 0.2))
+        kwargs["center"] = (kwargs.pop("center_x"), kwargs.pop("center_y"))
     return geo.build_curve(geo.PRESETS[preset](**kwargs))
 
 
@@ -307,10 +327,7 @@ def curve_class_from_config(cfg: dict):
     if kind == "c1":
         return CurveClass.c1()
     if kind == "polygon" and "angles_pi" in sec:
-        angles = sec["angles_pi"]
-        if not isinstance(angles, list):
-            angles = [angles]
-        return CurveClass.polygon([float(a) * math.pi for a in angles])
+        return CurveClass.polygon([a * math.pi for a in _numbers(sec, "angles_pi")])
     if kind in ("polygon", "auto"):
         return CurveClass.from_curve(build_curve_from_config(cfg))
     raise ConfigError(f"unknown curve_class {kind!r}")
@@ -365,9 +382,7 @@ def cmd_symbol(cfg, args, out):
     from .kernels import Coupling
 
     sec = cfg["symbol"]
-    thetas = sec.get("theta_pi", [0.5])
-    if not isinstance(thetas, list):
-        thetas = [thetas]
+    thetas = _numbers(sec, "theta_pi", 0.5)
     eta_min = float(sec.get("eta_min", -5.0))
     eta_max = float(sec.get("eta_max", 5.0))
     eta_steps = int(sec.get("eta_steps", 21))
@@ -376,7 +391,7 @@ def cmd_symbol(cfg, args, out):
     coupling = coupling_from_config(cfg, args)
     rows = []
     for tpi in thetas:
-        theta = float(tpi) * math.pi
+        theta = tpi * math.pi
         for i in range(eta_steps):
             eta = eta_min + (eta_max - eta_min) * i / max(eta_steps - 1, 1)
             dc = delta_closed(theta, eta, coupling)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError, CriticalCouplingError, DomainError
 from .geometry import sharpest_angle
@@ -125,23 +126,18 @@ def delta_closed(theta: float, eta: float, coupling: Coupling) -> float:
 def _exp_integral(beta: complex, theta: float, trunc: float, tol: float) -> complex:
     """int_{-trunc}^{trunc} e^{beta t} / (e^t + e^-t - 2 cos theta) dt."""
 
-    def dens(t):
-        return np.exp(2.0 * t) + 1.0 - 2.0 * math.cos(theta) * np.exp(t)
+    def f(t):
+        e = np.exp((beta + 1.0) * t)
+        d = np.exp(2.0 * t) + 1.0 - 2.0 * math.cos(theta) * np.exp(t)
+        return complex(e.real / d, e.imag / d)
 
-    def f_re(t):
-        return float(np.real(np.exp((beta + 1.0) * t)) / dens(t))
-
-    def f_im(t):
-        return float(np.imag(np.exp((beta + 1.0) * t)) / dens(t))
-
-    out = 0.0j
-    for f in (f_re, f_im):
-        val, err = quad(f, -trunc, trunc, limit=400, epsabs=0.25 * tol, epsrel=0)
-        if err > tol:
-            raise ConvergenceError(
-                f"Mellin quadrature error estimate {err:.2e} above tol {tol:.2e}")
-        out = out + val if f is f_re else out + 1j * val
-    return out
+    val, err = quad(f, -trunc, trunc, limit=400, epsabs=0.25 * tol, epsrel=0,
+                    complex_func=True)
+    err = max(err.real, err.imag)
+    if err > tol:
+        raise ConvergenceError(
+            f"Mellin quadrature error estimate {err:.2e} above tol {tol:.2e}")
+    return val
 
 
 def mellin_symbol(theta: float, eta: float, coupling: Coupling,
@@ -254,19 +250,18 @@ def mellin_reference_quadrature(alpha: complex, omega: float, b: float,
     decay = min(alpha.real, 2.0 - alpha.real)
     trunc = 42.0 / decay
 
-    def dens(t):
-        return np.exp(t) + np.exp(-t) + 2.0 * math.cos(omega)
+    def f(t):
+        e = np.exp((alpha - 1.0) * t)
+        d = np.exp(t) + np.exp(-t) + 2.0 * math.cos(omega)
+        return complex(e.real / d, e.imag / d)
 
-    out = 0.0j
-    for part in (np.real, np.imag):
-        def f(t):
-            return float(part(np.exp((alpha - 1.0) * t)) / dens(t))
-        val, err = quad(f, -trunc, trunc, limit=800, epsabs=0.25 * tol, epsrel=0)
-        if err > 10 * tol:
-            raise ConvergenceError(
-                f"reference quadrature error {err:.2e} above tol {tol:.2e}")
-        out = out + val if part is np.real else out + 1j * val
-    return b ** (alpha - 2.0) * out
+    val, err = quad(f, -trunc, trunc, limit=800, epsabs=0.25 * tol, epsrel=0,
+                    complex_func=True)
+    err = max(err.real, err.imag)
+    if err > 10 * tol:
+        raise ConvergenceError(
+            f"reference quadrature error {err:.2e} above tol {tol:.2e}")
+    return b ** (alpha - 2.0) * val
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +282,19 @@ class FredholmDecision:
 
 
 def _solve_level(theta: float, level: float) -> float:
-    """x >= 0 with M_theta(x) = level, for level in [1/4, m(theta)]."""
-    mval, xstar = m_argsup(theta)
-    if level >= mval:
+    """x >= 0 with M_theta(x) = level, for 0 < level < m(theta).
+
+    The root lies on the descending flank beyond the maximiser x*.  Since
+    M_theta(x) < exp(-omega x) with omega = min(theta, 2pi - theta) (the
+    bound m_argsup uses), M_theta - level is negative at
+    max(x*, ln(1/level)/omega) + 1, which closes the bracket.
+    """
+    _, xstar = m_argsup(theta)
+    if M(theta, xstar) <= level:
         return xstar
-    # descending flank beyond the maximum: scan then bisect
-    grid = np.linspace(xstar, max(16.0, 4.0 * xstar + 1.0), 4001)
-    vals = M(theta, grid) - level
-    idx = np.nonzero(vals <= 0.0)[0]
-    if idx.size == 0:
-        lo, hi = xstar, grid[-1]
-    else:
-        hi = grid[idx[0]]
-        lo = grid[max(idx[0] - 1, 0)]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if M(theta, mid) - level > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    omega = min(theta, 2.0 * math.pi - theta)
+    hi = max(xstar, math.log(1.0 / level) / omega) + 1.0
+    return brentq(lambda x: M(theta, x) - level, xstar, hi, xtol=1e-15)
 
 
 def fredholm_polygon(angles, coupling: Coupling) -> FredholmDecision:

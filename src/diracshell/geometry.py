@@ -16,8 +16,7 @@ obtained from tau by a +pi/2 rotation.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -427,16 +426,11 @@ class QuadratureGrid:
     def nc(self) -> np.ndarray:
         return self.normals[:, 0] + 1j * self.normals[:, 1]
 
+    # z-independent tables, filled by the operator builders on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+
     def cache(self) -> dict:
-        try:
-            return _GRID_CACHES[self]
-        except KeyError:
-            d: dict = {}
-            _GRID_CACHES[self] = d
-            return d
-
-
-_GRID_CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        return self._tables
 
 
 def _freeze(arr):
@@ -494,37 +488,30 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
     sgl, wgl = gauss_legendre(PANEL_ORDER)
     corner_edges_in = {c.edge_in for c in curve.corners}
     corner_edges_out = {c.edge_out for c in curve.corners}
-    nodes, weights, tangs, norms = [], [], [], []
-    panels, dyds_all = [], []
-    count = 0
+    nodes, dyds_all, panels = [], [], []
     for ei, edge in enumerate(curve.edges):
-        at_start = ei in corner_edges_out
-        at_end = ei in corner_edges_in
-        u = _grade_breakpoints(n_pan, grading_exponent, at_start, at_end)
-        for p in range(n_pan):
-            ta, tb = u[p], u[p + 1]
-            t = ta + (tb - ta) * 0.5 * (sgl + 1.0)
-            pos = edge.point(t)
-            vel = edge.velocity(t)
-            dyds = (vel[:, 0] + 1j * vel[:, 1]) * 0.5 * (tb - ta)
-            speed = np.abs(dyds)
-            tang = np.stack([dyds.real, dyds.imag], axis=-1) / speed[:, None]
-            pa = edge.point(np.array(ta))
-            pb = edge.point(np.array(tb))
-            panels.append(Panel(count, count + PANEL_ORDER, ei, ta, tb,
-                                complex(pa[0], pa[1]), complex(pb[0], pb[1]),
-                                edge.is_straight))
-            nodes.append(pos)
-            weights.append(wgl * speed)
-            tangs.append(tang)
-            norms.append(np.stack([tang[:, 1], -tang[:, 0]], axis=-1))
-            dyds_all.append(dyds)
-            count += PANEL_ORDER
+        u = _grade_breakpoints(n_pan, grading_exponent,
+                               ei in corner_edges_out, ei in corner_edges_in)
+        ta, tb = u[:-1, None], u[1:, None]
+        t = ta + ((tb - ta) * 0.5) * (sgl + 1.0)  # (n_pan, PANEL_ORDER)
+        vel = edge.velocity(t)
+        nodes.append(edge.point(t).reshape(-1, 2))
+        dyds_all.append((((vel[..., 0] + 1j * vel[..., 1]) * 0.5) * (tb - ta)).ravel())
+        zu = edge.point(u)
+        start = len(panels) * PANEL_ORDER
+        panels.extend(
+            Panel(start + p * PANEL_ORDER, start + (p + 1) * PANEL_ORDER, ei, u[p], u[p + 1],
+                  complex(zu[p, 0], zu[p, 1]), complex(zu[p + 1, 0], zu[p + 1, 1]),
+                  edge.is_straight)
+            for p in range(n_pan))
+    dyds = np.concatenate(dyds_all)
+    speed = np.abs(dyds)
+    tang = np.stack([dyds.real, dyds.imag], axis=-1) / speed[:, None]
     return QuadratureGrid(
         kind="panel", curve=curve,
-        nodes=_freeze(np.concatenate(nodes)), weights=_freeze(np.concatenate(weights)),
-        tangents=_freeze(np.concatenate(tangs)), normals=_freeze(np.concatenate(norms)),
+        nodes=_freeze(np.concatenate(nodes)), weights=_freeze(np.tile(wgl, len(panels)) * speed),
+        tangents=_freeze(tang), normals=_freeze(np.stack([tang[:, 1], -tang[:, 0]], axis=-1)),
         panels=tuple(panels),
         param=_freeze(np.zeros(0)),
-        dy_dparam=_freeze(np.concatenate(dyds_all)),
+        dy_dparam=_freeze(dyds),
     )

@@ -114,6 +114,16 @@ def test_grid_cache_holds_four_complex_matrices(spec, nodes):
     assert _complex_cache_bytes(grid.cache()) <= 4 * 16 * n * n
 
 
+@pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 64), (geo.square(1.0), 16)])
+def test_grid_tables_are_read_only(spec, nodes):
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    sp._hermitian_eigs(grid, Coupling(3.0, 1.0, 1.0), 0.3)
+    tables = grid.cache()
+    arrays = [a for t in tables.values() for a in (t if isinstance(t, tuple) else (t,))]
+    assert "log_weight_table" in tables and "cauchy_block_matrices" in tables
+    assert not any(a.flags.writeable for a in arrays)
+
+
 @pytest.mark.parametrize("spec", [geo.square(1.0), geo.rounded_square(1.0, 0.15)])
 def test_cauchy_self_panel_rows_equal_the_per_row_rule(spec, monkeypatch):
     # the self-panel block of each panel, against the rule applied row by row;

@@ -72,6 +72,37 @@ def test_unknown_keys_rejected(tmp_path):
     assert cli.main(["classify", "--config", p]) == cli.EXIT_CONFIG
 
 
+_TRIG_CIRCLE = "[edge.0]\nkind = trig\nx = 0.0, 1.0\ny = 0.0, 0.0\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("classify", "[curve]\npreset = circle\nradius = abc\n"),
+    ("eigs", "[curve]\npreset = circle\n[discretization]\nnodes_per_edge = 16\n"
+             "[eigs]\nsamples = many\n"),
+    ("classify", "[edge.0]\nkind = trig\nx = abc\ny = 0.0, 0.0\nxs = 0.0\nys = 1.0\n"),
+    ("classify", "[edge.0]\nkind = arc\ncenter = 0.0, 0.0\nphi0 = 0.0\nphi1 = 6.2831853\n"),
+    ("classify", "[curve]\npreset = square\nradius = 2.0\n"),
+], ids=["non-number", "non-integer", "non-number-coefficient", "arc-without-radius",
+        "key-the-preset-does-not-read"])
+def test_malformed_config_exits_2(tmp_path, capsys, command, text):
+    p = _write(tmp_path, "c.cfg", text + "[coupling]\neps = 3.0\nmu = 0.0\n")
+    assert cli.main([command, "--config", p, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_scalar_coefficients_read_as_one_term_lists(tmp_path):
+    # the unit circle as a trig edge, its sine coefficients written as scalars
+    tail = "[coupling]\neps = 3.0\nmu = 0.0\n"
+    docs = []
+    for name, text in (("preset", "[curve]\npreset = circle\n"),
+                       ("trig", _TRIG_CIRCLE + "xs = 0.0\nys = 1.0\n")):
+        out = tmp_path / name
+        p = _write(tmp_path, name + ".cfg", text + tail)
+        assert cli.main(["classify", "--config", p, "--out", str(out)]) == cli.EXIT_OK
+        docs.append((out / "classification.json").read_bytes())
+    assert docs[0] == docs[1]
+
+
 def test_missing_section_rejected(tmp_path):
     p = _write(tmp_path, "c.cfg", "[curve]\npreset = circle\n")
     assert cli.main(["classify", "--config", p]) == cli.EXIT_CONFIG

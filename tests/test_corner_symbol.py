@@ -175,6 +175,15 @@ def test_fredholm_witness_hits_level():
     assert lvl == pytest.approx(1.0 / c.strength, abs=1e-9)
 
 
+def test_fredholm_witness_beyond_a_fixed_window():
+    # at a sharp corner the level 1/d lies far out on the descending flank
+    # (eta* = 10.0046 here), past any window not derived from the tail bound
+    c = Coupling(2.0, 0.5)
+    d = cs.fredholm_polygon([0.01 * math.pi], c)
+    assert not d.fredholm
+    assert abs(cs.M(d.witness_theta, 2.0 * d.witness_eta) - 1.0 / 3.75) <= 1e-12
+
+
 def test_fredholm_negative_strength_always_fredholm():
     d = cs.fredholm_polygon([0.1 * math.pi], Coupling(1.0, 3.0))
     assert d.fredholm

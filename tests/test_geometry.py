@@ -14,6 +14,7 @@ from diracshell.errors import (
     OpenCurveError,
     SelfIntersectionError,
 )
+from diracshell.quadrature import gauss_legendre
 
 # closed-form perimeters of the presets, independent of any quadrature
 PERIMETER_CIRCLE = 2 * math.pi
@@ -212,3 +213,48 @@ def test_grid_immutability(circle_curve):
     g = geo.discretize(circle_curve, 32)
     with pytest.raises(ValueError):
         g.nodes[0, 0] = 5.0
+
+
+def _panel_grid_by_loop(curve, nodes_per_edge, q=3.0):
+    """The panel rule built one panel at a time: the reference for the
+    per-edge evaluation in discretize."""
+    sgl, wgl = gauss_legendre(geo.PANEL_ORDER)
+    n_pan = int(np.ceil(nodes_per_edge / geo.PANEL_ORDER))
+    ends_in = {c.edge_in for c in curve.corners}
+    ends_out = {c.edge_out for c in curve.corners}
+    nodes, weights, tangents, normals, dyds_all, panels = [], [], [], [], [], []
+    for ei, edge in enumerate(curve.edges):
+        u = geo._grade_breakpoints(n_pan, q, ei in ends_out, ei in ends_in)
+        for p in range(n_pan):
+            ta, tb = u[p], u[p + 1]
+            t = ta + (tb - ta) * 0.5 * (sgl + 1.0)
+            vel = edge.velocity(t)
+            dyds = (vel[:, 0] + 1j * vel[:, 1]) * 0.5 * (tb - ta)
+            speed = np.abs(dyds)
+            tang = np.stack([dyds.real, dyds.imag], axis=-1) / speed[:, None]
+            pa, pb = edge.point(np.array(ta)), edge.point(np.array(tb))
+            start = len(panels) * geo.PANEL_ORDER
+            panels.append(geo.Panel(start, start + geo.PANEL_ORDER, ei, ta, tb,
+                                    complex(pa[0], pa[1]), complex(pb[0], pb[1]),
+                                    edge.is_straight))
+            nodes.append(edge.point(t))
+            weights.append(wgl * speed)
+            tangents.append(tang)
+            normals.append(np.stack([tang[:, 1], -tang[:, 0]], axis=-1))
+            dyds_all.append(dyds)
+    return ([np.concatenate(a) for a in (nodes, weights, tangents, normals, dyds_all)],
+            tuple(panels))
+
+
+@pytest.mark.parametrize("spec", [geo.square(2.0), geo.l_shape(1.0),
+                                  geo.rounded_square(1.0, 0.15), geo.regular_polygon(3),
+                                  geo.rounded_polygon(5, 1.0, 0.2)])
+@pytest.mark.parametrize("nodes", [16, 20, 64])
+def test_panel_grid_equals_the_per_panel_rule(spec, nodes):
+    curve = geo.build_curve(spec)
+    grid = geo.discretize(curve, nodes)
+    arrays, panels = _panel_grid_by_loop(curve, nodes)
+    got = (grid.nodes, grid.weights, grid.tangents, grid.normals, grid.dy_dparam)
+    for a, b in zip(got, arrays):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert grid.panels == panels
