@@ -106,6 +106,13 @@ _KNOWN_KEYS = {
              "center": list, "radius": float, "phi0": float, "phi1": float},
 }
 
+# edge kind -> the [edge.N] keys besides "kind" that build_curve_from_config reads
+_EDGE_KEYS = {
+    "poly": {"x", "y"},
+    "trig": {"x", "y", "xs", "ys"},
+    "arc": {"center", "radius", "phi0", "phi1"},
+}
+
 
 def _has_type(value, kind) -> bool:
     """float takes any number, int an integer literal, list one number or several."""
@@ -147,7 +154,17 @@ def validate_config(cfg, command: str):
             if not _has_type(value, known[key]):
                 raise ConfigError(
                     f"[{section}] {key}: expected {known[key].__name__}, got {value!r}")
+        kind = entries.get("kind", "poly")
+        # an unknown kind is refused where the curve is built
+        if section.startswith("edge.") and kind in _EDGE_KEYS:
+            unread = set(entries) - _EDGE_KEYS[kind] - {"kind"}
+            if unread:
+                raise ConfigError(f"[{section}] a {kind} edge does not read "
+                                  f"{', '.join(sorted(unread))}")
     has_edges = any(section.startswith("edge.") for section in cfg)
+    if has_edges and cfg.get("curve"):
+        raise ConfigError("[curve] keys are not read when [edge.N] sections define "
+                          f"the curve: {', '.join(sorted(cfg['curve']))}")
     for needed in _REQUIRED_SECTIONS.get(command, ()):
         if needed == "curve" and has_edges:
             continue  # [edge.N] sections define the curve

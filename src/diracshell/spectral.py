@@ -8,14 +8,23 @@ where the count changes between two samples, each sorted eigenvalue whose
 index lies between the two counts changes sign, and brentq finds its zero.
 Sorted eigenvalues are continuous in z, so this is robust to branch
 reordering at crossings.
+
+The sweep samples and the brentq brackets do not depend on each other and
+are solved concurrently, one BLAS thread each (``_solve_pool``); the root
+step runs alone at the full BLAS width.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 from . import boundary_ops as bo
@@ -93,15 +102,64 @@ def _hermitian_eigs(grid, coupling, z):
 
 
 def _root_operators(grid, coupling, z):
-    """(Hermitian matrix, Theta_z) at a root from one S_z and one set of C_z
-    blocks."""
+    """(Hermitian matrix, N x N blocks of C_z) at a root from one S_z: the
+    blocks also give Theta_z, formed once the eigensolve is done."""
     s = bo.assemble_Sz(grid, z, coupling)
     blocks = bo.cz_blocks(grid, z, coupling, s)
     if _route(coupling) == "scalar":
-        herm = _scalar_hermitian(s, coupling, z)
-    else:
-        herm = _lambda_hermitian(blocks, coupling)
-    return herm, bo.theta_from_cz(bo.spinor_from_blocks(*blocks), coupling)
+        return _scalar_hermitian(s, coupling, z), blocks
+    return _lambda_hermitian(blocks, coupling), blocks
+
+
+def _openblas_thread_setters() -> list:
+    """``openblas_set_num_threads_local`` of each OpenBLAS library loaded in
+    this process (numpy and scipy each bring one).  Empty where there is none
+    with that symbol: another BLAS, OpenBLAS before 0.3.27, or no
+    /proc/self/maps to list the libraries (not Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({fields[5].rstrip("\n")
+                            for fields in (line.split(maxsplit=5) for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5]})
+    except OSError:
+        return []
+    setters = []
+    for path in paths:
+        try:
+            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = ctypes.c_int
+        setters.append(set_threads)
+    return setters
+
+
+@contextlib.contextmanager
+def _solve_pool():
+    """A ``map`` over independent eigensolves: one worker per BLAS thread the
+    process allows, every BLAS pool at one thread until the block exits.
+
+    ``openblas_set_num_threads_local`` returns the previous count; in the
+    OpenBLAS builds numpy and scipy ship it sets the count of the whole
+    process, so each library gets its count back on exit, also after an
+    error.  Without such a library the map is the builtin one, on one
+    worker.
+    """
+    setters = _openblas_thread_setters()
+    previous = []
+    try:
+        for set_threads in setters:
+            previous.append(set_threads(1))
+        workers = max(previous, default=1)
+        if workers <= 1:
+            yield map
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                yield pool.map
+    finally:
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
 
 
 def default_window(coupling: Coupling) -> tuple:
@@ -124,7 +182,12 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     if not (-m < lo < hi < m):
         raise SpectralParameterError("sweep window must lie inside the open gap")
     zs = np.linspace(lo, hi, samples)
-    eigs = np.stack([_hermitian_eigs(grid, coupling, z) for z in zs])
+    with _solve_pool() as solve_map:
+        # the first sample builds the grid's tables on this thread, so the
+        # workers only read them
+        first = _hermitian_eigs(grid, coupling, zs[0])
+        rest = solve_map(functools.partial(_hermitian_eigs, grid, coupling), zs[1:])
+        eigs = np.stack([first, *rest])
     return BranchData(zs, eigs, route, coupling)
 
 
@@ -146,43 +209,60 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
     spectra = dict(zip(map(float, zs), sweep.eigenvalues))
 
     def eigs_at(z):
+        # brackets only add keys; a z two of them reached at once would be
+        # solved twice, to the same result
         key = float(z)
         if key not in spectra:
             spectra[key] = _hermitian_eigs(grid, coupling, z)
         return spectra[key]
 
+    def bracket_root(bracket):
+        a, b, j = bracket
+        return brentq(lambda z: eigs_at(z)[j], a, b, xtol=tol, rtol=4 * np.finfo(float).eps)
+
     counts = [int(np.sum(eigs_at(z) < 0.0)) for z in zs]
     # the j-th sorted eigenvalue is continuous in z, so each j between the
     # counts of two samples changes sign between them
-    roots = sorted(
-        brentq(lambda z, j=j: eigs_at(z)[j], a, b, xtol=tol, rtol=4 * np.finfo(float).eps)
-        for a, b, ca, cb in zip(zs, zs[1:], counts, counts[1:])
-        for j in range(min(ca, cb), max(ca, cb)))
+    brackets = [(a, b, j) for a, b, ca, cb in zip(zs, zs[1:], counts, counts[1:])
+                for j in range(min(ca, cb), max(ca, cb))]
+    with _solve_pool() as solve_map:
+        roots = sorted(solve_map(bracket_root, brackets))
     clusters = []  # roots closer than 10 tol are one multiple root
     for z in roots:
         if clusters and z - clusters[-1][-1] <= 10.0 * tol:
             clusters[-1].append(z)
         else:
             clusters.append([z])
+    return [pair for cluster, members in enumerate(clusters)
+            for pair in _cluster_pairs(grid, sweep, members[0], len(members), cluster)]
 
-    pairs = []  # eigenpairs
-    for cluster, members in enumerate(clusters):
-        z0, mult = members[0], len(members)
-        mat, theta = _root_operators(grid, coupling, z0)
-        ev, vec = np.linalg.eigh(mat)
-        order = np.argsort(np.abs(ev))
-        second = float(np.abs(ev[order[min(mult, len(ev) - 1)]]))
-        if second < 1e-6:
-            warnings.warn(
-                f"second-smallest eigenvalue {second:.2e} at root {z0:.6f}: "
-                "possible multiplicity", IllConditionedWarning)
-        cond = float(np.max(np.abs(ev)) / max(second, np.finfo(float).tiny))
-        for k in range(mult):
-            g = _embed_density(vec[:, order[k]], sweep.route, coupling, grid)
-            g = g / np.linalg.norm(g)
-            residual = float(np.linalg.norm(theta @ g))
-            pairs.append(Eigenpair(float(z0), g, residual, cluster, second, cond,
-                                   coupling))
+
+def _cluster_pairs(grid, sweep, z0, mult, cluster) -> list:
+    """The ``mult`` eigenpairs of the root z0.  The eigensolve is LAPACK's
+    ``*evr``, whose workspace is O(n) (numpy's ``eigh`` calls ``*evd``, whose
+    workspace is O(n^2)), and Theta_z0 is formed from the same blocks of C_z
+    once the Hermitian matrix and the eigenvectors are dropped, so that the
+    matrices of one root are not all held at once."""
+    coupling = sweep.coupling
+    mat, blocks = _root_operators(grid, coupling, z0)
+    ev, vec = scipy.linalg.eigh(mat, driver="evr", check_finite=False)
+    del mat
+    order = np.argsort(np.abs(ev))
+    second = float(np.abs(ev[order[min(mult, len(ev) - 1)]]))
+    if second < 1e-6:
+        warnings.warn(
+            f"second-smallest eigenvalue {second:.2e} at root {z0:.6f}: "
+            "possible multiplicity", IllConditionedWarning)
+    cond = float(np.max(np.abs(ev)) / max(second, np.finfo(float).tiny))
+    densities = [_embed_density(vec[:, order[k]], sweep.route, coupling, grid)
+                 for k in range(mult)]
+    del vec
+    theta = bo.theta_from_cz(bo.spinor_from_blocks(*blocks), coupling)
+    pairs = []
+    for g in densities:
+        g = g / np.linalg.norm(g)
+        residual = float(np.linalg.norm(theta @ g))
+        pairs.append(Eigenpair(float(z0), g, residual, cluster, second, cond, coupling))
     return pairs
 
 

@@ -279,6 +279,38 @@ samples = 24
     assert len(assembled) <= distinct + roots
 
 
+@pytest.mark.parametrize("threads", ["2", "1"])
+def test_eigs_artifacts_identical_across_runs(tmp_path, threads):
+    # the samples and brackets are solved concurrently with --threads 2;
+    # the artifacts may not depend on which worker finished first
+    p = _write(tmp_path, "e.cfg", """
+[curve]
+preset = circle
+
+[coupling]
+eps = 1.0
+mu = 0.0
+
+[discretization]
+nodes_per_edge = 64
+
+[eigs]
+samples = 24
+branch_csv = true
+""")
+    src = str(Path(diracshell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        subprocess.run([sys.executable, "-m", "diracshell.cli", "eigs", "--config", p,
+                        "--out", str(out), "--threads", threads],
+                       env=env, check=True, timeout=300)
+        runs.append([(out / name).read_bytes()
+                     for name in ("eigenvalues.json", "branches.csv")])
+    assert runs[0] == runs[1]
+
+
 def test_verify_end_to_end(tmp_path):
     p = _write(tmp_path, "v.cfg", """
 [curve]
@@ -393,6 +425,43 @@ z = 0.1
     assert cli.main(["verify", "--config", p, "--out", str(out)]) == 0
     doc = json.loads((out / "verification.json").read_text())
     assert doc["grid_kind"] == "trapezoid"
+
+
+_CIRCLE_EDGE = _TRIG_CIRCLE + "xs = 0.0\nys = 1.0\n"
+_SQUARE_EDGES = """
+[edge.0]
+kind = poly
+x = 0.0, 1.0
+y = 0.0
+[edge.1]
+kind = poly
+x = 1.0
+y = 0.0, 1.0
+[edge.2]
+kind = poly
+x = 1.0, -1.0
+y = 1.0
+[edge.3]
+kind = poly
+x = 0.0
+y = 1.0, -1.0
+"""
+
+
+@pytest.mark.parametrize("text, status", [
+    ("[curve]\npreset = square\nradius = 5.0\n" + _CIRCLE_EDGE
+     + "phi0 = 3.0\ncenter = 9.0, 9.0\n", cli.EXIT_CONFIG),
+    ("[curve]\npreset = square\n" + _CIRCLE_EDGE, cli.EXIT_CONFIG),
+    (_CIRCLE_EDGE + "phi0 = 3.0\n", cli.EXIT_CONFIG),
+    (_SQUARE_EDGES + "xs = 1.0\n", cli.EXIT_CONFIG),
+    ("[curve]\n" + _CIRCLE_EDGE, cli.EXIT_OK),
+], ids=["preset-keys-and-arc-keys-on-trig", "curve-keys-next-to-edges",
+        "arc-key-on-trig-edge", "trig-key-on-poly-edge", "empty-curve-next-to-edges"])
+def test_edge_curves_refuse_keys_they_do_not_read(tmp_path, text, status):
+    # an empty [curve] next to edge sections stays accepted: older configs
+    # carry one
+    p = _write(tmp_path, "c.cfg", text + "[coupling]\neps = 3.0\nmu = 0.0\n")
+    assert cli.main(["classify", "--config", p, "--out", str(tmp_path)]) == status
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -124,7 +126,8 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
     assemble = bo.log_kernel_matrix
     monkeypatch.setattr(bo, "log_kernel_matrix",
                         lambda *a: calls.append(a) or assemble(*a))
-    mat, theta = sp._root_operators(grid, coup, 0.3)
+    mat, blocks = sp._root_operators(grid, coup, 0.3)
+    theta = bo.theta_from_cz(bo.spinor_from_blocks(*blocks), coup)
     assert len(calls) == 2
     assert theta.tobytes() == bo.assemble_theta(grid, 0.3, coup).tobytes()
     assert np.array_equal(mat, sp._hermitian_matrix(grid, coup, 0.3))
@@ -180,6 +183,75 @@ def test_one_z_evaluates_bessel_once_per_node_pair(monkeypatch):
     sp._hermitian_matrix(grid, Coupling(1.0, 0.0), 0.3)
     assert set(points) == {"bessel_i0", "bessel_k0", "bessel_i1", "bessel_k1"}
     assert max(points.values()) <= n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("spec, nodes", _SHAPES[:2], ids=["circle", "square"])
+@pytest.mark.parametrize("coup", [Coupling(1.0, 0.0), Coupling(-1.0, -1.0)],
+                         ids=["lambda", "scalar"])
+def test_pooled_search_matches_one_worker(spec, nodes, coup, monkeypatch):
+    # the pool changes which thread solves a sample and its BLAS width, so
+    # only the last bits may move
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    pooled = sp.gap_sweep(grid, coup, samples=48)
+    pooled_pairs = sp.find_eigenvalues(grid, pooled)
+    monkeypatch.setattr(sp, "_openblas_thread_setters", lambda: [])
+    single = sp.gap_sweep(grid, coup, samples=48)
+    single_pairs = sp.find_eigenvalues(grid, single)
+    assert np.max(np.abs(pooled.eigenvalues - single.eigenvalues)) <= 1e-12
+    assert len(pooled_pairs) == len(single_pairs) >= 1
+    assert [p.cluster for p in pooled_pairs] == [p.cluster for p in single_pairs]
+    assert max(abs(p.z0 - q.z0) for p, q in zip(pooled_pairs, single_pairs)) <= 1e-12
+
+
+def _blas_thread_counts(setters):
+    counts = []
+    for set_threads in setters:
+        count = set_threads(1)
+        set_threads(count)
+        counts.append(count)
+    return counts
+
+
+def test_solve_pool_gives_back_the_blas_thread_counts(circle_grid_128):
+    setters = sp._openblas_thread_setters()
+    if not setters:
+        pytest.skip("no OpenBLAS library that sets its thread count")
+    before = _blas_thread_counts(setters)
+    sp.find_eigenvalues(circle_grid_128,
+                        sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), samples=16))
+    assert _blas_thread_counts(setters) == before
+    with pytest.raises(ZeroDivisionError):
+        with sp._solve_pool() as solve_map:
+            list(solve_map(lambda x: 1.0 / x, [1.0, 0.0, 2.0]))
+    assert _blas_thread_counts(setters) == before
+
+
+_GRID_TABLES = ("_distances", "_upper_pairs", "_k1_phase", "log_weight_table",
+                "cauchy_weight_table", "cauchy_block_matrices")
+
+
+def test_pooled_sweep_builds_each_grid_table_once(monkeypatch):
+    # four workers switching threads every microsecond: a table that two
+    # workers found missing at once would be built twice
+    builds = {}
+    for name in _GRID_TABLES:
+        build = getattr(bo, name).__wrapped__
+
+        @functools.wraps(build)
+        def counted(grid, build=build):
+            builds[build.__name__] = builds.get(build.__name__, 0) + 1
+            return build(grid)
+        monkeypatch.setattr(bo, name, bo._per_grid(counted))
+    setters = sp._openblas_thread_setters()
+    monkeypatch.setattr(sp, "_openblas_thread_setters", lambda: [*setters, lambda n: 4])
+    grid = geo.discretize(geo.build_curve(geo.square(1.0)), 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sp.gap_sweep(grid, Coupling(1.0, 0.0), samples=32)
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == dict.fromkeys(_GRID_TABLES, 1)
 
 
 def test_scalar_route_positive_coupling_empty(circle_grid_128):
