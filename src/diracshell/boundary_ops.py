@@ -37,19 +37,25 @@ _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
 _POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
 
 
+def interleaved(blocks, block=lambda b, mirror: b) -> np.ndarray:
+    """The matrix with block(B_kj, B_jk) on the rows of spinor component k and
+    the columns of j, interleaved by node, from the N x N blocks B_kj given
+    row by row; real when they all are."""
+    a, n = len(blocks), len(blocks[0][0])
+    out = np.empty((a * n, a * n), dtype=np.result_type(*(b for row in blocks for b in row)))
+    for k, row in enumerate(blocks):
+        for j, b in enumerate(row):
+            out[k::a, j::a] = block(b, blocks[j][k])
+    return out
+
+
 def spinor_from_blocks(b11, b12, b21, b22) -> np.ndarray:
-    n = b11.shape[0]
-    m = np.zeros((2 * n, 2 * n), dtype=complex)
-    m[0::2, 0::2] = b11
-    m[0::2, 1::2] = b12
-    m[1::2, 0::2] = b21
-    m[1::2, 1::2] = b22
-    return m
+    return interleaved(((b11, b12), (b21, b22)))
 
 
 def coupling_diagonal(coupling: Coupling, n: int) -> np.ndarray:
     """(eps sigma_0 + mu sigma_3) as a (2N,) diagonal, interleaved."""
-    return np.tile([coupling.eps + coupling.mu, coupling.eps - coupling.mu], n)
+    return np.tile(coupling.diagonal, n)
 
 
 def sigma_nu_matrix(grid: QuadratureGrid) -> np.ndarray:
@@ -267,14 +273,18 @@ def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarra
 
 def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """Principal-value operator with the full gap kernel at real z, |z| < m."""
-    return spinor_from_blocks(
-        *cz_blocks(grid, z, coupling, _scalar_k0_matrix(grid, z, coupling.mass)))
+    top, bottom = cz_blocks(grid, z, coupling, _scalar_k0_matrix(grid, z, coupling.mass))
+    return spinor_from_blocks(*top, *bottom)
 
 
-def cz_blocks(grid: QuadratureGrid, z: float, coupling: Coupling, s_mat: np.ndarray):
-    """The N x N blocks (b11, b12, b21, b22) of C_z at |z| < m, from the
-    matrix of S_z at the same z (the diagonal blocks are real)."""
+def cz_blocks(grid: QuadratureGrid, z: float, coupling: Coupling, s_mat: np.ndarray,
+              components=(0, 1)):
+    """The N x N blocks of C_z at |z| < m among the given spinor components,
+    row by row, from the matrix of S_z at the same z: the diagonal blocks
+    (z +- m) S_z are real, and the K1 blocks come only with both components."""
     mass = coupling.mass
+    if len(components) == 1:
+        return (((z + mass if components[0] == 0 else z - mass) * s_mat,),)
     b12 = _k1_block(grid, K.gap_kappa(z, mass))
     # The lower block's kernel (dx/r in place of conj(dx)/r) is minus the
     # complex conjugate of the upper one, and every quadrature weight (the
@@ -284,7 +294,7 @@ def cz_blocks(grid: QuadratureGrid, z: float, coupling: Coupling, s_mat: np.ndar
     # entries +0.0, as a direct assembly gives them.
     b21 = 0.0 - np.conj(b12)
     upper, lower = cauchy_block_matrices(grid)
-    return (mass + z) * s_mat, upper + b12, lower + b21, (z - mass) * s_mat
+    return ((mass + z) * s_mat, upper + b12), (lower + b21, (z - mass) * s_mat)
 
 
 def _k1_block(grid, kappa: float) -> np.ndarray:
@@ -312,9 +322,14 @@ def _cz_or_cm(grid, z, coupling):
 
 def theta_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
     """Matrix of Theta_z = I + (eps sigma_0 + mu sigma_3) C_z from that of C_z."""
-    theta = coupling_diagonal(coupling, cz.shape[0] // 2)[:, None] * cz
-    theta[np.diag_indices_from(theta)] += 1.0
-    return theta
+    return theta_in_place(cz.copy(), coupling_diagonal(coupling, cz.shape[0] // 2))
+
+
+def theta_in_place(cz: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Theta_z = I + diag(diagonal) C_z, one coefficient a row, in place of C_z."""
+    cz *= diagonal[:, None]
+    cz[np.diag_indices_from(cz)] += 1.0
+    return cz
 
 
 def lambda_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
@@ -322,9 +337,7 @@ def lambda_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
     if coupling.is_critical:
         raise CriticalCouplingError("Lambda_z undefined at |eps| = |mu|")
     lam = cz.copy()
-    lam[np.diag_indices_from(lam)] += np.tile(
-        [1.0 / (coupling.eps + coupling.mu), 1.0 / (coupling.eps - coupling.mu)],
-        cz.shape[0] // 2)
+    lam[np.diag_indices_from(lam)] += 1.0 / coupling_diagonal(coupling, cz.shape[0] // 2)
     return lam
 
 

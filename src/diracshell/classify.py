@@ -101,7 +101,7 @@ def classify(curve_class: CurveClass, coupling: Coupling) -> ClassificationResul
     evidence: dict = {"strength": d}
     notes: list = []
 
-    if abs(eps) == abs(mu):
+    if coupling.is_critical:
         cert = CERT_CRITICAL
         if eps == 0.0 and mu == 0.0:
             notes.append("free operator: eps = mu = 0, no shell interaction")

@@ -123,13 +123,16 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-_REQUIRED_SECTIONS = {
-    "classify": ("coupling",),
-    "mtheta": ("mtheta",),
-    "symbol": ("symbol",),
-    "eigs": ("curve", "coupling", "discretization", "eigs"),
-    "verify": ("curve", "coupling", "discretization", "verify"),
-    "sweep": ("sweep",),
+_COUPLING_FLAGS = ("eps", "mu", "mass")
+# command -> (required sections, optional sections, coupling flags it reads);
+# [edge.N] sections count as [curve]
+_READS = {
+    "classify": (("coupling",), ("curve", "classify"), _COUPLING_FLAGS),
+    "mtheta": (("mtheta",), (), ()),
+    "symbol": (("symbol",), ("coupling",), _COUPLING_FLAGS),
+    "eigs": (("curve", "coupling", "discretization", "eigs"), (), _COUPLING_FLAGS),
+    "verify": (("curve", "coupling", "discretization", "verify"), (), _COUPLING_FLAGS),
+    "sweep": (("sweep",), ("curve", "classify", "coupling"), ("mass",)),
 }
 
 
@@ -141,7 +144,8 @@ class RunConfig(dict):
         return RunConfig(parse_config(path))
 
 
-def validate_config(cfg, command: str):
+def validate_config(cfg, command: str, args=None):
+    required, optional, flags = _READS[command]
     for section, entries in cfg.items():
         known = _KNOWN_KEYS.get("edge" if section.startswith("edge.") else section)
         if known is None:
@@ -161,15 +165,18 @@ def validate_config(cfg, command: str):
             if unread:
                 raise ConfigError(f"[{section}] a {kind} edge does not read "
                                   f"{', '.join(sorted(unread))}")
-    has_edges = any(section.startswith("edge.") for section in cfg)
-    if has_edges and cfg.get("curve"):
+    if cfg.get("curve") and any(section.startswith("edge.") for section in cfg):
         raise ConfigError("[curve] keys are not read when [edge.N] sections define "
                           f"the curve: {', '.join(sorted(cfg['curve']))}")
-    for needed in _REQUIRED_SECTIONS.get(command, ()):
-        if needed == "curve" and has_edges:
-            continue  # [edge.N] sections define the curve
-        if needed not in cfg:
+    sections = {"curve" if s.startswith("edge.") else s for s in cfg}
+    for needed in required:
+        if needed not in sections:
             raise ConfigError(f"command {command!r} requires a [{needed}] section")
+    unread = [f"[{s}]" for s in sorted(sections - set(required) - set(optional))]
+    unread += [f"--{f}" for f in _COUPLING_FLAGS
+               if f not in flags and getattr(args, f, None) is not None]
+    if unread:
+        raise ConfigError(f"command {command!r} does not read {', '.join(unread)}")
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +493,7 @@ def cmd_sweep(cfg, args, out):
     ne = int(sec.get("eps_steps", 33))
     m0, m1 = float(sec.get("mu_min", -4)), float(sec.get("mu_max", 4))
     nm = int(sec.get("mu_steps", 33))
-    mass = float(cfg.get("coupling", {}).get("mass", 1.0))
+    mass = coupling_from_config(cfg, args).mass
     rows = []
     for i in range(ne):
         eps = e0 + (e1 - e0) * i / max(ne - 1, 1)
@@ -535,7 +542,7 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
     try:
         cfg = RunConfig.load(args.config)
-        validate_config(cfg, args.command)
+        validate_config(cfg, args.command, args)
         return _COMMANDS[args.command](cfg, args, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -108,10 +108,6 @@ def m_of(theta: float) -> float:
 
 @dataclass(frozen=True)
 class MellinResult:
-    a_tau: complex  # tangential / normal components of the two Mellin integrals
-    a_nu: complex
-    b_tau: complex
-    b_nu: complex
     h1: np.ndarray  # 2x2, anti-diagonal
     h2: np.ndarray
     s_value: complex  # coupling-free scalar S(xi)
@@ -165,7 +161,7 @@ def mellin_symbol(theta: float, eta: float, coupling: Coupling,
     a_conj = pref_a * (a_tau * np.conj(tau_c) + a_nu * np.conj(nu_c))
     b_full = pref_b * (b_tau * tau_c + b_nu * nu_c)
     b_conj = pref_b * (b_tau * np.conj(tau_c) + b_nu * np.conj(nu_c))
-    ep, em = coupling.eps + coupling.mu, coupling.eps - coupling.mu
+    ep, em = coupling.diagonal
     h1 = np.array([[0.0, ep * a_conj], [em * a_full, 0.0]], dtype=complex)
     h2 = np.array([[0.0, ep * b_conj], [em * b_full, 0.0]], dtype=complex)
     # The two cross-arm factors carry opposite spinor frame phases that the
@@ -176,7 +172,7 @@ def mellin_symbol(theta: float, eta: float, coupling: Coupling,
     prod = 0.5 * (h1 @ h2 + h2 @ h1)
     delta = (1.0 - prod[0, 0]) * (1.0 - prod[1, 1])
     s_value = 2.0 * st * st * (a_conj * b_full + a_full * b_conj)
-    return MellinResult(a_tau, a_nu, b_tau, b_nu, h1, h2, s_value, delta)
+    return MellinResult(h1, h2, s_value, delta)
 
 
 def delta_direct(theta: float, eta: float, coupling: Coupling,
@@ -203,10 +199,9 @@ def zeta_function(theta: float, t):
 def shelepov_G(zeta_c: complex, coupling: Coupling) -> np.ndarray:
     """The 2x2 matrix kernel of I - Theta_m in the singular-operator normal form."""
     pref = -1j / (2.0 * math.pi)
-    return np.array([
-        [0.0, pref * (coupling.eps + coupling.mu) * np.conj(zeta_c)],
-        [pref * (coupling.eps - coupling.mu) * zeta_c, 0.0],
-    ], dtype=complex)
+    ep, em = coupling.diagonal
+    return np.array([[0.0, pref * ep * np.conj(zeta_c)],
+                     [pref * em * zeta_c, 0.0]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,6 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class Corner:
-    position: np.ndarray  # (2,)
     theta: float  # interior angle in (0, 2pi) \ {pi}, measured inside Omega_+
     tau_plus: np.ndarray  # unit vector away from the corner along outgoing arc
     tau_minus: np.ndarray  # unit vector away from the corner along incoming arc
@@ -346,9 +345,7 @@ def build_curve(spec: CurveSpec) -> Curve:
         if math.pi - abs(delta) <= _ANGLE_TOL:
             raise CuspError(f"cusp at junction {j}: tangents anti-parallel")
         theta = math.pi - delta
-        pos = nxt.point(np.array(0.0))
         corners.append(Corner(
-            position=pos,
             theta=theta,
             tau_plus=v,
             tau_minus=-u,

@@ -59,6 +59,11 @@ class Coupling:
         return self.eps**2 - self.mu**2
 
     @property
+    def diagonal(self) -> tuple:
+        """(eps + mu, eps - mu), the diagonal of eps sigma_0 + mu sigma_3."""
+        return (self.eps + self.mu, self.eps - self.mu)
+
+    @property
     def is_critical(self) -> bool:
         return abs(self.eps) == abs(self.mu)
 

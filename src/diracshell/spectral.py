@@ -1,11 +1,14 @@
 """Gap eigenvalues via the boundary characterization and identity checks.
 
-For |eps| != |mu| the discrete eigenvalues in (-m, m) are the z where the
-Hermitian boundary operator Lambda_z becomes singular; for eps = +-mu != 0
-the scalar operator lambda_z = 1/(2 eps) + (z +- m) S_z takes that role.
-Roots are located from the count of negative eigenvalues over a sweep:
-where the count changes between two samples, each sorted eigenvalue whose
-index lies between the two counts changes sign, and brentq finds its zero.
+The discrete eigenvalues in (-m, m) are the z where Theta_z = I + (eps
+sigma_0 + mu sigma_3) C_z has a kernel: where the Hermitian part of
+diag(1/d_k) + C_z, on the spinor components whose d_k = eps +- mu is
+nonzero, becomes singular.  That is Lambda_z on both components (route
+"lambda"), lambda_z = 1/(2 eps) + (z +- m) S_z on one when eps = +-mu != 0
+("scalar"), and nothing when eps = mu = 0 ("empty").  Roots are located
+from the count of negative eigenvalues over a sweep: where the count
+changes between two samples, each sorted eigenvalue whose index lies
+between the two counts changes sign, and brentq finds its zero.
 Sorted eigenvalues are continuous in z, so this is robust to branch
 reordering at crossings.
 
@@ -53,62 +56,38 @@ class Eigenpair:
     coupling: Coupling
 
 
-def _route(coupling: Coupling) -> str:
-    if coupling.eps == 0.0 and coupling.mu == 0.0:
-        return "empty"
-    if coupling.is_critical:
-        return "scalar"
-    return "lambda"
+def _active(coupling: Coupling) -> list:
+    """The spinor components whose coefficient d_k = eps +- mu is nonzero."""
+    return [k for k, d in enumerate(coupling.diagonal) if d != 0.0]
+
+
+_ROUTES = ("empty", "scalar", "lambda")  # by the number of active components
+
+
+def _hermitian_part(blocks, d):
+    """The Hermitian part of diag(1/d_k) + C_z on the active components from
+    the blocks of C_z, without forming C_z.  A block is summed with the
+    conjugate transpose of its mirror, not mirrored from it: the two differ
+    in the sign of zero imaginary parts, and the sum is what (L + L^H)/2
+    holds bitwise."""
+    herm = bo.interleaved(blocks, lambda b, mirror: 0.5 * (b + mirror.conj().T))
+    herm[np.diag_indices_from(herm)] += np.tile(1.0 / d, len(blocks[0][0]))
+    return herm
+
+
+def _blocks(grid, coupling, z):
+    """The N x N blocks of C_z on the active components, and their d_k."""
+    active = _active(coupling)
+    s = bo.assemble_Sz(grid, z, coupling)
+    return bo.cz_blocks(grid, z, coupling, s, active), np.take(coupling.diagonal, active)
 
 
 def _hermitian_matrix(grid, coupling, z):
-    """The Hermitian part of Lambda_z, or of lambda_z on the scalar route."""
-    s = bo.assemble_Sz(grid, z, coupling)
-    if _route(coupling) == "scalar":
-        return _scalar_hermitian(s, coupling, z)
-    return _lambda_hermitian(bo.cz_blocks(grid, z, coupling, s), coupling)
-
-
-def _scalar_hermitian(s, coupling, z):
-    """The Hermitian part of lambda_z = 1/(2 eps) + (z +- m) S_z from S_z."""
-    sign = 1.0 if coupling.eps == coupling.mu else -1.0
-    mat = (z + sign * coupling.mass) * s
-    herm = 0.5 * (mat + mat.T)
-    herm[np.diag_indices_from(herm)] += 1.0 / (2.0 * coupling.eps)
-    return herm
-
-
-def _lambda_hermitian(blocks, coupling):
-    """The Hermitian part (L + L^H)/2 of Lambda_z, written block by block from
-    the N x N blocks of C_z, without forming C_z or Lambda_z."""
-    b11, b12, b21, b22 = blocks
-    n = b11.shape[0]
-    herm = np.empty((2 * n, 2 * n), dtype=complex)
-    for k, (b, diag) in enumerate(((b11, 1.0 / (coupling.eps + coupling.mu)),
-                                   (b22, 1.0 / (coupling.eps - coupling.mu)))):
-        block = b.copy()  # (z +- m) S_z, a real matrix
-        block[np.diag_indices_from(block)] += diag
-        herm[k::2, k::2] = 0.5 * (block + block.T)
-    # the lower block is summed on its own rather than taken as the conjugate
-    # transpose of the upper one: the two differ in the sign of zero
-    # imaginary parts, and the sum is what (L + L^H)/2 holds bitwise
-    herm[0::2, 1::2] = 0.5 * (b12 + b21.conj().T)
-    herm[1::2, 0::2] = 0.5 * (b21 + b12.conj().T)
-    return herm
+    return _hermitian_part(*_blocks(grid, coupling, z))
 
 
 def _hermitian_eigs(grid, coupling, z):
     return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z))
-
-
-def _root_operators(grid, coupling, z):
-    """(Hermitian matrix, N x N blocks of C_z) at a root from one S_z: the
-    blocks also give Theta_z, formed once the eigensolve is done."""
-    s = bo.assemble_Sz(grid, z, coupling)
-    blocks = bo.cz_blocks(grid, z, coupling, s)
-    if _route(coupling) == "scalar":
-        return _scalar_hermitian(s, coupling, z), blocks
-    return _lambda_hermitian(blocks, coupling), blocks
 
 
 def _openblas_thread_setters() -> list:
@@ -172,7 +151,7 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     """Sorted Hermitian eigenvalue trajectories over a z sweep in the gap."""
     if samples < 16:
         raise SpectralParameterError("need at least 16 sweep samples")
-    route = _route(coupling)
+    route = _ROUTES[len(_active(coupling))]
     if route == "empty":
         return BranchData(np.zeros(0), np.zeros((0, 0)), "empty", coupling,
                           notes=("free operator: spectrum (-inf,-|m|] U [|m|,inf), "
@@ -238,14 +217,17 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
 
 
 def _cluster_pairs(grid, sweep, z0, mult, cluster) -> list:
-    """The ``mult`` eigenpairs of the root z0.  The eigensolve is LAPACK's
-    ``*evr``, whose workspace is O(n) (numpy's ``eigh`` calls ``*evd``, whose
-    workspace is O(n^2)), and Theta_z0 is formed from the same blocks of C_z
-    once the Hermitian matrix and the eigenvectors are dropped, so that the
-    matrices of one root are not all held at once."""
+    """The ``mult`` eigenpairs of the root z0.  The driver follows the dtype:
+    ``*evd`` for the real matrix of one component, several times faster
+    there; ``*evr``, O(n) workspace where ``*evd`` needs O(n^2), for the
+    complex one.  Theta_z0 = I + diag(d_k) C_z0 on the active components (the
+    other rows are the identity on zeros) is formed from the same blocks once
+    the chosen eigenvectors are copied and their matrix dropped."""
     coupling = sweep.coupling
-    mat, blocks = _root_operators(grid, coupling, z0)
-    ev, vec = scipy.linalg.eigh(mat, driver="evr", check_finite=False)
+    blocks, d = _blocks(grid, coupling, z0)
+    mat = _hermitian_part(blocks, d)
+    ev, vec = scipy.linalg.eigh(mat, driver="evr" if np.iscomplexobj(mat) else "evd",
+                                check_finite=False)
     del mat
     order = np.argsort(np.abs(ev))
     second = float(np.abs(ev[order[min(mult, len(ev) - 1)]]))
@@ -254,27 +236,24 @@ def _cluster_pairs(grid, sweep, z0, mult, cluster) -> list:
             f"second-smallest eigenvalue {second:.2e} at root {z0:.6f}: "
             "possible multiplicity", IllConditionedWarning)
     cond = float(np.max(np.abs(ev)) / max(second, np.finfo(float).tiny))
-    densities = [_embed_density(vec[:, order[k]], sweep.route, coupling, grid)
-                 for k in range(mult)]
+    vecs = [vec[:, order[k]].copy() for k in range(mult)]
     del vec
-    theta = bo.theta_from_cz(bo.spinor_from_blocks(*blocks), coupling)
+    theta = bo.theta_in_place(bo.interleaved(blocks), np.tile(d, len(blocks[0][0])))
     pairs = []
-    for g in densities:
-        g = g / np.linalg.norm(g)
-        residual = float(np.linalg.norm(theta @ g))
-        pairs.append(Eigenpair(float(z0), g, residual, cluster, second, cond, coupling))
+    for v in vecs:
+        v = v / np.linalg.norm(v)
+        residual = float(np.linalg.norm(theta @ v))
+        pairs.append(Eigenpair(float(z0), _embed_density(v, coupling), residual,
+                               cluster, second, cond, coupling))
     return pairs
 
 
-def _embed_density(vec, route, coupling, grid):
-    if route != "scalar":
-        return vec.astype(complex)
-    g = np.zeros(2 * grid.n_nodes, dtype=complex)
-    if coupling.eps == coupling.mu:
-        g[0::2] = vec
-    else:
-        g[1::2] = vec
-    return g
+def _embed_density(vec, coupling):
+    """The interleaved 2N density: ``vec`` on the active components, else 0."""
+    active = _active(coupling)
+    g = np.zeros((len(vec) // len(active), 2), dtype=complex)
+    g[:, active] = vec.reshape(len(g), -1)
+    return g.reshape(-1)
 
 
 def theta_min_singular(grid: QuadratureGrid, coupling: Coupling, z: float) -> float:

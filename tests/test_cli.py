@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -356,6 +357,76 @@ mu_steps = 5
     text = (out / "sweep.csv").read_text().splitlines()
     assert text[0] == "eps,mu,verdict,certificate"
     assert len(text) == 26
+
+
+_SWEEP_CFG = """
+[classify]
+curve_class = c1
+
+[sweep]
+eps_steps = 3
+mu_steps = 3
+"""
+
+
+@pytest.mark.parametrize("config, flags", [
+    (_SWEEP_CFG, ["--mass", "-1"]),
+    (_SWEEP_CFG + "[coupling]\nmass = -1.0\n", []),
+], ids=["flag", "config"])
+def test_sweep_refuses_a_negative_mass_from_flag_or_config(tmp_path, config, flags):
+    p = _write(tmp_path, "s.cfg", config)
+    assert cli.main(["sweep", "--config", p, "--out", str(tmp_path), *flags]) == \
+        cli.EXIT_NUMERICAL
+
+
+_MTHETA_CFG = "[mtheta]\nsteps = 3\n"
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("mtheta", _MTHETA_CFG + "[curve]\npreset = circle\n[eigs]\nsamples = 16\n"
+               "[verify]\nz = 0.0\n", []),
+    ("mtheta", _MTHETA_CFG + "[edge.0]\nkind = poly\nx = 0.0, 1.0\n", []),
+    ("mtheta", _MTHETA_CFG, ["--eps", "7", "--mass", "-5"]),
+    ("sweep", _SWEEP_CFG, ["--eps", "1"]),
+    ("symbol", "[symbol]\neta_steps = 3\n[discretization]\nnodes_per_edge = 16\n", []),
+    ("classify", CLASSIFY_CFG + "[discretization]\nnodes_per_edge = 16\n", []),
+    ("eigs", "[curve]\npreset = circle\n[coupling]\neps = 1.0\n[discretization]\n"
+             "[eigs]\n[classify]\ncurve_class = c1\n", []),
+], ids=["mtheta-sections", "mtheta-edge", "mtheta-flags", "sweep-eps", "symbol-discretization",
+        "classify-discretization", "eigs-classify"])
+def test_sections_and_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command,
+                                                           config, flags):
+    p = _write(tmp_path, "c.cfg", config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out), *flags]) == \
+        cli.EXIT_CONFIG
+    assert "does not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _workload_configs():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # a dataclass looks its module up
+    return [(op.command, op.config, list(op.flags))
+            for name in workloads.WORKLOADS
+            for motion in (None, workloads.motion_from_seed(1))
+            for op in workloads.operations(name, motion)]
+
+
+def test_shipped_and_benchmark_configs_read_every_section(tmp_path):
+    # the command of a shipped config is the first word of its name
+    shipped = [(path.stem.split("_")[0], path.read_text(), [])
+               for path in sorted((_ROOT / "configs").glob("*.cfg"))]
+    assert len(shipped) == 6
+    for i, (command, text, flags) in enumerate(shipped + _workload_configs()):
+        cfg = cli.parse_config(_write(tmp_path, f"{i}.cfg", text))
+        cli.validate_config(cfg, command, cli.build_parser().parse_args(
+            [command, "--config", "c.cfg", *flags]))
 
 
 def test_custom_edge_curve(tmp_path):

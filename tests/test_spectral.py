@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from diracshell import boundary_ops as bo
 from diracshell import geometry as geo
@@ -117,20 +118,45 @@ def test_scalar_route_negative_coupling(circle_grid_128):
         assert sp.theta_min_singular(circle_grid_128, p.coupling, p.z0) < 1e-7
 
 
+def test_scalar_route_on_the_second_component(circle_grid_128):
+    # eps = -mu: lambda_z = 1/(2 eps) + (z - m) S_z on the second spinor
+    # component, which for (1, -1) is minus that of (-1, -1) at -z
+    second, first = (sp.find_eigenvalues(circle_grid_128,
+                                         sp.gap_sweep(circle_grid_128, coup, samples=48))
+                     for coup in (Coupling(1.0, -1.0), Coupling(-1.0, -1.0)))
+    assert len(second) == len(first) >= 1
+    z_second, z_first = (np.array([p.z0 for p in pairs]) for pairs in (second, first))
+    assert np.max(np.abs(z_second + z_first[::-1])) <= 1e-10
+    for p in second:
+        assert not np.any(p.density[0::2])
+        assert p.residual < 1e-8
+
+
 def test_scalar_root_operators_assemble_k0_once(monkeypatch):
-    # S_z for the eigenvectors, then only the off-diagonal block of C_z:
-    # two log-kernel assemblies, not a second K0 matrix through Theta_z
+    # S_z alone: one log-kernel assembly per scalar root, no K1 block and no
+    # 2N x 2N Theta_z; the matrix solved is the sweep's, and the residual
+    # is still ||Theta_z g||, bitwise on the lambda route
     grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 64)
-    coup = Coupling(-1.0, -1.0, 1.0)
-    calls = []
-    assemble = bo.log_kernel_matrix
+    calls, solved = [], []
+    assemble, eigh = bo.log_kernel_matrix, scipy.linalg.eigh
     monkeypatch.setattr(bo, "log_kernel_matrix",
                         lambda *a: calls.append(a) or assemble(*a))
-    mat, blocks = sp._root_operators(grid, coup, 0.3)
-    theta = bo.theta_from_cz(bo.spinor_from_blocks(*blocks), coup)
-    assert len(calls) == 2
-    assert theta.tobytes() == bo.assemble_theta(grid, 0.3, coup).tobytes()
-    assert np.array_equal(mat, sp._hermitian_matrix(grid, coup, 0.3))
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda a, **kw: solved.append(a.copy()) or eigh(a, **kw))
+    for coup in (Coupling(-1.0, -1.0), Coupling(1.0, -1.0), Coupling(3.0, 1.0)):
+        route = "scalar" if coup.is_critical else "lambda"
+        sweep = sp.BranchData(np.zeros(0), np.zeros((0, 0)), route, coup)
+        calls.clear()
+        solved.clear()
+        (pair,) = sp._cluster_pairs(grid, sweep, 0.3, 1, 0)
+        (mat,), assemblies = solved, len(calls)
+        assert mat.tobytes() == sp._hermitian_matrix(grid, coup, 0.3).tobytes()
+        want = np.linalg.norm(bo.assemble_theta(grid, 0.3, coup) @ pair.density)
+        if coup.is_critical:
+            assert assemblies == 1
+            assert pair.residual == pytest.approx(want, rel=1e-13, abs=0.0)
+        else:
+            assert pair.residual == want
 
 
 _SHAPES = [(geo.circle(1.0), 128), (geo.square(1.0), 16), (geo.l_shape(1.0), 16)]
