@@ -37,12 +37,13 @@ _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
 _POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
 
 
-def interleaved(blocks, block=lambda b, mirror: b) -> np.ndarray:
+def interleaved(blocks, block=lambda b, mirror: b, order="C") -> np.ndarray:
     """The matrix with block(B_kj, B_jk) on the rows of spinor component k and
     the columns of j, interleaved by node, from the N x N blocks B_kj given
-    row by row; real when they all are."""
+    row by row, in the given memory order; real when they all are."""
     a, n = len(blocks), len(blocks[0][0])
-    out = np.empty((a * n, a * n), dtype=np.result_type(*(b for row in blocks for b in row)))
+    out = np.empty((a * n, a * n), dtype=np.result_type(*(b for row in blocks for b in row)),
+                   order=order)
     for k, row in enumerate(blocks):
         for j, b in enumerate(row):
             out[k::a, j::a] = block(b, blocks[j][k])
@@ -295,6 +296,17 @@ def cz_blocks(grid: QuadratureGrid, z: float, coupling: Coupling, s_mat: np.ndar
     b21 = 0.0 - np.conj(b12)
     upper, lower = cauchy_block_matrices(grid)
     return ((mass + z) * s_mat, upper + b12), (lower + b21, (z - mass) * s_mat)
+
+
+def build_tables(grid: QuadratureGrid, components=(0, 1)):
+    """Build the per-grid tables that ``assemble_Sz`` and ``cz_blocks`` read
+    among the given spinor components, so that assemblies running
+    concurrently on the grid only read them."""
+    _upper_pairs(grid)
+    log_weight_table(grid)
+    if len(components) == 2:
+        _k1_phase(grid)
+        cauchy_block_matrices(grid)
 
 
 def _k1_block(grid, kappa: float) -> np.ndarray:

@@ -134,6 +134,8 @@ _READS = {
     "verify": (("curve", "coupling", "discretization", "verify"), (), _COUPLING_FLAGS),
     "sweep": (("sweep",), ("curve", "classify", "coupling"), ("mass",)),
 }
+# command -> section -> its keys the command reads, where it reads only some
+_KEYS_READ = {"sweep": {"coupling": {"mass"}}}
 
 
 class RunConfig(dict):
@@ -177,6 +179,24 @@ def validate_config(cfg, command: str, args=None):
                if f not in flags and getattr(args, f, None) is not None]
     if unread:
         raise ConfigError(f"command {command!r} does not read {', '.join(unread)}")
+    for section, keys in _KEYS_READ.get(command, {}).items():
+        unread = set(cfg.get(section, ())) - keys
+        if unread:
+            raise ConfigError(f"command {command!r} does not read [{section}] "
+                              f"{', '.join(sorted(unread))}")
+    if "classify" in optional:
+        _validate_curve_class(cfg.get("classify", {}), "curve" in sections)
+
+
+def _validate_curve_class(sec, has_curve):
+    """``angles_pi`` is read only by curve_class = polygon, and the curve only
+    by a class taken from it: auto, or polygon without angles_pi."""
+    kind = sec.get("curve_class", "auto")
+    if "angles_pi" in sec and kind != "polygon":
+        raise ConfigError(f"curve_class = {kind} does not read [classify] angles_pi")
+    if has_curve and (kind in ("lipschitz", "c1") or "angles_pi" in sec):
+        given = "polygon with angles_pi" if kind == "polygon" else kind
+        raise ConfigError(f"curve_class = {given} does not read [curve] or [edge.N]")
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ between the two counts changes sign, and brentq finds its zero.
 Sorted eigenvalues are continuous in z, so this is robust to branch
 reordering at crossings.
 
-The sweep samples and the brentq brackets do not depend on each other and
-are solved concurrently, one BLAS thread each (``_solve_pool``); the root
-step runs alone at the full BLAS width.
+The sweep samples, the brentq brackets and then the roots do not depend on
+each other and are solved concurrently, one BLAS thread each
+(``_solve_pool``).  A root's eigenvalues are those brentq solved at it; its
+eigenvectors come from one subset eigensolve of the kept ones only.
 """
 
 from __future__ import annotations
@@ -64,13 +65,22 @@ def _active(coupling: Coupling) -> list:
 _ROUTES = ("empty", "scalar", "lambda")  # by the number of active components
 
 
+def _half_sum(b, mirror):
+    """(B + M^H)/2 in one temporary, bitwise: IEEE sums and products commute.
+    The temporary takes the C order of B, so the sum needs no second one."""
+    out = np.conjugate(mirror.T, order="C")
+    out += b
+    out *= 0.5
+    return out
+
+
 def _hermitian_part(blocks, d):
     """The Hermitian part of diag(1/d_k) + C_z on the active components from
-    the blocks of C_z, without forming C_z.  A block is summed with the
-    conjugate transpose of its mirror, not mirrored from it: the two differ
-    in the sign of zero imaginary parts, and the sum is what (L + L^H)/2
-    holds bitwise."""
-    herm = bo.interleaved(blocks, lambda b, mirror: 0.5 * (b + mirror.conj().T))
+    the blocks of C_z, without forming C_z, in the Fortran order LAPACK
+    takes.  A block is summed with the conjugate transpose of its mirror, not
+    mirrored from it: the two differ in the sign of zero imaginary parts, and
+    the sum is what (L + L^H)/2 holds bitwise."""
+    herm = bo.interleaved(blocks, _half_sum, order="F")
     herm[np.diag_indices_from(herm)] += np.tile(1.0 / d, len(blocks[0][0]))
     return herm
 
@@ -161,12 +171,10 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     if not (-m < lo < hi < m):
         raise SpectralParameterError("sweep window must lie inside the open gap")
     zs = np.linspace(lo, hi, samples)
+    # built on this thread, so that the workers only read them
+    bo.build_tables(grid, _active(coupling))
     with _solve_pool() as solve_map:
-        # the first sample builds the grid's tables on this thread, so the
-        # workers only read them
-        first = _hermitian_eigs(grid, coupling, zs[0])
-        rest = solve_map(functools.partial(_hermitian_eigs, grid, coupling), zs[1:])
-        eigs = np.stack([first, *rest])
+        eigs = np.stack(list(solve_map(functools.partial(_hermitian_eigs, grid, coupling), zs)))
     return BranchData(zs, eigs, route, coupling)
 
 
@@ -178,7 +186,8 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
     within 10 tol are one cluster, its size the multiplicity.
 
     The coupling, the sample points and their spectra are those of the
-    sweep; each distinct z is solved once.
+    sweep; each distinct z is solved once, and a cluster's eigenvectors by
+    one more subset solve (``_cluster_pairs``).
     """
     if tol < 1e-12:
         raise SpectralParameterError("z tolerance below supported resolution")
@@ -204,43 +213,49 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
     # counts of two samples changes sign between them
     brackets = [(a, b, j) for a, b, ca, cb in zip(zs, zs[1:], counts, counts[1:])
                 for j in range(min(ca, cb), max(ca, cb))]
+
+    def root_pairs(numbered):
+        cluster, members = numbered
+        z0 = members[0]
+        return _cluster_pairs(grid, coupling, z0, eigs_at(z0), len(members), cluster)
+
     with _solve_pool() as solve_map:
         roots = sorted(solve_map(bracket_root, brackets))
-    clusters = []  # roots closer than 10 tol are one multiple root
-    for z in roots:
-        if clusters and z - clusters[-1][-1] <= 10.0 * tol:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-    return [pair for cluster, members in enumerate(clusters)
-            for pair in _cluster_pairs(grid, sweep, members[0], len(members), cluster)]
+        clusters = []  # roots closer than 10 tol are one multiple root
+        for z in roots:
+            if clusters and z - clusters[-1][-1] <= 10.0 * tol:
+                clusters[-1].append(z)
+            else:
+                clusters.append([z])
+        return [pair for pairs in solve_map(root_pairs, enumerate(clusters)) for pair in pairs]
 
 
-def _cluster_pairs(grid, sweep, z0, mult, cluster) -> list:
-    """The ``mult`` eigenpairs of the root z0.  The driver follows the dtype:
-    ``*evd`` for the real matrix of one component, several times faster
-    there; ``*evr``, O(n) workspace where ``*evd`` needs O(n^2), for the
-    complex one.  Theta_z0 = I + diag(d_k) C_z0 on the active components (the
-    other rows are the identity on zeros) is formed from the same blocks once
-    the chosen eigenvectors are copied and their matrix dropped."""
-    coupling = sweep.coupling
-    blocks, d = _blocks(grid, coupling, z0)
-    mat = _hermitian_part(blocks, d)
-    ev, vec = scipy.linalg.eigh(mat, driver="evr" if np.iscomplexobj(mat) else "evd",
-                                check_finite=False)
-    del mat
-    order = np.argsort(np.abs(ev))
-    second = float(np.abs(ev[order[min(mult, len(ev) - 1)]]))
+def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
+    """The ``mult`` eigenpairs of the root z0.  ``ev``, the ascending
+    spectrum of the Hermitian matrix at z0 (brentq solved it there), gives the
+    conditioning and the index window of the ``mult`` eigenvalues nearest
+    zero; one MRRR solve (``*evr``) computes the eigenvectors of that window
+    alone and overwrites the Hermitian matrix, so neither a copy of the
+    matrix nor all its eigenvectors are made.  Theta_z0 = I + diag(d_k) C_z0
+    on the active components (the other rows are the identity on zeros) is
+    formed from the same blocks after the solve."""
+    second = float(np.sort(np.abs(ev))[min(mult, len(ev) - 1)])
     if second < 1e-6:
         warnings.warn(
             f"second-smallest eigenvalue {second:.2e} at root {z0:.6f}: "
             "possible multiplicity", IllConditionedWarning)
     cond = float(np.max(np.abs(ev)) / max(second, np.finfo(float).tiny))
-    vecs = [vec[:, order[k]].copy() for k in range(mult)]
-    del vec
+    # the mult eigenvalues nearest zero are the window of mult sorted ones
+    # whose end farthest from zero is nearest
+    lo = int(np.argmin(np.maximum(-ev[:len(ev) - mult + 1], ev[mult - 1:])))
+    blocks, d = _blocks(grid, coupling, z0)
+    mat = _hermitian_part(blocks, d)
+    _, vecs = scipy.linalg.eigh(mat, driver="evr", subset_by_index=[lo, lo + mult - 1],
+                                overwrite_a=True, check_finite=False)
+    del mat
     theta = bo.theta_in_place(bo.interleaved(blocks), np.tile(d, len(blocks[0][0])))
     pairs = []
-    for v in vecs:
+    for v in vecs.T:
         v = v / np.linalg.norm(v)
         residual = float(np.linalg.norm(theta @ v))
         pairs.append(Eigenpair(float(z0), _embed_density(v, coupling), residual,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -533,6 +534,68 @@ def test_edge_curves_refuse_keys_they_do_not_read(tmp_path, text, status):
     # carry one
     p = _write(tmp_path, "c.cfg", text + "[coupling]\neps = 3.0\nmu = 0.0\n")
     assert cli.main(["classify", "--config", p, "--out", str(tmp_path)]) == status
+
+
+_SWEEP_TAIL = "[sweep]\neps_steps = 3\nmu_steps = 3\n"
+_LIPSCHITZ = "[classify]\ncurve_class = lipschitz\n"
+_ANGLES = "[classify]\ncurve_class = polygon\nangles_pi = 0.5, 0.5, 0.5, 0.5\n"
+_COUPLING = "[coupling]\neps = 3.0\nmu = 0.0\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("sweep", _SWEEP_CFG + "[coupling]\neps = 7.0\nmu = 2.0\nmass = 1.0\n"),
+    ("classify", "[curve]\npreset = circle\nradius = 3.0\n" + _LIPSCHITZ + _COUPLING),
+    ("sweep", "[curve]\n" + _SQUARE_EDGES + _SWEEP_CFG),
+    ("classify", "[curve]\npreset = square\n" + _ANGLES + _COUPLING),
+    ("sweep", _SQUARE_EDGES + _ANGLES + _SWEEP_TAIL),
+    ("classify", _LIPSCHITZ + "angles_pi = 0.5\n" + _COUPLING),
+    ("sweep", "[curve]\npreset = square\n[classify]\nangles_pi = 0.5\n" + _SWEEP_TAIL),
+], ids=["sweep-coupling-eps-mu", "lipschitz-curve", "c1-edges", "angles-curve",
+        "angles-edges", "lipschitz-angles", "auto-angles"])
+def test_keys_a_command_does_not_read_exit_2(tmp_path, capsys, command, text):
+    p = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "does not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_strict_eigs_exits_3_on_a_warning_from_a_pool_worker(tmp_path, monkeypatch):
+    # the root step runs on a pool worker; a near-multiple root warns there,
+    # and the warning must reach cmd_eigs on the calling thread
+    from diracshell import spectral as sp
+
+    p = _write(tmp_path, "e.cfg", """
+[curve]
+preset = circle
+
+[coupling]
+eps = 1.0
+mu = 0.0
+
+[discretization]
+nodes_per_edge = 64
+
+[eigs]
+samples = 16
+""")
+    setters = sp._openblas_thread_setters()
+    monkeypatch.setattr(sp, "_openblas_thread_setters", lambda: [*setters, lambda n: 2])
+    threads = []
+    cluster_pairs = sp._cluster_pairs
+
+    def near_multiple(grid, coupling, z0, ev, mult, cluster):
+        # the spectrum scaled so that its second-smallest |eigenvalue| is tiny
+        threads.append(threading.current_thread())
+        return cluster_pairs(grid, coupling, z0, 1e-9 * ev, mult, cluster)
+
+    monkeypatch.setattr(sp, "_cluster_pairs", near_multiple)
+    strict, lenient = tmp_path / "strict", tmp_path / "lenient"
+    assert cli.main(["eigs", "--config", p, "--out", str(strict), "--strict"]) == \
+        cli.EXIT_NUMERICAL
+    assert not strict.exists()
+    assert threads and threading.main_thread() not in threads
+    assert cli.main(["eigs", "--config", p, "--out", str(lenient)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

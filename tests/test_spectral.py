@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,11 +145,10 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh",
                         lambda a, **kw: solved.append(a.copy()) or eigh(a, **kw))
     for coup in (Coupling(-1.0, -1.0), Coupling(1.0, -1.0), Coupling(3.0, 1.0)):
-        route = "scalar" if coup.is_critical else "lambda"
-        sweep = sp.BranchData(np.zeros(0), np.zeros((0, 0)), route, coup)
+        ev = sp._hermitian_eigs(grid, coup, 0.3)
         calls.clear()
         solved.clear()
-        (pair,) = sp._cluster_pairs(grid, sweep, 0.3, 1, 0)
+        (pair,) = sp._cluster_pairs(grid, coup, 0.3, ev, 1, 0)
         (mat,), assemblies = solved, len(calls)
         assert mat.tobytes() == sp._hermitian_matrix(grid, coup, 0.3).tobytes()
         want = np.linalg.norm(bo.assemble_theta(grid, 0.3, coup) @ pair.density)
@@ -157,6 +157,64 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
             assert pair.residual == pytest.approx(want, rel=1e-13, abs=0.0)
         else:
             assert pair.residual == want
+
+
+def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_grid_128,
+                                                                       monkeypatch):
+    # the scalar double root of the circle: one subset solve per cluster,
+    # in place, on the matrix brentq solved; the eigenvalues are brentq's
+    coup = Coupling(-1.0, -1.0)
+    spectra, solved = {}, []
+    eigs, eigh = sp._hermitian_eigs, scipy.linalg.eigh
+
+    def record_spectrum(grid, coupling, z):
+        spectra[float(z)] = eigs(grid, coupling, z)
+        return spectra[float(z)]
+
+    def record_solve(a, **kw):
+        solved.append((a.copy(), a.flags.f_contiguous, kw))
+        return eigh(a, **kw)
+
+    monkeypatch.setattr(sp, "_hermitian_eigs", record_spectrum)
+    monkeypatch.setattr(scipy.linalg, "eigh", record_solve)
+    pairs = sp.find_eigenvalues(circle_grid_128, sp.gap_sweep(circle_grid_128, coup, samples=48))
+    assert [p.cluster for p in pairs] == [0, 1, 1]
+    clusters = {p.z0: [q for q in pairs if q.z0 == p.z0] for p in pairs}
+    assert len(solved) == len(clusters)
+    want = {sp._hermitian_matrix(circle_grid_128, coup, z0).tobytes(): len(members)
+            for z0, members in clusters.items()}
+    for mat, fortran, kw in solved:
+        lo, hi = kw["subset_by_index"]
+        assert want.pop(mat.tobytes()) == hi - lo + 1
+        assert fortran and kw["overwrite_a"] and kw["driver"] == "evr"
+    for z0, members in clusters.items():
+        ev = np.sort(np.abs(spectra[z0]))
+        second = ev[min(len(members), len(ev) - 1)]
+        for p in members:
+            assert p.second_smallest == second
+            assert p.condition == ev[-1] / second
+            assert p.residual <= 1e-12
+    g1, g2 = (p.density for p in clusters[pairs[1].z0])
+    assert abs(np.vdot(g1, g2)) <= 1e-12
+
+
+def test_root_step_holds_the_blocks_and_about_one_matrix():
+    # the eigensolve overwrites the Hermitian matrix and computes one
+    # eigenvector, and Theta_z is formed only after the matrix is dropped
+    grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 128)
+    coup = Coupling(3.0, 1.0)
+    ev = sp._hermitian_eigs(grid, coup, 0.3)
+    blocks, _ = sp._blocks(grid, coup, 0.3)
+    held = sum(b.nbytes for row in blocks for b in row)
+    del blocks
+    matrix = (2 * grid.n_nodes) ** 2 * 16
+    tracemalloc.start()
+    try:
+        sp._cluster_pairs(grid, coup, 0.3, ev, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= held + 1.5 * matrix
 
 
 _SHAPES = [(geo.circle(1.0), 128), (geo.square(1.0), 16), (geo.l_shape(1.0), 16)]
