@@ -247,9 +247,12 @@ def log_kernel_matrix(grid, a, b) -> np.ndarray:
     """Nystrom matrix for kernel a(x,y) log|x-y| + b(x,y) against arclength.
 
     a and b are (N, N) kernel values at the node pairs, with their diagonal
-    limits on the diagonal.
+    limits on the diagonal; both are overwritten, and a holds the result.
     """
-    return a * log_weight_table(grid) + b * grid.weights[None, :]
+    a *= log_weight_table(grid)
+    b *= grid.weights[None, :]
+    a += b
+    return a
 
 
 def _scalar_k0_matrix(grid, z: float, mass: float) -> np.ndarray:
@@ -262,8 +265,11 @@ def _scalar_k0_matrix(grid, z: float, mass: float) -> np.ndarray:
     pref = 1.0 / (2 * np.pi)
     _, r, log_r = _upper_pairs(grid)
     i0, b = K.b_k0(r, kappa, log_r)
-    a = _symmetric(grid, -pref * i0, -pref)
-    b = _symmetric(grid, pref * b, pref * K.b_k0_at_zero(kappa))
+    i0 *= -pref
+    b *= pref
+    a = _symmetric(grid, i0, -pref)
+    del i0
+    b = _symmetric(grid, b, pref * K.b_k0_at_zero(kappa))
     return log_kernel_matrix(grid, a, b)
 
 

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Commands: classify, mtheta, symbol, eigs, verify, sweep.  Configuration is a
-flat sectioned key = value file (a TOML-compatible subset); unknown keys are
-rejected.  Outputs are deterministic: floats are serialized with 17
-significant digits and files are written atomically (temp + rename).
+flat sectioned key = value file (a TOML-compatible subset).  Each command has
+a read step, which fetches every section, key and coupling flag it uses
+through one typed reader, and a compute step; whatever the read step leaves
+unread is refused before any numerics run.  Outputs are deterministic: floats
+are serialized with 17 significant digits and files are written atomically
+(temp + rename).
 
 numpy-dependent modules are imported inside the command handlers so that
 --threads can cap the BLAS thread pools before numpy loads.
@@ -12,6 +15,7 @@ numpy-dependent modules are imported inside the command handlers so that
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -67,7 +71,9 @@ def parse_config(path: str) -> dict:
             current = line[1:-1].strip()
             if not current:
                 raise ConfigError(f"{path}:{lineno}: empty section name")
-            sections.setdefault(current, {})
+            if current in sections:
+                raise ConfigError(f"{path}:{lineno}: section [{current}] opened twice")
+            sections[current] = {}
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
@@ -78,6 +84,8 @@ def parse_config(path: str) -> dict:
         val = val.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: key {key} repeated in [{current}]")
         if "," in val:
             sections[current][key] = [_parse_scalar(v) for v in val.split(",")]
         else:
@@ -85,33 +93,12 @@ def parse_config(path: str) -> dict:
     return sections
 
 
-# section -> key -> value type; "edge" stands for every [edge.N] section
-_KNOWN_KEYS = {
-    "curve": {"preset": str, "radius": float, "center_x": float, "center_y": float,
-              "a": float, "b": float, "side": float, "k": int, "circumradius": float,
-              "scale": float, "corner_radius": float},
-    "coupling": {"eps": float, "mu": float, "mass": float},
-    "discretization": {"nodes_per_edge": int, "grading_exponent": float},
-    "classify": {"curve_class": str, "angles_pi": list},
-    "eigs": {"z_min": float, "z_max": float, "samples": int, "tol": float,
-             "branch_csv": bool},
-    "verify": {"z": float, "offset": float, "seed": int},
-    # "tol" is accepted and ignored (m_of has no tolerance): older configs set it
-    "mtheta": {"theta_min_pi": float, "theta_max_pi": float, "steps": int, "tol": float},
-    "symbol": {"theta_pi": list, "eta_min": float, "eta_max": float, "eta_steps": int,
-               "trunc": float, "tol": float},
-    "sweep": {"eps_min": float, "eps_max": float, "eps_steps": int,
-              "mu_min": float, "mu_max": float, "mu_steps": int},
-    "edge": {"kind": str, "x": list, "y": list, "xs": list, "ys": list,
-             "center": list, "radius": float, "phi0": float, "phi1": float},
-}
+class RunConfig(dict):
+    """Parsed run configuration: {section: {key: value}}."""
 
-# edge kind -> the [edge.N] keys besides "kind" that build_curve_from_config reads
-_EDGE_KEYS = {
-    "poly": {"x", "y"},
-    "trig": {"x", "y", "xs", "ys"},
-    "arc": {"center", "radius", "phi0", "phi1"},
-}
+    @staticmethod
+    def load(path: str) -> "RunConfig":
+        return RunConfig(parse_config(path))
 
 
 def _has_type(value, kind) -> bool:
@@ -123,80 +110,64 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-_COUPLING_FLAGS = ("eps", "mu", "mass")
-# command -> (required sections, optional sections, coupling flags it reads);
-# [edge.N] sections count as [curve]
-_READS = {
-    "classify": (("coupling",), ("curve", "classify"), _COUPLING_FLAGS),
-    "mtheta": (("mtheta",), (), ()),
-    "symbol": (("symbol",), ("coupling",), _COUPLING_FLAGS),
-    "eigs": (("curve", "coupling", "discretization", "eigs"), (), _COUPLING_FLAGS),
-    "verify": (("curve", "coupling", "discretization", "verify"), (), _COUPLING_FLAGS),
-    "sweep": (("sweep",), ("curve", "classify", "coupling"), ("mass",)),
-}
-# command -> section -> its keys the command reads, where it reads only some
-_KEYS_READ = {"sweep": {"coupling": {"mass"}}}
+# the [coupling] keys and their defaults; the flag of the same name overrides each
+_COUPLING = {"eps": 0.0, "mu": 0.0, "mass": 1.0}
 
 
-class RunConfig(dict):
-    """Parsed run configuration: {section: {key: value}}."""
+class _Reader:
+    """Typed access to a parsed config that records every section, key and
+    coupling flag read, so that whatever a command leaves unread is refused."""
 
-    @staticmethod
-    def load(path: str) -> "RunConfig":
-        return RunConfig(parse_config(path))
+    def __init__(self, cfg, command: str = "", args=None):
+        self.cfg, self.command, self.args = cfg, command, args
+        self.read = set()  # section names, (section, key) pairs and "--flag"s
 
+    def section(self, name: str, required: bool = False):
+        """The getter get(key, default=None, kind=float) of the keys of [name]."""
+        if required and name not in self.cfg:
+            raise ConfigError(f"config needs a [{name}] section")
+        self.read.add(name)
+        return functools.partial(self.get, name)
 
-def validate_config(cfg, command: str, args=None):
-    required, optional, flags = _READS[command]
-    for section, entries in cfg.items():
-        known = _KNOWN_KEYS.get("edge" if section.startswith("edge.") else section)
-        if known is None:
-            raise ConfigError(f"unknown config section [{section}]")
-        unknown = set(entries) - set(known)
-        if unknown:
-            raise ConfigError(
-                f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
-        for key, value in entries.items():
-            if not _has_type(value, known[key]):
-                raise ConfigError(
-                    f"[{section}] {key}: expected {known[key].__name__}, got {value!r}")
-        kind = entries.get("kind", "poly")
-        # an unknown kind is refused where the curve is built
-        if section.startswith("edge.") and kind in _EDGE_KEYS:
-            unread = set(entries) - _EDGE_KEYS[kind] - {"kind"}
-            if unread:
-                raise ConfigError(f"[{section}] a {kind} edge does not read "
-                                  f"{', '.join(sorted(unread))}")
-    if cfg.get("curve") and any(section.startswith("edge.") for section in cfg):
-        raise ConfigError("[curve] keys are not read when [edge.N] sections define "
-                          f"the curve: {', '.join(sorted(cfg['curve']))}")
-    sections = {"curve" if s.startswith("edge.") else s for s in cfg}
-    for needed in required:
-        if needed not in sections:
-            raise ConfigError(f"command {command!r} requires a [{needed}] section")
-    unread = [f"[{s}]" for s in sorted(sections - set(required) - set(optional))]
-    unread += [f"--{f}" for f in _COUPLING_FLAGS
-               if f not in flags and getattr(args, f, None) is not None]
-    if unread:
-        raise ConfigError(f"command {command!r} does not read {', '.join(unread)}")
-    for section, keys in _KEYS_READ.get(command, {}).items():
-        unread = set(cfg.get(section, ())) - keys
+    def get(self, section: str, key: str, default=None, kind=float):
+        """The value of the key as a kind (a list as a tuple of floats), or default."""
+        self.read.add((section, key))
+        entries = self.cfg.get(section, {})
+        value = entries.get(key, default)
+        if key in entries and not _has_type(value, kind):
+            raise ConfigError(f"[{section}] {key}: expected {kind.__name__}, got {value!r}")
+        if value is None or kind in (str, bool):
+            return value
+        if kind is list:
+            return tuple(float(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+        return kind(value)
+
+    def coupling(self, key: str, required: bool = False) -> float:
+        """[coupling] key, or its flag if set; the config value is read and
+        type-checked either way."""
+        value = self.section("coupling", required)(key, _COUPLING[key])
+        self.read.add("--" + key)
+        flag = getattr(self.args, key, None)
+        return value if flag is None else flag
+
+    def refuse_unread(self):
+        unread = [f"[{s}]" for s in self.cfg if s not in self.read]
+        unread += [f"[{s}] {k}" for s in self.cfg if s in self.read
+                   for k in self.cfg[s] if (s, k) not in self.read]
+        unread += [f"--{k}" for k in _COUPLING
+                   if getattr(self.args, k, None) is not None and "--" + k not in self.read]
         if unread:
-            raise ConfigError(f"command {command!r} does not read [{section}] "
-                              f"{', '.join(sorted(unread))}")
-    if "classify" in optional:
-        _validate_curve_class(cfg.get("classify", {}), "curve" in sections)
+            raise ConfigError(f"command {self.command!r} does not read {', '.join(unread)}")
 
 
-def _validate_curve_class(sec, has_curve):
-    """``angles_pi`` is read only by curve_class = polygon, and the curve only
-    by a class taken from it: auto, or polygon without angles_pi."""
-    kind = sec.get("curve_class", "auto")
-    if "angles_pi" in sec and kind != "polygon":
-        raise ConfigError(f"curve_class = {kind} does not read [classify] angles_pi")
-    if has_curve and (kind in ("lipschitz", "c1") or "angles_pi" in sec):
-        given = "polygon with angles_pi" if kind == "polygon" else kind
-        raise ConfigError(f"curve_class = {given} does not read [curve] or [edge.N]")
+def validate_config(cfg, command: str, args=None) -> dict:
+    """Run the read step of the command on a parsed config and refuse every
+    section, key and coupling flag it leaves unread; returns the keyword
+    arguments of its compute step."""
+    reader = _Reader(cfg, command, args)
+    params = _COMMANDS[command][0](reader)
+    reader.refuse_unread()
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -301,102 +272,109 @@ _PRESET_KEYS = {
 }
 
 
-def _numbers(section: dict, key: str, default=()) -> tuple:
-    """One number or a list of numbers, as a tuple of floats."""
-    value = section.get(key, default)
-    return tuple(float(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
+def _edge_index(section: str) -> int:
+    try:
+        return int(section[len("edge."):])
+    except ValueError:
+        raise ConfigError(f"[{section}]: N in [edge.N] must be an integer") from None
 
 
-def build_curve_from_config(cfg: dict):
+def _read_curve(r):
+    """The curve from its [edge.N] sections in N order, else from its [curve]
+    preset, as a function that returns its CurveSpec (presets compute it)."""
     from . import geometry as geo
 
-    edge_sections = sorted(
-        (k for k in cfg if k.startswith("edge.")),
-        key=lambda s: int(s.split(".", 1)[1]))
-    if edge_sections:
-        edges = []
-        for name in edge_sections:
-            e = cfg[name]
-            kind = e.get("kind", "poly")
-            if kind == "poly":
-                edges.append(geo.Edge("poly", _numbers(e, "x", 0.0),
-                                      _numbers(e, "y", 0.0)))
-            elif kind == "trig":
-                edges.append(geo.Edge("trig", _numbers(e, "x", 0.0),
-                                      _numbers(e, "y", 0.0),
-                                      _numbers(e, "xs"), _numbers(e, "ys")))
-            elif kind == "arc":
-                center = _numbers(e, "center")
-                if len(center) != 2 or not {"radius", "phi0", "phi1"} <= set(e):
-                    raise ConfigError(f"[{name}] an arc needs a two-number center, "
-                                      "a radius, phi0 and phi1")
-                edges.append(geo.ArcEdge(center, float(e["radius"]),
-                                         float(e["phi0"]), float(e["phi1"])))
-            else:
-                raise ConfigError(f"unknown edge kind {kind!r} in [{name}]")
-        return geo.build_curve(geo.CurveSpec(tuple(edges)))
-    sec = cfg.get("curve")
-    if not sec:
+    get = r.section("curve")  # an empty one next to edge sections is accepted
+    edges = []
+    for name in sorted((s for s in r.cfg if s.startswith("edge.")), key=_edge_index):
+        edge = r.section(name)
+        kind = edge("kind", "poly", str)
+        if kind == "poly":
+            edges.append(geo.Edge("poly", edge("x", 0.0, list), edge("y", 0.0, list)))
+        elif kind == "trig":
+            edges.append(geo.Edge("trig", edge("x", 0.0, list), edge("y", 0.0, list),
+                                  edge("xs", (), list), edge("ys", (), list)))
+        elif kind == "arc":
+            center = edge("center", (), list)
+            arc = [edge(key) for key in ("radius", "phi0", "phi1")]
+            if len(center) != 2 or None in arc:
+                raise ConfigError(f"[{name}] an arc needs a two-number center, "
+                                  "a radius, phi0 and phi1")
+            edges.append(geo.ArcEdge(center, *arc))
+        else:
+            raise ConfigError(f"unknown edge kind {kind!r} in [{name}]")
+    if edges:
+        return functools.partial(geo.CurveSpec, tuple(edges))
+    if not r.cfg.get("curve"):
         raise ConfigError("config needs a [curve] section or [edge.N] sections")
-    preset = sec.get("preset")
+    preset = get("preset", None, str)
     if preset not in _PRESET_KEYS:
         raise ConfigError(f"unknown curve preset {preset!r}")
-    keys = _PRESET_KEYS[preset]
-    unread = set(sec) - set(keys) - {"preset"}
-    if unread:
-        raise ConfigError(f"preset {preset} does not read {', '.join(sorted(unread))}")
-    kwargs = {kw: type(default)(sec.get(key, default)) for key, (kw, default) in keys.items()}
+    kwargs = {kw: get(key, default, type(default))
+              for key, (kw, default) in _PRESET_KEYS[preset].items()}
     if preset == "circle":
         kwargs["center"] = (kwargs.pop("center_x"), kwargs.pop("center_y"))
-    return geo.build_curve(geo.PRESETS[preset](**kwargs))
+    return functools.partial(geo.PRESETS[preset], **kwargs)
 
 
-def coupling_from_config(cfg: dict, args):
-    from .kernels import Coupling
-
-    sec = cfg.get("coupling", {})
-    eps = args.eps if args.eps is not None else float(sec.get("eps", 0.0))
-    mu = args.mu if args.mu is not None else float(sec.get("mu", 0.0))
-    mass = args.mass if args.mass is not None else float(sec.get("mass", 1.0))
-    return Coupling(eps, mu, mass)
-
-
-def curve_class_from_config(cfg: dict):
+def _read_curve_class(r):
+    """A function that returns the curve class: the stated one, or one taken
+    from the curve (auto, or polygon without angles_pi), which only then is
+    read."""
+    from . import geometry as geo
     from .classify import CurveClass
 
-    sec = cfg.get("classify", {})
-    kind = sec.get("curve_class", "auto")
-    if kind == "lipschitz":
-        return CurveClass.lipschitz()
-    if kind == "c1":
-        return CurveClass.c1()
-    if kind == "polygon" and "angles_pi" in sec:
-        return CurveClass.polygon([a * math.pi for a in _numbers(sec, "angles_pi")])
-    if kind in ("polygon", "auto"):
-        return CurveClass.from_curve(build_curve_from_config(cfg))
-    raise ConfigError(f"unknown curve_class {kind!r}")
+    get = r.section("classify")
+    kind = get("curve_class", "auto", str)
+    if kind in ("lipschitz", "c1"):
+        return getattr(CurveClass, kind)
+    if kind not in ("polygon", "auto"):
+        raise ConfigError(f"unknown curve_class {kind!r}")
+    angles = get("angles_pi", None, list) if kind == "polygon" else None
+    if angles is not None:
+        return functools.partial(CurveClass.polygon, [a * math.pi for a in angles])
+    spec = _read_curve(r)
+    return lambda: CurveClass.from_curve(geo.build_curve(spec()))
+
+
+def _read_grid(r):
+    """A function that returns the quadrature grid of the curve."""
+    from . import geometry as geo
+
+    spec = _read_curve(r)
+    get = r.section("discretization", required=True)
+    nodes, grading = get("nodes_per_edge", 64, int), get("grading_exponent", 3.0)
+    return lambda: geo.discretize(geo.build_curve(spec()), nodes, grading)
 
 
 def grid_from_config(cfg: dict):
-    from . import geometry as geo
+    """The quadrature grid of a parsed config, without the unread check."""
+    return _read_grid(_Reader(cfg))()
 
-    curve = build_curve_from_config(cfg)
-    sec = cfg.get("discretization", {})
-    return geo.discretize(curve,
-                          int(sec.get("nodes_per_edge", 64)),
-                          float(sec.get("grading_exponent", 3.0)))
+
+def _read_coupling(r, required: bool = False):
+    """A function that returns the Coupling, its eps, mu and mass each from
+    its flag if set, else from [coupling]."""
+    from .kernels import Coupling
+
+    return functools.partial(Coupling, *(r.coupling(key, required) for key in _COUPLING))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: a read step, which takes a _Reader and returns the keyword
+# arguments of the compute step, and the compute step
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(cfg, args, out):
-    coupling = coupling_from_config(cfg, args)
-    cls = curve_class_from_config(cfg)
+def _read_classify(r):
+    return dict(coupling=_read_coupling(r, required=True),
+                curve_class=_read_curve_class(r))
+
+
+def cmd_classify(args, out, coupling, curve_class):
     from .classify import classify
 
+    coupling, cls = coupling(), curve_class()
     res = classify(cls, coupling)
     doc = {"curve_class": cls.kind,
            "angles": [a for a in cls.angles],
@@ -406,13 +384,16 @@ def cmd_classify(cfg, args, out):
     return EXIT_OK
 
 
-def cmd_mtheta(cfg, args, out):
+def _read_mtheta(r):
+    get = r.section("mtheta", required=True)
+    get("tol")  # read and ignored (m_of has no tolerance): older configs set it
+    return dict(lo=get("theta_min_pi", 0.05), hi=get("theta_max_pi", 0.95),
+                steps=get("steps", 19, int))
+
+
+def cmd_mtheta(args, out, lo, hi, steps):
     from .corner_symbol import m_of
 
-    sec = cfg["mtheta"]
-    lo = float(sec.get("theta_min_pi", 0.05))
-    hi = float(sec.get("theta_max_pi", 0.95))
-    steps = int(sec.get("steps", 19))
     rows = []
     for i in range(steps):
         tpi = lo + (hi - lo) * i / max(steps - 1, 1)
@@ -421,18 +402,18 @@ def cmd_mtheta(cfg, args, out):
     return EXIT_OK
 
 
-def cmd_symbol(cfg, args, out):
-    from .corner_symbol import delta_closed, delta_direct
-    from .kernels import Coupling
+def _read_symbol(r):
+    get = r.section("symbol", required=True)
+    return dict(thetas=get("theta_pi", 0.5, list), eta_min=get("eta_min", -5.0),
+                eta_max=get("eta_max", 5.0), eta_steps=get("eta_steps", 21, int),
+                trunc=get("trunc", 60.0), tol=get("tol", 1e-10),
+                coupling=_read_coupling(r))
 
-    sec = cfg["symbol"]
-    thetas = _numbers(sec, "theta_pi", 0.5)
-    eta_min = float(sec.get("eta_min", -5.0))
-    eta_max = float(sec.get("eta_max", 5.0))
-    eta_steps = int(sec.get("eta_steps", 21))
-    trunc = float(sec.get("trunc", 60.0))
-    tol = float(sec.get("tol", 1e-10))
-    coupling = coupling_from_config(cfg, args)
+
+def cmd_symbol(args, out, thetas, eta_min, eta_max, eta_steps, trunc, tol, coupling):
+    from .corner_symbol import delta_closed, delta_direct
+
+    coupling = coupling()
     rows = []
     for tpi in thetas:
         theta = tpi * math.pi
@@ -447,16 +428,20 @@ def cmd_symbol(cfg, args, out):
     return EXIT_OK
 
 
-def cmd_eigs(cfg, args, out):
+def _read_eigs(r):
+    grid, coupling = _read_grid(r), _read_coupling(r, required=True)
+    get = r.section("eigs", required=True)
+    return dict(grid=grid, coupling=coupling, z_min=get("z_min"), z_max=get("z_max"),
+                samples=get("samples", 128, int), tol=get("tol", 1e-12),
+                branch_csv=get("branch_csv", False, bool))
+
+
+def cmd_eigs(args, out, grid, coupling, z_min, z_max, samples, tol, branch_csv):
     from . import spectral as sp
 
-    grid = grid_from_config(cfg)
-    coupling = coupling_from_config(cfg, args)
-    sec = cfg["eigs"]
+    grid, coupling = grid(), coupling()
     lo, hi = sp.default_window(coupling)
-    window = (float(sec.get("z_min", lo)), float(sec.get("z_max", hi)))
-    samples = int(sec.get("samples", 128))
-    tol = float(sec.get("tol", 1e-12))
+    window = (lo if z_min is None else z_min, hi if z_max is None else z_max)
     sweep = sp.gap_sweep(grid, coupling, window, samples)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedWarning)
@@ -476,7 +461,7 @@ def cmd_eigs(cfg, args, out):
         "notes": list(sweep.notes),
     }
     write_atomic(os.path.join(out, "eigenvalues.json"), emit_json(doc) + "\n")
-    if sec.get("branch_csv", False) and sweep.route != "empty":
+    if branch_csv and sweep.route != "empty":
         rows = []
         for i, z in enumerate(sweep.z_samples):
             rows.append([float(z)] + [float(v) for v in sweep.eigenvalues[i]])
@@ -486,15 +471,17 @@ def cmd_eigs(cfg, args, out):
     return EXIT_OK
 
 
-def cmd_verify(cfg, args, out):
+def _read_verify(r):
+    grid, coupling = _read_grid(r), _read_coupling(r, required=True)
+    get = r.section("verify", required=True)
+    return dict(grid=grid, coupling=coupling, z=get("z", 0.0),
+                offset=get("offset", 1e-3), seed=get("seed", 1234, int))
+
+
+def cmd_verify(args, out, grid, coupling, z, offset, seed):
     from . import spectral as sp
 
-    grid = grid_from_config(cfg)
-    coupling = coupling_from_config(cfg, args)
-    sec = cfg["verify"]
-    z = float(sec.get("z", 0.0))
-    offset = float(sec.get("offset", 1e-3))
-    seed = int(sec.get("seed", 1234))
+    grid, coupling = grid(), coupling()
     rep = sp.verify_identities(grid, z, coupling, offset=offset, seed=seed)
     write_atomic(os.path.join(out, "verification.json"),
                  emit_json(rep.to_json_dict()) + "\n")
@@ -503,17 +490,20 @@ def cmd_verify(cfg, args, out):
     return EXIT_OK
 
 
-def cmd_sweep(cfg, args, out):
+def _read_sweep(r):
+    get = r.section("sweep", required=True)
+    return dict(eps_range=(get("eps_min", -4.0), get("eps_max", 4.0), get("eps_steps", 33, int)),
+                mu_range=(get("mu_min", -4.0), get("mu_max", 4.0), get("mu_steps", 33, int)),
+                mass=r.coupling("mass"), curve_class=_read_curve_class(r))
+
+
+def cmd_sweep(args, out, eps_range, mu_range, mass, curve_class):
     from .classify import classify
     from .kernels import Coupling
 
-    cls = curve_class_from_config(cfg)
-    sec = cfg["sweep"]
-    e0, e1 = float(sec.get("eps_min", -4)), float(sec.get("eps_max", 4))
-    ne = int(sec.get("eps_steps", 33))
-    m0, m1 = float(sec.get("mu_min", -4)), float(sec.get("mu_max", 4))
-    nm = int(sec.get("mu_steps", 33))
-    mass = coupling_from_config(cfg, args).mass
+    cls = curve_class()
+    Coupling(0.0, 0.0, mass)  # a non-positive mass fails even on an empty grid
+    (e0, e1, ne), (m0, m1, nm) = eps_range, mu_range
     rows = []
     for i in range(ne):
         eps = e0 + (e1 - e0) * i / max(ne - 1, 1)
@@ -526,13 +516,13 @@ def cmd_sweep(cfg, args, out):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "classify": cmd_classify,
-    "mtheta": cmd_mtheta,
-    "symbol": cmd_symbol,
-    "eigs": cmd_eigs,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
+_COMMANDS = {  # command -> (read step, compute step)
+    "classify": (_read_classify, cmd_classify),
+    "mtheta": (_read_mtheta, cmd_mtheta),
+    "symbol": (_read_symbol, cmd_symbol),
+    "eigs": (_read_eigs, cmd_eigs),
+    "verify": (_read_verify, cmd_verify),
+    "sweep": (_read_sweep, cmd_sweep),
 }
 
 
@@ -561,9 +551,8 @@ def main(argv=None) -> int:
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        cfg = RunConfig.load(args.config)
-        validate_config(cfg, args.command, args)
-        return _COMMANDS[args.command](cfg, args, args.out)
+        params = validate_config(RunConfig.load(args.config), args.command, args)
+        return _COMMANDS[args.command][1](args, args.out, **params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -411,3 +411,27 @@ def test_theta_and_lambda_from_cz_allocate_one_matrix(circle_grid_256, name):
     else:
         want = np.diag(np.tile([1 / (c.eps + c.mu), 1 / (c.eps - c.mu)], 256)) + cz
     assert np.array_equal(got, want)
+
+
+def test_scalar_k0_matrix_is_written_into_its_kernel_values(circle_grid_256):
+    # a L + b w is formed in place in a and b, so S_z holds about its two
+    # kernel-value matrices and the Bessel values of the upper triangle
+    grid, z, mass = circle_grid_256, 0.3, 1.0
+    bo.build_tables(grid, (0,))  # per-grid tables, built once and kept
+    tracemalloc.start()
+    try:
+        got = bo._scalar_k0_matrix(grid, z, mass)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (256, 256)
+    assert peak <= 4 * got.nbytes
+    pref, kappa = 1.0 / (2 * np.pi), K.gap_kappa(z, mass)
+    r = np.abs(grid.zc[:, None] - grid.zc[None, :])
+    np.fill_diagonal(r, 1.0)
+    i0, b = K.b_k0(r, kappa, np.log(r))
+    a, b = -pref * i0, pref * b
+    np.fill_diagonal(a, -pref)
+    np.fill_diagonal(b, pref * K.b_k0_at_zero(kappa))
+    want = a * bo.log_weight_table(grid) + b * grid.weights[None, :]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -67,6 +68,12 @@ def test_parse_config_errors(tmp_path):
         cli.parse_config(_write(tmp_path, "bad2.cfg", "[s]\nnot a pair\n"))
     with pytest.raises(ConfigError):
         cli.parse_config(str(tmp_path / "missing.cfg"))
+    # the last value does not win: a repeated key or section is refused
+    with pytest.raises(ConfigError, match=r"dup1\.cfg:3: key eps repeated in \[coupling\]"):
+        cli.parse_config(_write(tmp_path, "dup1.cfg", "[coupling]\neps = 3.0\neps = 0.0\n"))
+    with pytest.raises(ConfigError, match=r"dup2\.cfg:4: section \[coupling\] opened twice"):
+        cli.parse_config(_write(tmp_path, "dup2.cfg",
+                                "[coupling]\neps = 3.0\n[classify]\n[coupling]\nmu = 1.0\n"))
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -84,8 +91,9 @@ _TRIG_CIRCLE = "[edge.0]\nkind = trig\nx = 0.0, 1.0\ny = 0.0, 0.0\n"
     ("classify", "[edge.0]\nkind = trig\nx = abc\ny = 0.0, 0.0\nxs = 0.0\nys = 1.0\n"),
     ("classify", "[edge.0]\nkind = arc\ncenter = 0.0, 0.0\nphi0 = 0.0\nphi1 = 6.2831853\n"),
     ("classify", "[curve]\npreset = square\nradius = 2.0\n"),
+    ("classify", "[edge.a]\nkind = poly\nx = 0.0, 1.0\ny = 0.0\n"),
 ], ids=["non-number", "non-integer", "non-number-coefficient", "arc-without-radius",
-        "key-the-preset-does-not-read"])
+        "key-the-preset-does-not-read", "non-integer-edge-index"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, text):
     p = _write(tmp_path, "c.cfg", text + "[coupling]\neps = 3.0\nmu = 0.0\n")
     assert cli.main([command, "--config", p, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -556,6 +564,46 @@ def test_keys_a_command_does_not_read_exit_2(tmp_path, capsys, command, text):
     p = _write(tmp_path, "c.cfg", text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "does not read" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# command -> (a config with every section it reads, a section it does not
+# read, a coupling flag it does not read or None where it reads all three)
+_READ_WHOLE = {
+    "classify": (CLASSIFY_CFG, "discretization", None),
+    "mtheta": (_MTHETA_CFG, "coupling", "--eps"),
+    "symbol": ("[coupling]\neps = 2.0\n[symbol]\neta_steps = 3\n", "curve", None),
+    "eigs": ("[curve]\npreset = circle\n[coupling]\neps = 1.0\n[discretization]\n"
+             "nodes_per_edge = 16\n[eigs]\nsamples = 16\n", "verify", None),
+    "verify": ("[curve]\n" + _CIRCLE_EDGE + "[coupling]\neps = 1.0\n[discretization]\n"
+               "nodes_per_edge = 16\n[verify]\nz = 0.0\n", "eigs", None),
+    "sweep": ("[curve]\npreset = square\n[classify]\ncurve_class = auto\n[coupling]\n"
+              "mass = 1.0\n" + _SWEEP_TAIL, "symbol", "--mu"),
+}
+
+
+def _refusal_cases():
+    for command, (text, other, flag) in _READ_WHOLE.items():
+        for section in re.findall(r"^\[(.+)\]$", text, re.M):
+            header = f"[{section}]\n"
+            assert text.count(header) == 1
+            yield pytest.param(command, text.replace(header, header + "bogus = 1\n"), [],
+                               id=f"{command}-{section}-key")
+        yield pytest.param(command, text + f"[{other}]\n", [], id=f"{command}-{other}")
+        if flag:
+            yield pytest.param(command, text, [flag, "1"], id=f"{command}{flag}")
+
+
+@pytest.mark.parametrize("command, text, flags", list(_refusal_cases()))
+def test_every_command_refuses_what_it_does_not_read(tmp_path, capsys, command, text,
+                                                     flags):
+    # the config without the addition is read whole
+    cfg = cli.parse_config(_write(tmp_path, "whole.cfg", _READ_WHOLE[command][0]))
+    cli.validate_config(cfg, command, cli.build_parser().parse_args([command, "--config", "c"]))
+    p = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out), *flags]) == cli.EXIT_CONFIG
     assert "does not read" in capsys.readouterr().err
     assert not out.exists()
 
