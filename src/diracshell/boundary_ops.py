@@ -11,7 +11,10 @@ split on the singular panel.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,6 +38,7 @@ from .quadrature import (
 
 _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
 _POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
+_FIELD_PAIRS = 1 << 13  # pairs per solve-pool task; worker temporaries stay resident
 
 
 def interleaved(blocks, block=lambda b, mirror: b, order="C") -> np.ndarray:
@@ -65,6 +69,59 @@ def sigma_nu_matrix(grid: QuadratureGrid) -> np.ndarray:
     nc = grid.nc
     return spinor_from_blocks(np.zeros((n, n)), np.diag(np.conj(nc)),
                               np.diag(nc), np.zeros((n, n)))
+
+
+def _openblas_thread_setters() -> list:
+    """``openblas_set_num_threads_local`` of each OpenBLAS library loaded in
+    this process (numpy and scipy each bring one).  Empty where there is none
+    with that symbol: another BLAS, OpenBLAS before 0.3.27, or no
+    /proc/self/maps to list the libraries (not Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({fields[5].rstrip("\n")
+                            for fields in (line.split(maxsplit=5) for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5]})
+    except OSError:
+        return []
+    setters = []
+    for path in paths:
+        try:
+            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = ctypes.c_int
+        setters.append(set_threads)
+    return setters
+
+
+@contextlib.contextmanager
+def solve_pool():
+    """A ``map`` over independent tasks that spend their time in native code
+    that releases the interpreter lock (eigensolves, Bessel ufuncs): one
+    worker per BLAS thread the process allows, every BLAS pool at one thread
+    until the block exits.
+
+    ``openblas_set_num_threads_local`` returns the previous count; in the
+    OpenBLAS builds numpy and scipy ship it sets the count of the whole
+    process, so each library gets its count back on exit, also after an
+    error.  Without such a library the map is the builtin one, on one
+    worker.
+    """
+    setters = _openblas_thread_setters()
+    previous = []
+    try:
+        for set_threads in setters:
+            previous.append(set_threads(1))
+        workers = max(previous, default=1)
+        if workers <= 1:
+            yield map
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                yield pool.map
+    finally:
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +462,9 @@ def _phi_z_apply(points, srcs, weights, g2, z, coupling):
         out_0 = (m+z)/2pi K0 gw_0 + i conj(F conj(gw_1)),
         out_1 = (z-m)/2pi K0 gw_1 + i F gw_0.
     Rows are taken in chunks of about ``_POTENTIAL_PAIRS`` point-source pairs.
+    The solve pool fills a chunk's two fields, ``_FIELD_PAIRS`` pairs a task
+    (the Bessel ufuncs release the interpreter lock); the products then take
+    the whole chunk, whose row count fixes how BLAS sums each row.
     """
     kappa = K.gap_kappa(z, coupling.mass)
     pref = 1.0 / (2 * np.pi)
@@ -415,14 +475,27 @@ def _phi_z_apply(points, srcs, weights, g2, z, coupling):
     pc = points[:, 0] + 1j * points[:, 1]
     sc = srcs[:, 0] + 1j * srcs[:, 1]
     rows = max(1, _POTENTIAL_PAIRS // max(len(sc), 1))
-    out = np.empty((len(pc), 2), dtype=complex)
-    for lo in range(0, len(pc), rows):
-        d = pc[lo:lo + rows, None] - sc[None, :]
+    step = max(1, _FIELD_PAIRS // max(len(sc), 1))
+
+    def fill(chunk, k0, f, i):
+        d = chunk[i:i + step, None] - sc[None, :]
         r = np.abs(d)
-        k0_gw = (K.bessel_k0(kappa * r) @ gw_real).view(complex)
-        f_gw = (pref * kappa) * ((K.bessel_k1(kappa * r) / r * d) @ gw_f)
-        out[lo:lo + rows, 0] = pref * (mass + z) * k0_gw[:, 0] + 1j * np.conj(f_gw[:, 1])
-        out[lo:lo + rows, 1] = pref * (z - mass) * k0_gw[:, 1] + 1j * f_gw[:, 0]
+        k0[i:i + step] = K.bessel_k0(kappa * r)
+        f[i:i + step] = K.bessel_k1(kappa * r) / r * d
+
+    out = np.empty((len(pc), 2), dtype=complex)
+    with solve_pool() as pool_map:
+        for lo in range(0, len(pc), rows):
+            chunk = pc[lo:lo + rows]
+            k0 = np.empty((len(chunk), len(sc)))
+            f = np.empty(k0.shape, dtype=complex)
+            for _ in pool_map(functools.partial(fill, chunk, k0, f),
+                              range(0, len(chunk), step)):
+                pass  # reading each result raises what its task raised
+            k0_gw = (k0 @ gw_real).view(complex)
+            f_gw = (pref * kappa) * (f @ gw_f)
+            out[lo:lo + rows, 0] = pref * (mass + z) * k0_gw[:, 0] + 1j * np.conj(f_gw[:, 1])
+            out[lo:lo + rows, 1] = pref * (z - mass) * k0_gw[:, 1] + 1j * f_gw[:, 0]
     return out
 
 

@@ -9,11 +9,10 @@ attached for polygon decisions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .corner_symbol import m_of
 from .errors import DomainError
@@ -46,6 +45,16 @@ class CurveClass:
         for th in self.angles:
             if not (0.0 < th < 2.0 * math.pi) or th == math.pi:
                 raise DomainError(f"polygon angle {th} outside (0, 2pi) \\ {{pi}}")
+
+    @functools.cached_property
+    def omega(self) -> float:
+        """The sharpest effective corner opening min(theta, 2pi - theta)."""
+        return sharpest_angle(self.angles)
+
+    @functools.cached_property
+    def m_omega(self) -> float:
+        """m(omega), computed once per curve class."""
+        return m_of(self.omega)
 
     @staticmethod
     def lipschitz() -> "CurveClass":
@@ -124,8 +133,7 @@ def classify(curve_class: CurveClass, coupling: Coupling) -> ClassificationResul
         return ClassificationResult("SelfAdjoint", CERT_C1, evidence, notes)
 
     if cls.kind == "polygon":
-        omega = sharpest_angle(np.asarray(cls.angles))
-        m_omega = m_of(omega)
+        omega, m_omega = cls.omega, cls.m_omega
         lower = 1.0 / m_omega
         upper = 16.0 * m_omega
         evidence.update({
@@ -172,9 +180,7 @@ def critical_set(curve_class: CurveClass) -> list:
     if curve_class.kind == "polygon":
         if len(curve_class.angles) == 0:
             return [4.0]
-        omega = sharpest_angle(np.asarray(curve_class.angles))
-        m_omega = m_of(omega)
-        return [1.0 / m_omega, 16.0 * m_omega]
+        return [1.0 / curve_class.m_omega, 16.0 * curve_class.m_omega]
     raise DomainError("critical_set requires a polygon or C1 curve class")
 
 

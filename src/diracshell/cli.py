@@ -22,7 +22,8 @@ import sys
 import tempfile
 import warnings
 
-from .errors import ConfigError, ConvergenceError, DiracShellError, IllConditionedWarning
+from .errors import (ConfigError, ConvergenceError, DiracShellError, DomainError,
+                     IllConditionedWarning)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -281,7 +282,8 @@ def _edge_index(section: str) -> int:
 
 def _read_curve(r):
     """The curve from its [edge.N] sections in N order, else from its [curve]
-    preset, as a function that returns its CurveSpec (presets compute it)."""
+    preset, as a function that returns its CurveSpec.  A preset's spec is
+    computed here, so that values its function refuses are config errors."""
     from . import geometry as geo
 
     get = r.section("curve")  # an empty one next to edge sections is accepted
@@ -314,7 +316,11 @@ def _read_curve(r):
               for key, (kw, default) in _PRESET_KEYS[preset].items()}
     if preset == "circle":
         kwargs["center"] = (kwargs.pop("center_x"), kwargs.pop("center_y"))
-    return functools.partial(geo.PRESETS[preset], **kwargs)
+    try:
+        spec = geo.PRESETS[preset](**kwargs)
+    except DomainError as exc:
+        raise ConfigError(f"[curve] preset {preset}: {exc}") from None
+    return lambda: spec
 
 
 def _read_curve_class(r):
@@ -414,13 +420,14 @@ def cmd_symbol(args, out, thetas, eta_min, eta_max, eta_steps, trunc, tol, coupl
     from .corner_symbol import delta_closed, delta_direct
 
     coupling = coupling()
+    etas = [eta_min + (eta_max - eta_min) * i / max(eta_steps - 1, 1)
+            for i in range(eta_steps)]
     rows = []
     for tpi in thetas:
         theta = tpi * math.pi
-        for i in range(eta_steps):
-            eta = eta_min + (eta_max - eta_min) * i / max(eta_steps - 1, 1)
+        row = delta_direct(theta, etas, coupling, trunc, tol)
+        for eta, dd in zip(etas, row):
             dc = delta_closed(theta, eta, coupling)
-            dd = delta_direct(theta, eta, coupling, trunc, tol)
             rows.append((theta, eta, dc, dd.real, dd.imag, abs(dd - dc)))
     write_csv(os.path.join(out, "symbol.csv"),
               ["theta", "eta", "delta_closed", "delta_direct_re",

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, CriticalCouplingError, DomainError
@@ -108,10 +108,10 @@ def m_of(theta: float) -> float:
 
 @dataclass(frozen=True)
 class MellinResult:
-    h1: np.ndarray  # 2x2, anti-diagonal
+    h1: np.ndarray  # (..., 2, 2), anti-diagonal; the leading shape is eta's
     h2: np.ndarray
-    s_value: complex  # coupling-free scalar S(xi)
-    delta: complex  # det(sigma_0 - h1 h2)
+    s_value: complex  # coupling-free scalar S(xi), or an array of them
+    delta: complex  # det(sigma_0 - h1 h2), or an array of them
 
 
 def delta_closed(theta: float, eta: float, coupling: Coupling) -> float:
@@ -119,34 +119,40 @@ def delta_closed(theta: float, eta: float, coupling: Coupling) -> float:
     return (1.0 - coupling.strength * M(theta, 2.0 * eta)) ** 2
 
 
-def _exp_integral(beta: complex, theta: float, trunc: float, tol: float) -> complex:
-    """int_{-trunc}^{trunc} e^{beta t} / (e^t + e^-t - 2 cos theta) dt."""
+def _exp_integral(beta, theta: float, trunc: float, tol: float) -> np.ndarray:
+    """int_{-trunc}^{trunc} e^{beta t} / (e^t + e^-t - 2 cos theta) dt for each
+    exponent of the array beta, all by one vector quadrature: the subdivision
+    serves the worst of them, and the error estimate is their largest."""
+    beta1 = np.asarray(beta, dtype=complex) + 1.0
+    two_cos = 2.0 * math.cos(theta)
 
     def f(t):
-        e = np.exp((beta + 1.0) * t)
-        d = np.exp(2.0 * t) + 1.0 - 2.0 * math.cos(theta) * np.exp(t)
-        return complex(e.real / d, e.imag / d)
+        return np.exp(beta1 * t) / (math.exp(2.0 * t) + 1.0 - two_cos * math.exp(t))
 
-    val, err = quad(f, -trunc, trunc, limit=400, epsabs=0.25 * tol, epsrel=0,
-                    complex_func=True)
-    err = max(err.real, err.imag)
+    val, err = quad_vec(f, -trunc, trunc, epsabs=0.25 * tol, epsrel=0, norm="max",
+                        limit=400)
     if err > tol:
         raise ConvergenceError(
             f"Mellin quadrature error estimate {err:.2e} above tol {tol:.2e}")
     return val
 
 
-def mellin_symbol(theta: float, eta: float, coupling: Coupling,
+def mellin_symbol(theta: float, eta, coupling: Coupling,
                   trunc: float = 60.0, tol: float = 1e-10) -> MellinResult:
-    """Direct quadrature of the corner symbol in the model frame tau=(1,0), nu=(0,1)."""
+    """Direct quadrature of the corner symbol in the model frame tau=(1,0), nu=(0,1).
+
+    eta may be an array: every field then carries its shape in front, h1 and
+    h2 being (..., 2, 2), and all the integrals of one call are one vector
+    quadrature.  A scalar eta gives scalars and 2x2 matrices.
+    """
     if not (0.0 < theta < 2.0 * math.pi) or theta == math.pi:
         raise DomainError("theta must lie in (0, 2pi) \\ {pi}")
     if trunc < 40.0:
         raise DomainError("integration window must be at least 40")
+    eta = np.asarray(eta, dtype=float)
     xi = eta + 0.5j
     xib = eta - 0.5j
-    i_xi = _exp_integral(1j * xi, theta, trunc, tol)
-    i_xib = _exp_integral(1j * xib, theta, trunc, tol)
+    i_xi, i_xib = _exp_integral(np.stack([1j * xi, 1j * xib]), theta, trunc, tol)
     ct, st = math.cos(theta), math.sin(theta)
     a_tau = ct * i_xib - i_xi
     a_nu = -st * i_xib
@@ -162,22 +168,24 @@ def mellin_symbol(theta: float, eta: float, coupling: Coupling,
     b_full = pref_b * (b_tau * tau_c + b_nu * nu_c)
     b_conj = pref_b * (b_tau * np.conj(tau_c) + b_nu * np.conj(nu_c))
     ep, em = coupling.diagonal
-    h1 = np.array([[0.0, ep * a_conj], [em * a_full, 0.0]], dtype=complex)
-    h2 = np.array([[0.0, ep * b_conj], [em * b_full, 0.0]], dtype=complex)
+    h1 = np.zeros(eta.shape + (2, 2), dtype=complex)
+    h2 = np.zeros(eta.shape + (2, 2), dtype=complex)
+    h1[..., 0, 1], h1[..., 1, 0] = ep * a_conj, em * a_full
+    h2[..., 0, 1], h2[..., 1, 0] = ep * b_conj, em * b_full
     # The two cross-arm factors carry opposite spinor frame phases that the
     # scalar direction function above cannot represent; they cancel in the
     # symmetrized product, which is the combination the closed-form scalar
     # symbol corresponds to (the unsymmetrized product would contradict the
     # smooth-curve threshold in the flat-angle limit).
     prod = 0.5 * (h1 @ h2 + h2 @ h1)
-    delta = (1.0 - prod[0, 0]) * (1.0 - prod[1, 1])
+    delta = (1.0 - prod[..., 0, 0]) * (1.0 - prod[..., 1, 1])
     s_value = 2.0 * st * st * (a_conj * b_full + a_full * b_conj)
-    return MellinResult(h1, h2, s_value, delta)
+    return MellinResult(h1, h2, s_value[()], delta[()])
 
 
-def delta_direct(theta: float, eta: float, coupling: Coupling,
-                 trunc: float = 60.0, tol: float = 1e-10) -> complex:
-    """Quadrature oracle for delta_closed."""
+def delta_direct(theta: float, eta, coupling: Coupling,
+                 trunc: float = 60.0, tol: float = 1e-10):
+    """Quadrature oracle for delta_closed, at a scalar eta or an array of them."""
     return mellin_symbol(theta, eta, coupling, trunc, tol).delta
 
 

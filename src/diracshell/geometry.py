@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     CuspError,
+    DomainError,
     EmptyCorners,
     InvalidRefinement,
     OpenCurveError,
@@ -211,7 +212,7 @@ def rounded_polygon(k: int, circumradius: float = 1.0, radius: float = 0.2) -> C
     setback = radius / np.tan(theta / 2)
     side = 2 * circumradius * np.sin(np.pi / k)
     if setback >= side / 2:
-        raise ValueError("rounding radius too large for this polygon")
+        raise DomainError(f"rounding radius {radius} too large for this polygon")
     edges = []
     for j in range(k):
         a = verts[j]

@@ -14,17 +14,15 @@ reordering at crossings.
 
 The sweep samples, the brentq brackets and then the roots do not depend on
 each other and are solved concurrently, one BLAS thread each
-(``_solve_pool``).  A root's eigenvalues are those brentq solved at it; its
-eigenvectors come from one subset eigensolve of the kept ones only.
+(``boundary_ops.solve_pool``).  A root's eigenvalues are those brentq
+solved at it; its eigenvectors come from one subset eigensolve of the kept
+ones only.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,57 +98,6 @@ def _hermitian_eigs(grid, coupling, z):
     return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z))
 
 
-def _openblas_thread_setters() -> list:
-    """``openblas_set_num_threads_local`` of each OpenBLAS library loaded in
-    this process (numpy and scipy each bring one).  Empty where there is none
-    with that symbol: another BLAS, OpenBLAS before 0.3.27, or no
-    /proc/self/maps to list the libraries (not Linux)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({fields[5].rstrip("\n")
-                            for fields in (line.split(maxsplit=5) for line in fh)
-                            if len(fields) == 6 and "openblas" in fields[5]})
-    except OSError:
-        return []
-    setters = []
-    for path in paths:
-        try:
-            set_threads = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = ctypes.c_int
-        setters.append(set_threads)
-    return setters
-
-
-@contextlib.contextmanager
-def _solve_pool():
-    """A ``map`` over independent eigensolves: one worker per BLAS thread the
-    process allows, every BLAS pool at one thread until the block exits.
-
-    ``openblas_set_num_threads_local`` returns the previous count; in the
-    OpenBLAS builds numpy and scipy ship it sets the count of the whole
-    process, so each library gets its count back on exit, also after an
-    error.  Without such a library the map is the builtin one, on one
-    worker.
-    """
-    setters = _openblas_thread_setters()
-    previous = []
-    try:
-        for set_threads in setters:
-            previous.append(set_threads(1))
-        workers = max(previous, default=1)
-        if workers <= 1:
-            yield map
-        else:
-            with ThreadPoolExecutor(workers) as pool:
-                yield pool.map
-    finally:
-        for set_threads, count in zip(setters, previous):
-            set_threads(count)
-
-
 def default_window(coupling: Coupling) -> tuple:
     m = coupling.mass
     return (-m + 0.01 * m, m - 0.01 * m)
@@ -173,7 +120,7 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     zs = np.linspace(lo, hi, samples)
     # built on this thread, so that the workers only read them
     bo.build_tables(grid, _active(coupling))
-    with _solve_pool() as solve_map:
+    with bo.solve_pool() as solve_map:
         eigs = np.stack(list(solve_map(functools.partial(_hermitian_eigs, grid, coupling), zs)))
     return BranchData(zs, eigs, route, coupling)
 
@@ -219,7 +166,7 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
         z0 = members[0]
         return _cluster_pairs(grid, coupling, z0, eigs_at(z0), len(members), cluster)
 
-    with _solve_pool() as solve_map:
+    with bo.solve_pool() as solve_map:
         roots = sorted(solve_map(bracket_root, brackets))
         clusters = []  # roots closer than 10 tol are one multiple root
         for z in roots:

@@ -90,10 +90,10 @@ def test_criterion_03_symbol_oracle_agreement():
             if abs(tpi - 1.0) < 1e-12:
                 continue
             theta = tpi * math.pi
-            for eta in np.linspace(-5.0, 5.0, 21):
-                diff = abs(cs.delta_direct(theta, eta, coup)
-                           - cs.delta_closed(theta, eta, coup))
-                worst = max(worst, diff)
+            etas = np.linspace(-5.0, 5.0, 21)
+            diff = np.abs(cs.delta_direct(theta, etas, coup)
+                          - cs.delta_closed(theta, etas, coup))
+            worst = max(worst, float(np.max(diff)))
     if worst > 1e-7:
         failures.append(f"max |direct - closed| = {worst:.2e} > 1e-7")
     _report(3, "symbol oracle agreement", failures, time.time() - t0, 60.0)

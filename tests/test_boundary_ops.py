@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -380,6 +381,31 @@ def test_potential_near_curve_peak_memory(circle_grid_256):
     finally:
         tracemalloc.stop()
     assert not flags.any()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_pooled_potential_matches_one_worker(circle_grid_256, monkeypatch, workers):
+    # the near-curve case above: the pool fills disjoint rows of each
+    # chunk's fields, and the products still take whole chunks, so the
+    # values are bitwise those of one worker, within the same memory bound
+    g = circle_grid_256
+    dens = smooth_density(g)
+    pts = g.nodes + 1e-3 * g.normals
+    monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [])
+    want, _ = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
+    monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [lambda n: workers])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    tracemalloc.start()
+    try:
+        got, flags = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setswitchinterval(interval)
+    assert not flags.any()
+    assert np.array_equal(got, want)
     assert peak < 32 * 2**20
 
 

@@ -17,6 +17,7 @@ from diracshell.classify import (
     critical_set,
     reduced_coupling,
 )
+from diracshell import classify as cl
 from diracshell import geometry as geo
 from diracshell.errors import DomainError
 from diracshell.kernels import Coupling
@@ -169,3 +170,21 @@ def test_result_json_shape():
     r = classify(SQUARE, Coupling(1.0, 0.0))
     doc = r.to_json_dict()
     assert set(doc) == {"verdict", "certificate", "evidence", "notes"}
+
+
+def test_m_omega_computed_once_per_curve_class(monkeypatch):
+    # a sweep classifies many couplings on one curve class: m(omega) is a
+    # scan plus a refinement, paid once per class, not once per coupling
+    calls = []
+    m_of = cl.m_of
+    monkeypatch.setattr(cl, "m_of", lambda omega: calls.append(omega) or m_of(omega))
+    square, triangle = CurveClass.polygon([math.pi / 2] * 4), CurveClass.polygon([math.pi / 3] * 3)
+    for eps in np.linspace(-4.0, 4.0, 9):
+        for mu in (0.0, 0.5):
+            classify(square, Coupling(eps, mu))
+    assert critical_set(square) == [1.0 / square.m_omega, 16.0 * square.m_omega]
+    assert calls == [math.pi / 2]
+    critical_set(triangle)
+    assert calls == [math.pi / 2, pytest.approx(math.pi / 3)]
+    assert CurveClass.polygon([math.pi / 2] * 4).m_omega == square.m_omega
+    assert len(calls) == 3

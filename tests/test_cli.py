@@ -92,8 +92,9 @@ _TRIG_CIRCLE = "[edge.0]\nkind = trig\nx = 0.0, 1.0\ny = 0.0, 0.0\n"
     ("classify", "[edge.0]\nkind = arc\ncenter = 0.0, 0.0\nphi0 = 0.0\nphi1 = 6.2831853\n"),
     ("classify", "[curve]\npreset = square\nradius = 2.0\n"),
     ("classify", "[edge.a]\nkind = poly\nx = 0.0, 1.0\ny = 0.0\n"),
+    ("classify", "[curve]\npreset = rounded_square\nside = 1.0\ncorner_radius = 0.6\n"),
 ], ids=["non-number", "non-integer", "non-number-coefficient", "arc-without-radius",
-        "key-the-preset-does-not-read", "non-integer-edge-index"])
+        "key-the-preset-does-not-read", "non-integer-edge-index", "rounding-radius-too-large"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, text):
     p = _write(tmp_path, "c.cfg", text + "[coupling]\neps = 3.0\nmu = 0.0\n")
     assert cli.main([command, "--config", p, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
@@ -627,8 +628,8 @@ nodes_per_edge = 64
 [eigs]
 samples = 16
 """)
-    setters = sp._openblas_thread_setters()
-    monkeypatch.setattr(sp, "_openblas_thread_setters", lambda: [*setters, lambda n: 2])
+    setters = bo._openblas_thread_setters()
+    monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [*setters, lambda n: 2])
     threads = []
     cluster_pairs = sp._cluster_pairs
 

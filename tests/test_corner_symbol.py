@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracshell import corner_symbol as cs
-from diracshell.errors import CriticalCouplingError, DomainError
+from diracshell.errors import ConvergenceError, CriticalCouplingError, DomainError
 from diracshell.kernels import Coupling
 
 
@@ -93,9 +93,52 @@ def test_delta_closed_examples():
 
 def test_delta_direct_matches_closed_form():
     c = Coupling(2.0, 0.0)
-    dd = cs.delta_direct(0.5 * math.pi, 0.7, c)
+    dd, = cs.delta_direct(0.5 * math.pi, [0.7], c)
     assert abs(dd - cs.delta_closed(0.5 * math.pi, 0.7, c)) <= 1e-8
     assert abs(dd.imag) <= 1e-9
+
+
+_ETA_ROW = (-4.0, -0.5, 0.0, 0.7, 2.5)
+# delta_direct at Coupling(3, 1) and the etas of _ETA_ROW, one scalar
+# quad call per integral (the quadrature before it took eta rows)
+_DELTA_SCALAR_QUAD = {
+    0.3: (0.9957525835558119 - 1.7189056198954651e-18j, 0.2023233206335994 + 0j,
+          0.999999999999567 + 0j, 0.0020699944994886253 + 0j,
+          0.9294248849750214 - 2.7066141018827994e-17j),
+    0.7: (0.9999998169446153 + 5.8540161100616285e-21j,
+          0.28142477292172385 + 7.885534707069465e-17j, 0.9999999999991509 + 0j,
+          0.6521354017012663 - 1.3045624797642355e-17j,
+          0.9998657874614342 - 1.398818635497197e-19j),
+    1.3: (0.9999998169446153 + 1.0659736527531471e-20j,
+          0.28142477292172374 + 4.189348888873755e-17j, 0.9999999999991509 + 0j,
+          0.6521354017012663 + 8.759425945649233e-18j,
+          0.9998657874614342 - 8.323968191130865e-19j),
+}
+
+
+@pytest.mark.parametrize("theta_pi", sorted(_DELTA_SCALAR_QUAD))
+def test_delta_direct_row_matches_per_eta_calls(theta_pi):
+    c = Coupling(3.0, 1.0)
+    theta = theta_pi * math.pi
+    row = cs.delta_direct(theta, _ETA_ROW, c)
+    assert row.shape == (len(_ETA_ROW),)
+    single = np.array([cs.delta_direct(theta, eta, c) for eta in _ETA_ROW])
+    assert np.max(np.abs(row - single)) <= 1e-14
+    assert np.max(np.abs(row - np.array(_DELTA_SCALAR_QUAD[theta_pi]))) <= 1e-13
+
+
+def test_mellin_symbol_row_shapes():
+    res = cs.mellin_symbol(0.7 * math.pi, np.array([[0.3, -1.0, 2.0]]), Coupling(3.0, 1.0))
+    assert res.h1.shape == res.h2.shape == (1, 3, 2, 2)
+    assert res.delta.shape == res.s_value.shape == (1, 3)
+    one = cs.mellin_symbol(0.7 * math.pi, -1.0, Coupling(3.0, 1.0))
+    assert one.h1.shape == (2, 2) and np.ndim(one.delta) == 0
+    assert np.max(np.abs(res.h1[0, 1] - one.h1)) <= 1e-15
+
+
+def test_delta_direct_tolerance_out_of_reach_raises():
+    with pytest.raises(ConvergenceError):
+        cs.delta_direct(0.5 * math.pi, [0.0, 0.7], Coupling(2.0, 0.0), tol=1e-20)
 
 
 def test_symbol_matrices_antidiagonal():

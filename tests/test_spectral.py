@@ -278,7 +278,7 @@ def test_pooled_search_matches_one_worker(spec, nodes, coup, monkeypatch):
     grid = geo.discretize(geo.build_curve(spec), nodes)
     pooled = sp.gap_sweep(grid, coup, samples=48)
     pooled_pairs = sp.find_eigenvalues(grid, pooled)
-    monkeypatch.setattr(sp, "_openblas_thread_setters", lambda: [])
+    monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [])
     single = sp.gap_sweep(grid, coup, samples=48)
     single_pairs = sp.find_eigenvalues(grid, single)
     assert np.max(np.abs(pooled.eigenvalues - single.eigenvalues)) <= 1e-12
@@ -297,7 +297,7 @@ def _blas_thread_counts(setters):
 
 
 def test_solve_pool_gives_back_the_blas_thread_counts(circle_grid_128):
-    setters = sp._openblas_thread_setters()
+    setters = bo._openblas_thread_setters()
     if not setters:
         pytest.skip("no OpenBLAS library that sets its thread count")
     before = _blas_thread_counts(setters)
@@ -305,7 +305,7 @@ def test_solve_pool_gives_back_the_blas_thread_counts(circle_grid_128):
                         sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), samples=16))
     assert _blas_thread_counts(setters) == before
     with pytest.raises(ZeroDivisionError):
-        with sp._solve_pool() as solve_map:
+        with bo.solve_pool() as solve_map:
             list(solve_map(lambda x: 1.0 / x, [1.0, 0.0, 2.0]))
     assert _blas_thread_counts(setters) == before
 
@@ -326,8 +326,8 @@ def test_pooled_sweep_builds_each_grid_table_once(monkeypatch):
             builds[build.__name__] = builds.get(build.__name__, 0) + 1
             return build(grid)
         monkeypatch.setattr(bo, name, bo._per_grid(counted))
-    setters = sp._openblas_thread_setters()
-    monkeypatch.setattr(sp, "_openblas_thread_setters", lambda: [*setters, lambda n: 4])
+    setters = bo._openblas_thread_setters()
+    monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [*setters, lambda n: 4])
     grid = geo.discretize(geo.build_curve(geo.square(1.0)), 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
