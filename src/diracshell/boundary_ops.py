@@ -15,6 +15,7 @@ import contextlib
 import ctypes
 import functools
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -41,16 +42,15 @@ _POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
 _FIELD_PAIRS = 1 << 13  # pairs per solve-pool task; worker temporaries stay resident
 
 
-def interleaved(blocks, block=lambda b, mirror: b, order="C") -> np.ndarray:
-    """The matrix with block(B_kj, B_jk) on the rows of spinor component k and
-    the columns of j, interleaved by node, from the N x N blocks B_kj given
-    row by row, in the given memory order; real when they all are."""
+def interleaved(blocks) -> np.ndarray:
+    """The matrix with B_kj on the rows of spinor component k and the columns
+    of j, interleaved by node, from the N x N blocks B_kj given row by row;
+    real when they all are."""
     a, n = len(blocks), len(blocks[0][0])
-    out = np.empty((a * n, a * n), dtype=np.result_type(*(b for row in blocks for b in row)),
-                   order=order)
+    out = np.empty((a * n, a * n), dtype=np.result_type(*(b for row in blocks for b in row)))
     for k, row in enumerate(blocks):
         for j, b in enumerate(row):
-            out[k::a, j::a] = block(b, blocks[j][k])
+            out[k::a, j::a] = b
     return out
 
 
@@ -71,18 +71,20 @@ def sigma_nu_matrix(grid: QuadratureGrid) -> np.ndarray:
                               np.diag(nc), np.zeros((n, n)))
 
 
-def _openblas_thread_setters() -> list:
+@functools.cache
+def _openblas_thread_setters() -> tuple:
     """``openblas_set_num_threads_local`` of each OpenBLAS library loaded in
-    this process (numpy and scipy each bring one).  Empty where there is none
-    with that symbol: another BLAS, OpenBLAS before 0.3.27, or no
-    /proc/self/maps to list the libraries (not Linux)."""
+    this process (numpy and scipy each bring one), looked up once per
+    process.  Empty where there is none with that symbol: another BLAS,
+    OpenBLAS before 0.3.27, or no /proc/self/maps to list the libraries (not
+    Linux)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({fields[5].rstrip("\n")
                             for fields in (line.split(maxsplit=5) for line in fh)
                             if len(fields) == 6 and "openblas" in fields[5]})
     except OSError:
-        return []
+        return ()
     setters = []
     for path in paths:
         try:
@@ -92,7 +94,7 @@ def _openblas_thread_setters() -> list:
         set_threads.argtypes = [ctypes.c_int]
         set_threads.restype = ctypes.c_int
         setters.append(set_threads)
-    return setters
+    return tuple(setters)
 
 
 @contextlib.contextmanager
@@ -164,11 +166,13 @@ def _upper_pairs(grid):
     return mask, r, np.log(r)
 
 
-def _symmetric(grid, upper, diag) -> np.ndarray:
+def _symmetric(grid, upper, diag, out=None) -> np.ndarray:
     """The symmetric (N, N) matrix with the given strict upper triangle
-    (row-major, as ``_upper_pairs`` orders it) and diagonal."""
+    (row-major, as ``_upper_pairs`` orders it) and diagonal, written into
+    ``out`` (a new real matrix by default)."""
     mask = _upper_pairs(grid)[0]
-    out = np.empty(mask.shape)
+    if out is None:
+        out = np.empty(mask.shape)
     out[mask] = upper
     out.T[mask] = upper
     np.fill_diagonal(out, diag)
@@ -312,21 +316,52 @@ def log_kernel_matrix(grid, a, b) -> np.ndarray:
     return a
 
 
-def _scalar_k0_matrix(grid, z: float, mass: float) -> np.ndarray:
-    """Matrix of (1/2pi) K0(kappa |x-y|) against arclength (real symmetric kernel).
+@_per_grid
+def _symmetric_weights(grid):
+    """The symmetrised log weights (L + L^T)/2 and arclength weights
+    (w_i + w_j)/2 on the strict upper node pairs: against a kernel symmetric
+    in the node pair they give the symmetric part of its Nystrom matrix."""
+    mask = _upper_pairs(grid)[0]
+    table = log_weight_table(grid)
+    w = grid.weights
+    return 0.5 * (table + table.T)[mask], 0.5 * (w[:, None] + w[None, :])[mask]
 
-    R is exactly symmetric, so the Bessel factors are evaluated once per
-    unordered node pair and mirrored.
-    """
+
+class KernelValues(NamedTuple):
+    """The Bessel factors of the log splits of K0 and kappa K1 - 1/r at one
+    z, on the strict upper node pairs (row-major, as ``_upper_pairs`` orders
+    them); ``i1`` and ``b_k1`` are None where no K1 block is formed."""
+
+    z: float
+    kappa: float
+    i0: np.ndarray
+    b_k0: np.ndarray
+    i1: np.ndarray | None
+    b_k1: np.ndarray | None
+
+
+def kernel_values(grid: QuadratureGrid, z: float, mass: float, k1: bool = True) -> KernelValues:
+    """The per-z kernel values every matrix at z is formed from.  R is exactly
+    symmetric, so each Bessel function is evaluated once per unordered node
+    pair; the matrices formed from them only read them, so one set serves
+    every matrix formed at z."""
     kappa = K.gap_kappa(z, mass)
-    pref = 1.0 / (2 * np.pi)
     _, r, log_r = _upper_pairs(grid)
-    i0, b = K.b_k0(r, kappa, log_r)
-    i0 *= -pref
+    i0, b0 = K.b_k0(r, kappa, log_r)
+    i1, b1 = K.b_k1(r, kappa, log_r) if k1 else (None, None)
+    return KernelValues(z, kappa, i0, b0, i1, b1)
+
+
+def _scalar_k0_matrix(grid, z: float, mass: float, values=None) -> np.ndarray:
+    """Matrix of (1/2pi) K0(kappa |x-y|) against arclength (real symmetric
+    kernel), from the kernel values at z (evaluated here by default)."""
+    if values is None:
+        values = kernel_values(grid, z, mass, k1=False)
+    pref = 1.0 / (2 * np.pi)
+    a = _symmetric(grid, values.i0, 1.0)
+    a *= -pref
+    b = _symmetric(grid, values.b_k0, K.b_k0_at_zero(values.kappa))
     b *= pref
-    a = _symmetric(grid, i0, -pref)
-    del i0
-    b = _symmetric(grid, b, pref * K.b_k0_at_zero(kappa))
     return log_kernel_matrix(grid, a, b)
 
 
@@ -337,49 +372,125 @@ def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarra
 
 def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """Principal-value operator with the full gap kernel at real z, |z| < m."""
-    top, bottom = cz_blocks(grid, z, coupling, _scalar_k0_matrix(grid, z, coupling.mass))
+    top, bottom = cz_blocks(grid, coupling, kernel_values(grid, z, coupling.mass))
     return spinor_from_blocks(*top, *bottom)
 
 
-def cz_blocks(grid: QuadratureGrid, z: float, coupling: Coupling, s_mat: np.ndarray,
+def cz_blocks(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
               components=(0, 1)):
     """The N x N blocks of C_z at |z| < m among the given spinor components,
-    row by row, from the matrix of S_z at the same z: the diagonal blocks
-    (z +- m) S_z are real, and the K1 blocks come only with both components."""
-    mass = coupling.mass
+    row by row, from the kernel values at z: the diagonal blocks (z +- m) S_z
+    are real, and the K1 blocks come only with both components.  Each block
+    is formed in place, so the blocks and one complex N x N temporary are
+    all that is held."""
+    z, mass = values.z, coupling.mass
+    s_mat = _scalar_k0_matrix(grid, z, mass, values)
     if len(components) == 1:
-        return (((z + mass if components[0] == 0 else z - mass) * s_mat,),)
-    b12 = _k1_block(grid, K.gap_kappa(z, mass))
+        s_mat *= z + mass if components[0] == 0 else z - mass
+        return ((s_mat,),)
+    b12 = _k1_block(grid, values)
     # The lower block's kernel (dx/r in place of conj(dx)/r) is minus the
     # complex conjugate of the upper one, and every quadrature weight (the
     # log weight table, the arclength weights) is real, so minus the
     # conjugate of the assembled upper block is exactly the assembled lower
     # block.  Subtracting from 0.0 rather than negating leaves its zero
     # entries +0.0, as a direct assembly gives them.
-    b21 = 0.0 - np.conj(b12)
+    b21 = np.conjugate(b12)
+    np.subtract(0.0, b21, out=b21)
     upper, lower = cauchy_block_matrices(grid)
-    return ((mass + z) * s_mat, upper + b12), (lower + b21, (z - mass) * s_mat)
+    b21 += lower
+    b12 += upper
+    s_upper = (mass + z) * s_mat
+    s_mat *= z - mass
+    return (s_upper, b12), (b21, s_mat)
+
+
+class SymmetricKernels(NamedTuple):
+    """The kernels of the Hermitian part of C_z at one z, on the strict upper
+    node pairs: (1/2pi)(b_K0 (w_i + w_j)/2 - I0 (L + L^T)/2) of S_z, and
+    kappa I1 (L + L^T)/2 + b_K1 (w_i + w_j)/2 of the K1 block (None on one
+    component).  Half the size of the kernel values they come from."""
+
+    z: float
+    kappa: float
+    s: np.ndarray
+    k1: np.ndarray | None
+
+
+def symmetric_kernels(grid: QuadratureGrid, values: KernelValues) -> SymmetricKernels:
+    """The kernel values are symmetric in the node pair, so the Hermitian part
+    of a log-kernel block weighs them by the symmetrised tables
+    (``_symmetric_weights``)."""
+    l_sym, w_sym = _symmetric_weights(grid)
+    s = values.b_k0 * w_sym
+    s -= values.i0 * l_sym
+    s *= 1.0 / (2 * np.pi)
+    k1 = None
+    if values.i1 is not None:
+        k1 = values.i1 * l_sym
+        k1 *= values.kappa
+        k1 += values.b_k1 * w_sym
+    return SymmetricKernels(values.z, values.kappa, s, k1)
+
+
+def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, kernels: SymmetricKernels,
+                     components=(0, 1)) -> np.ndarray:
+    """The Hermitian part of diag(1/d_k) + C_z on the given spinor components,
+    d_k = eps +- mu, written once from the symmetric kernels at z, component
+    by component (the rows and columns of the k-th given component are k N
+    to (k+1) N - 1); real on one component.
+
+    The K1 phase is antisymmetric, so the upper-right block is the Hermitian
+    half (upper + lower^H)/2 of the Cauchy blocks plus the phase times the
+    symmetric K1 kernel.  The lower-left block is its conjugate transpose,
+    so the matrix is Hermitian bitwise.
+    """
+    n, z, mass = grid.n_nodes, kernels.z, coupling.mass
+    out = np.empty((len(components) * n,) * 2, dtype=complex if len(components) == 2 else float)
+    s_diag = (K.b_k0_at_zero(kernels.kappa) * grid.weights
+              - np.diagonal(log_weight_table(grid))) / (2 * np.pi)
+    for k, comp in enumerate(components):
+        coef = z + mass if comp == 0 else z - mass
+        block = out[k * n:(k + 1) * n, k * n:(k + 1) * n]
+        _symmetric(grid, coef * kernels.s, 1.0 / coupling.diagonal[comp] + coef * s_diag, block)
+    if len(components) == 2:
+        # the lower-left block holds the Cauchy half until the upper-right
+        # one is complete, so no complex N x N temporary is made
+        upper, lower = cauchy_block_matrices(grid)
+        top, bottom = out[:n, n:], out[n:, :n]
+        np.conjugate(lower.T, out=bottom)
+        bottom += upper
+        bottom *= 0.5
+        _symmetric(grid, kernels.k1, 0.0, top)
+        top *= _k1_phase(grid)
+        top += bottom
+        np.conjugate(top.T, out=bottom)
+    return out
 
 
 def build_tables(grid: QuadratureGrid, components=(0, 1)):
-    """Build the per-grid tables that ``assemble_Sz`` and ``cz_blocks`` read
-    among the given spinor components, so that assemblies running
+    """Build the per-grid tables that ``cz_blocks`` and ``hermitian_matrix``
+    read among the given spinor components, so that assemblies running
     concurrently on the grid only read them."""
     _upper_pairs(grid)
     log_weight_table(grid)
+    _symmetric_weights(grid)
     if len(components) == 2:
         _k1_phase(grid)
         cauchy_block_matrices(grid)
 
 
-def _k1_block(grid, kappa: float) -> np.ndarray:
-    """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r) conj(dx)/r."""
-    _, r, log_r = _upper_pairs(grid)
-    i1, b = K.b_k1(r, kappa, log_r)
+def _k1_block(grid, values: KernelValues) -> np.ndarray:
+    """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r) conj(dx)/r.
+
+    The complex block and one complex temporary are the only N x N
+    complex matrices formed."""
     phase = _k1_phase(grid)
-    a = _symmetric(grid, kappa * i1, 0.0) * phase
-    b = _symmetric(grid, b, 0.0) * phase
+    a = _symmetric(grid, values.i1, 0.0)
+    a *= values.kappa
+    a = a * phase
     np.fill_diagonal(a, 0.0)
+    b = _symmetric(grid, values.b_k1, 0.0) * phase
     np.fill_diagonal(b, 0.0)
     return log_kernel_matrix(grid, a, b)
 
@@ -551,7 +662,8 @@ def evaluate_potential(grid, density, z, coupling, points):
             degraded = np.zeros(len(points), dtype=bool)
     values = np.empty((len(points), 2), dtype=complex)
     coarse = ~near if factor > 1 else slice(None)
-    values[coarse] = _phi_z_apply(points[coarse], grid.nodes, grid.weights, g2, z, coupling)
+    if factor == 1 or np.any(coarse):
+        values[coarse] = _phi_z_apply(points[coarse], grid.nodes, grid.weights, g2, z, coupling)
     if factor > 1:
         pos, w, g_up = _upsample_closed(grid, g2, factor)
         values[near] = _phi_z_apply(points[near], pos, w, g_up, z, coupling)

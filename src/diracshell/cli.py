@@ -436,10 +436,18 @@ def cmd_symbol(args, out, thetas, eta_min, eta_max, eta_steps, trunc, tol, coupl
 
 
 def _read_eigs(r):
+    from .spectral import TOL_RANGE
+
     grid, coupling = _read_grid(r), _read_coupling(r, required=True)
     get = r.section("eigs", required=True)
+    tol = get("tol", 1e-12)
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        # roots within 10 tol are one cluster, and below the lower end the
+        # search cannot resolve z
+        raise ConfigError(f"[eigs] tol = {tol!r} outside the supported "
+                          f"[{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
     return dict(grid=grid, coupling=coupling, z_min=get("z_min"), z_max=get("z_max"),
-                samples=get("samples", 128, int), tol=get("tol", 1e-12),
+                samples=get("samples", 128, int), tol=tol,
                 branch_csv=get("branch_csv", False, bool))
 
 

@@ -7,16 +7,30 @@ nonzero, becomes singular.  That is Lambda_z on both components (route
 "lambda"), lambda_z = 1/(2 eps) + (z +- m) S_z on one when eps = +-mu != 0
 ("scalar"), and nothing when eps = mu = 0 ("empty").  Roots are located
 from the count of negative eigenvalues over a sweep: where the count
-changes between two samples, each sorted eigenvalue whose index lies
-between the two counts changes sign, and brentq finds its zero.
-Sorted eigenvalues are continuous in z, so this is robust to branch
-reordering at crossings.
+changes between two samples, each sorted eigenvalue lambda_j whose index
+lies between the two counts changes sign.  Sorted eigenvalues are
+continuous in z, so this is robust to branch reordering at crossings.
 
-The sweep samples, the brentq brackets and then the roots do not depend on
-each other and are solved concurrently, one BLAS thread each
-(``boundary_ops.solve_pool``).  A root's eigenvalues are those brentq
-solved at it; its eigenvectors come from one subset eigensolve of the kept
-ones only.
+Between the samples, brentq needs only values of lambda_j, not spectra.  At
+the two samples it takes their exact lambda_j.  Elsewhere each step
+assembles the matrix once and takes the Rayleigh quotient of one
+inverse-iteration step from the bracket's previous vector, three from a
+seeded one at its first (an LU solve costs about a seventh of a Hermitian
+reduction; near its zero lambda_j is the eigenvalue nearest zero, which
+inverse iteration finds).  Two exact spectra then certify the root r: at r
+and at r +- tol/2, on the side where lambda_j must change sign.  If the
+signs differ the root is the one of the two with the smaller |lambda_j|,
+within tol/2 of a sign change of the exact lambda_j; otherwise (the cheap
+steps followed another eigenvalue) brentq is run again on the exact
+lambda_j of the whole bracket.  A root's ``mult`` eigenvectors come from
+two solves at the mean of its eigenvalue window, a QR step and a mult x
+mult Rayleigh-Ritz.  No dense eigenvector solver is used: scipy's ``*evr``
+holds the interpreter lock, as does the Python loop of ARPACK's
+shift-invert mode, so neither runs concurrently on the pool.
+
+The sweep samples, the brackets and then the roots do not depend on each
+other and are solved concurrently, one BLAS thread each
+(``boundary_ops.solve_pool``).
 """
 
 from __future__ import annotations
@@ -26,13 +40,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import brentq
 
 from . import boundary_ops as bo
 from .errors import IllConditionedWarning, SpectralParameterError
 from .geometry import QuadratureGrid
 from .kernels import Coupling
+
+TOL_RANGE = (1e-12, 1e-8)  # the supported root tolerances in z
+_RTOL = 4 * np.finfo(float).eps  # brentq's relative tolerance
+_START_STEPS = 3  # inverse-iteration steps at a bracket's first interior point
+_SEED = 0  # of the start vectors: the same in every bracket and root
 
 
 @dataclass(frozen=True)
@@ -63,39 +81,39 @@ def _active(coupling: Coupling) -> list:
 _ROUTES = ("empty", "scalar", "lambda")  # by the number of active components
 
 
-def _half_sum(b, mirror):
-    """(B + M^H)/2 in one temporary, bitwise: IEEE sums and products commute.
-    The temporary takes the C order of B, so the sum needs no second one."""
-    out = np.conjugate(mirror.T, order="C")
-    out += b
-    out *= 0.5
-    return out
+def _kernel_values(grid, coupling, z):
+    return bo.kernel_values(grid, z, coupling.mass, k1=len(_active(coupling)) == 2)
 
 
-def _hermitian_part(blocks, d):
-    """The Hermitian part of diag(1/d_k) + C_z on the active components from
-    the blocks of C_z, without forming C_z, in the Fortran order LAPACK
-    takes.  A block is summed with the conjugate transpose of its mirror, not
-    mirrored from it: the two differ in the sign of zero imaginary parts, and
-    the sum is what (L + L^H)/2 holds bitwise."""
-    herm = bo.interleaved(blocks, _half_sum, order="F")
-    herm[np.diag_indices_from(herm)] += np.tile(1.0 / d, len(blocks[0][0]))
-    return herm
+def _symmetric_kernels(grid, coupling, z):
+    return bo.symmetric_kernels(grid, _kernel_values(grid, coupling, z))
 
 
-def _blocks(grid, coupling, z):
-    """The N x N blocks of C_z on the active components, and their d_k."""
-    active = _active(coupling)
-    s = bo.assemble_Sz(grid, z, coupling)
-    return bo.cz_blocks(grid, z, coupling, s, active), np.take(coupling.diagonal, active)
-
-
-def _hermitian_matrix(grid, coupling, z):
-    return _hermitian_part(*_blocks(grid, coupling, z))
+def _hermitian_matrix(grid, coupling, z, kernels=None):
+    """The Hermitian matrix of the search at z, the active components one
+    after the other (``boundary_ops.hermitian_matrix``)."""
+    if kernels is None:
+        kernels = _symmetric_kernels(grid, coupling, z)
+    return bo.hermitian_matrix(grid, coupling, kernels, _active(coupling))
 
 
 def _hermitian_eigs(grid, coupling, z):
     return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z))
+
+
+def _start(size, columns=None):
+    """The seeded start vector(s) of inverse iteration."""
+    return np.random.default_rng(_SEED).standard_normal(size if columns is None
+                                                        else (size, columns))
+
+
+def _inverse_step(h, vec, steps=1):
+    """``steps`` inverse-iteration steps on h from vec: the Rayleigh quotient
+    of the unit vector they reach, and that vector."""
+    for _ in range(steps):
+        vec = np.linalg.solve(h, vec)
+        vec /= np.linalg.norm(vec)
+    return float(np.vdot(vec, h @ vec).real), vec
 
 
 def default_window(coupling: Coupling) -> tuple:
@@ -128,64 +146,116 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
 def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
                      tol: float = 1e-12) -> list:
     """Locate the gap eigenvalues of a ``gap_sweep`` of this grid: between
-    two samples whose negative-eigenvalue counts differ, brentq finds the
-    zero of each sorted eigenvalue that changes sign, to |dz| <= tol.  Roots
-    within 10 tol are one cluster, its size the multiplicity.
+    two samples whose negative-eigenvalue counts differ, each sorted
+    eigenvalue that changes sign has a root, certified to lie within tol/2
+    of a sign change (``_bracket_root``).  Roots within 10 tol are one
+    cluster, its size the multiplicity; tol lies in ``TOL_RANGE``: a
+    coarser one merges distinct roots into one cluster, and a finer one is
+    below what the search resolves.
 
     The coupling, the sample points and their spectra are those of the
-    sweep; each distinct z is solved once, and a cluster's eigenvectors by
-    one more subset solve (``_cluster_pairs``).
+    sweep; each root costs at most two exact spectra, and a cluster's
+    eigenvectors two more solves (``_cluster_pairs``).
     """
-    if tol < 1e-12:
-        raise SpectralParameterError("z tolerance below supported resolution")
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise SpectralParameterError(f"z tolerance {tol!r} outside the supported "
+                                     f"[{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
     coupling = sweep.coupling
     zs = sweep.z_samples
     # float(z) -> eigenvalues of the Hermitian operator at z
     spectra = dict(zip(map(float, zs), sweep.eigenvalues))
-
-    def eigs_at(z):
-        # brackets only add keys; a z two of them reached at once would be
-        # solved twice, to the same result
-        key = float(z)
-        if key not in spectra:
-            spectra[key] = _hermitian_eigs(grid, coupling, z)
-        return spectra[key]
-
-    def bracket_root(bracket):
-        a, b, j = bracket
-        return brentq(lambda z: eigs_at(z)[j], a, b, xtol=tol, rtol=4 * np.finfo(float).eps)
-
-    counts = [int(np.sum(eigs_at(z) < 0.0)) for z in zs]
+    counts = [int(np.sum(ev < 0.0)) for ev in sweep.eigenvalues]
     # the j-th sorted eigenvalue is continuous in z, so each j between the
     # counts of two samples changes sign between them
-    brackets = [(a, b, j) for a, b, ca, cb in zip(zs, zs[1:], counts, counts[1:])
+    brackets = [(float(a), float(b), j)
+                for a, b, ca, cb in zip(zs, zs[1:], counts, counts[1:])
                 for j in range(min(ca, cb), max(ca, cb))]
 
     def root_pairs(numbered):
         cluster, members = numbered
-        z0 = members[0]
-        return _cluster_pairs(grid, coupling, z0, eigs_at(z0), len(members), cluster)
+        z0, ev = members[0]
+        return _cluster_pairs(grid, coupling, z0, ev, len(members), cluster)
 
     with bo.solve_pool() as solve_map:
-        roots = sorted(solve_map(bracket_root, brackets))
+        roots = sorted(solve_map(functools.partial(_bracket_root, grid, coupling, spectra, tol),
+                                 brackets), key=lambda root: root[0])
         clusters = []  # roots closer than 10 tol are one multiple root
-        for z in roots:
-            if clusters and z - clusters[-1][-1] <= 10.0 * tol:
-                clusters[-1].append(z)
+        for root in roots:
+            if clusters and root[0] - clusters[-1][-1][0] <= 10.0 * tol:
+                clusters[-1].append(root)
             else:
-                clusters.append([z])
+                clusters.append([root])
         return [pair for pairs in solve_map(root_pairs, enumerate(clusters)) for pair in pairs]
+
+
+def _bracket_root(grid, coupling, spectra, tol, bracket):
+    """(root, ascending spectrum there) of lambda_j in the bracket (a, b, j):
+    brentq on cheap values, then the certificate of two exact spectra, else
+    ``_exact_root`` (see the module docstring).  brentq returns the end of
+    its last bracket nearest zero, as a rule the step nearest zero, whose
+    symmetric kernels are kept so that r is not assembled again.
+    """
+    a, b, j = bracket
+    vec = best = None  # best: |lambda|, z and symmetric kernels of the step nearest zero
+
+    def cheap(z):
+        nonlocal vec, best
+        if z in spectra:
+            return spectra[z][j]
+        kernels = _symmetric_kernels(grid, coupling, z)
+        h = _hermitian_matrix(grid, coupling, z, kernels)
+        if vec is None:
+            lam, vec = _inverse_step(h, _start(len(h)), _START_STEPS)
+        else:
+            lam, vec = _inverse_step(h, vec)
+        if best is None or abs(lam) <= best[0]:
+            best = (abs(lam), z, kernels)
+        return lam
+
+    def exact(z, kernels=None):
+        if z in spectra:
+            return spectra[z]
+        return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z, kernels))
+
+    r = brentq(cheap, a, b, xtol=tol, rtol=_RTOL)
+    ev = exact(r, best[2] if best is not None and best[1] == r else None)
+    best = None
+    if ev[j] == 0.0:
+        return r, ev
+    # lambda_j(a) and lambda_j(b) differ in sign; the change from the sign at
+    # r lies toward the end of the other sign
+    other = min(r + 0.5 * tol, b) if (ev[j] < 0.0) == (spectra[a][j] < 0.0) \
+        else max(r - 0.5 * tol, a)
+    ev_other = exact(other)
+    if ev[j] * ev_other[j] <= 0.0:
+        return (r, ev) if abs(ev[j]) <= abs(ev_other[j]) else (other, ev_other)
+    return _exact_root(grid, coupling, spectra, tol, bracket)
+
+
+def _exact_root(grid, coupling, spectra, tol, bracket):
+    """(root, spectrum there) of lambda_j in the bracket (a, b, j) by brentq
+    on the exact lambda_j, one Hermitian eigensolve per step."""
+    a, b, j = bracket
+    solved = dict(spectra)
+
+    def eigs_at(z):
+        if z not in solved:
+            solved[z] = _hermitian_eigs(grid, coupling, z)
+        return solved[z]
+
+    r = brentq(lambda z: eigs_at(z)[j], a, b, xtol=tol, rtol=_RTOL)
+    return r, eigs_at(r)
 
 
 def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
     """The ``mult`` eigenpairs of the root z0.  ``ev``, the ascending
-    spectrum of the Hermitian matrix at z0 (brentq solved it there), gives the
-    conditioning and the index window of the ``mult`` eigenvalues nearest
-    zero; one MRRR solve (``*evr``) computes the eigenvectors of that window
-    alone and overwrites the Hermitian matrix, so neither a copy of the
-    matrix nor all its eigenvectors are made.  Theta_z0 = I + diag(d_k) C_z0
-    on the active components (the other rows are the identity on zeros) is
-    formed from the same blocks after the solve."""
+    spectrum of the Hermitian matrix at z0 (the certificate solved it
+    there), gives the conditioning and the window of the ``mult``
+    eigenvalues nearest zero.  Their eigenvectors come from two solves with
+    the matrix shifted by the window's mean, a QR step and a mult x mult
+    Rayleigh-Ritz (``_window_vectors``); the matrix is dropped before
+    Theta_z0 = I + diag(d_k) C_z0 on the active components (the other rows
+    are the identity on zeros) is formed from the same kernel values."""
     second = float(np.sort(np.abs(ev))[min(mult, len(ev) - 1)])
     if second < 1e-6:
         warnings.warn(
@@ -195,19 +265,35 @@ def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
     # the mult eigenvalues nearest zero are the window of mult sorted ones
     # whose end farthest from zero is nearest
     lo = int(np.argmin(np.maximum(-ev[:len(ev) - mult + 1], ev[mult - 1:])))
-    blocks, d = _blocks(grid, coupling, z0)
-    mat = _hermitian_part(blocks, d)
-    _, vecs = scipy.linalg.eigh(mat, driver="evr", subset_by_index=[lo, lo + mult - 1],
-                                overwrite_a=True, check_finite=False)
-    del mat
-    theta = bo.theta_in_place(bo.interleaved(blocks), np.tile(d, len(blocks[0][0])))
+    active = _active(coupling)
+    values = _kernel_values(grid, coupling, z0)
+    h = _hermitian_matrix(grid, coupling, z0, bo.symmetric_kernels(grid, values))
+    vecs = _window_vectors(h, float(np.mean(ev[lo:lo + mult])), mult)
+    del h  # before the blocks of Theta_z0 are formed
+    n = grid.n_nodes
+    theta = bo.theta_in_place(bo.interleaved(bo.cz_blocks(grid, coupling, values, active)),
+                              np.tile(np.take(coupling.diagonal, active), n))
     pairs = []
     for v in vecs.T:
+        # from the component-by-component order of the matrix to the node one
+        v = v.reshape(len(active), n).T.reshape(-1)
         v = v / np.linalg.norm(v)
         residual = float(np.linalg.norm(theta @ v))
         pairs.append(Eigenpair(float(z0), _embed_density(v, coupling), residual,
                                cluster, second, cond, coupling))
     return pairs
+
+
+def _window_vectors(h, shift, mult):
+    """Orthonormal eigenvectors of the Hermitian h for its ``mult``
+    eigenvalues nearest ``shift``: two inverse-iteration steps on a seeded
+    block, a QR step, and the Ritz vectors of the mult x mult projection.
+    h is shifted in place."""
+    h[np.diag_indices_from(h)] -= shift
+    q, _ = np.linalg.qr(np.linalg.solve(h, np.linalg.solve(h, _start(len(h), mult))))
+    if mult > 1:
+        q = q @ np.linalg.eigh(q.conj().T @ (h @ q))[1]
+    return q
 
 
 def _embed_density(vec, coupling):

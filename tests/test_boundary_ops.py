@@ -1,3 +1,4 @@
+import builtins
 import sys
 import tracemalloc
 
@@ -461,3 +462,56 @@ def test_scalar_k0_matrix_is_written_into_its_kernel_values(circle_grid_256):
     np.fill_diagonal(b, pref * K.b_k0_at_zero(kappa))
     want = a * bo.log_weight_table(grid) + b * grid.weights[None, :]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_solve_pool_lists_the_blas_libraries_once(monkeypatch):
+    # /proc/self/maps is read and each OpenBLAS library opened once per
+    # process, not on every entry of the pool
+    reads = []
+    real_open = builtins.open
+
+    def counting_open(path, *args, **kwargs):
+        if path == "/proc/self/maps":
+            reads.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    bo._openblas_thread_setters.cache_clear()
+    for _ in range(2):
+        with bo.solve_pool() as solve_map:
+            assert list(solve_map(abs, [-1, 2])) == [1, 2]
+    assert len(reads) == 1
+
+
+def test_potential_with_every_point_near_makes_no_empty_coarse_pass(circle_grid_256,
+                                                                    monkeypatch):
+    # points 1e-3 off the circle are all near: only the upsampled rule runs
+    g = circle_grid_256
+    dens = smooth_density(g)
+    pts = g.nodes + 1e-3 * g.normals
+    want, _ = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
+    sizes = []
+    apply = bo._phi_z_apply
+    monkeypatch.setattr(bo, "_phi_z_apply",
+                        lambda points, *a: sizes.append(len(points)) or apply(points, *a))
+    got, _ = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
+    assert sizes == [len(pts)]
+    assert np.array_equal(got, want)
+
+
+def test_cz_blocks_hold_the_blocks_and_one_complex_matrix(circle_grid_256):
+    # each block is formed in place from the kernel values: the peak is the
+    # blocks themselves plus one complex N x N temporary
+    grid, c = circle_grid_256, Coupling(3.0, 1.0, 1.0)
+    bo.build_tables(grid)
+    values = bo.kernel_values(grid, 0.3, c.mass)
+    tracemalloc.start()
+    try:
+        blocks = bo.cz_blocks(grid, c, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = grid.n_nodes
+    held = sum(b.nbytes for row in blocks for b in row)
+    assert held == 3 * 16 * n * n
+    assert peak <= held + 16 * n * n

@@ -270,16 +270,15 @@ samples = 24
         return wrapper
 
     def count_assembly(fn):
-        # a per-z assembly is a call of assemble_Sz or assemble_Cz
-        def wrapper(grid, z, coupling):
+        # a per-z assembly is an evaluation of the kernel values at z
+        def wrapper(grid, z, *args, **kwargs):
             assembled.append(float(z))
-            return fn(grid, z, coupling)
+            return fn(grid, z, *args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", count_solves(np.linalg.eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", count_solves(np.linalg.eigh))
-    monkeypatch.setattr(bo, "assemble_Sz", count_assembly(bo.assemble_Sz))
-    monkeypatch.setattr(bo, "assemble_Cz", count_assembly(bo.assemble_Cz))
+    monkeypatch.setattr(bo, "kernel_values", count_assembly(bo.kernel_values))
     out = tmp_path / "out"
     assert cli.main(["eigs", "--config", p, "--out", str(out)]) == 0
     roots = len({e["z0"] for e in json.loads((out / "eigenvalues.json").read_text())
@@ -288,6 +287,42 @@ samples = 24
     distinct = len(set(assembled))
     assert len(solves) <= distinct + roots
     assert len(assembled) <= distinct + roots
+
+
+@pytest.mark.parametrize("tol", ["0.01", "2e-8", "1e-13"])
+def test_eigs_refuses_tol_outside_its_range_before_any_numerics(tmp_path, monkeypatch,
+                                                                capsys, tol):
+    # 0.01 once merged the distinct roots -0.9129 and -0.8540 of the shipped
+    # circle into one double root (roots within 10 tol are one cluster), and
+    # 1e-13 raised only after the whole sweep
+    from diracshell import spectral as sp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerics ran for a refused config")
+
+    monkeypatch.setattr(sp, "gap_sweep", refuse)
+    text = (_ROOT / "configs" / "eigs_circle.cfg").read_text()
+    p = _write(tmp_path, "e.cfg", text.replace("tol = 1e-12", f"tol = {tol}"))
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "[eigs] tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shipped_eigs_config_certifies_every_root(tmp_path, monkeypatch):
+    # each root costs two exact spectra and no bracket falls back to brentq
+    # on exact spectra
+    from diracshell import spectral as sp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bracket fell back to exact brentq")
+
+    monkeypatch.setattr(sp, "_exact_root", refuse)
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", str(_ROOT / "configs" / "eigs_circle.cfg"),
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "eigenvalues.json").read_text())
+    assert [p["cluster"] for p in doc["eigenvalues"]] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("threads", ["2", "1"])

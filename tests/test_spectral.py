@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from diracshell import boundary_ops as bo
 from diracshell import geometry as geo
@@ -134,23 +133,30 @@ def test_scalar_route_on_the_second_component(circle_grid_128):
 
 
 def test_scalar_root_operators_assemble_k0_once(monkeypatch):
-    # S_z alone: one log-kernel assembly per scalar root, no K1 block and no
-    # 2N x 2N Theta_z; the matrix solved is the sweep's, and the residual
-    # is still ||Theta_z g||, bitwise on the lambda route
+    # S_z alone: one set of kernel values and one log-kernel assembly per
+    # scalar root, no K1 block and no 2N x 2N Theta_z; the two solves take
+    # the search's matrix shifted by the eigenvalue nearest zero, and the
+    # residual is still ||Theta_z g||, bitwise on the lambda route
     grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 64)
-    calls, solved = [], []
-    assemble, eigh = bo.log_kernel_matrix, scipy.linalg.eigh
+    calls, values, solved = [], [], []
+    assemble, kernel_values, solve = bo.log_kernel_matrix, bo.kernel_values, np.linalg.solve
     monkeypatch.setattr(bo, "log_kernel_matrix",
                         lambda *a: calls.append(a) or assemble(*a))
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        lambda a, **kw: solved.append(a.copy()) or eigh(a, **kw))
+    monkeypatch.setattr(bo, "kernel_values",
+                        lambda *a, **kw: values.append(a) or kernel_values(*a, **kw))
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solved.append(a.copy()) or solve(a, b))
     for coup in (Coupling(-1.0, -1.0), Coupling(1.0, -1.0), Coupling(3.0, 1.0)):
         ev = sp._hermitian_eigs(grid, coup, 0.3)
         calls.clear()
+        values.clear()
         solved.clear()
         (pair,) = sp._cluster_pairs(grid, coup, 0.3, ev, 1, 0)
-        (mat,), assemblies = solved, len(calls)
-        assert mat.tobytes() == sp._hermitian_matrix(grid, coup, 0.3).tobytes()
+        assemblies = len(calls)
+        assert len(values) == 1 and len(solved) == 2
+        want = sp._hermitian_matrix(grid, coup, 0.3)
+        want[np.diag_indices_from(want)] -= ev[np.argmin(np.abs(ev))]
+        assert all(mat.tobytes() == want.tobytes() for mat in solved)
         want = np.linalg.norm(bo.assemble_theta(grid, 0.3, coup) @ pair.density)
         if coup.is_critical:
             assert assemblies == 1
@@ -161,32 +167,45 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
 
 def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_grid_128,
                                                                        monkeypatch):
-    # the scalar double root of the circle: one subset solve per cluster,
-    # in place, on the matrix brentq solved; the eigenvalues are brentq's
+    # the scalar double root of the circle: two block solves per cluster on
+    # its matrix shifted by the mean of the kept eigenvalues; the
+    # eigenvalues are those of the certificate's exact spectrum at the root
     coup = Coupling(-1.0, -1.0)
-    spectra, solved = {}, []
-    eigs, eigh = sp._hermitian_eigs, scipy.linalg.eigh
+    z_of, spectra, solved = {}, {}, []
+    hermitian, eigvalsh, solve = sp._hermitian_matrix, np.linalg.eigvalsh, np.linalg.solve
 
-    def record_spectrum(grid, coupling, z):
-        spectra[float(z)] = eigs(grid, coupling, z)
-        return spectra[float(z)]
+    def record_matrix(grid, coupling, z, values=None):
+        mat = hermitian(grid, coupling, z, values)
+        z_of[mat.tobytes()] = float(z)
+        return mat
 
-    def record_solve(a, **kw):
-        solved.append((a.copy(), a.flags.f_contiguous, kw))
-        return eigh(a, **kw)
+    def record_spectrum(a):
+        ev = eigvalsh(a)
+        if a.tobytes() in z_of:
+            spectra[z_of[a.tobytes()]] = ev
+        return ev
 
-    monkeypatch.setattr(sp, "_hermitian_eigs", record_spectrum)
-    monkeypatch.setattr(scipy.linalg, "eigh", record_solve)
+    def record_solve(a, b):
+        if b.ndim == 2:
+            solved.append((a.copy(), b.shape[1]))
+        return solve(a, b)
+
+    monkeypatch.setattr(sp, "_hermitian_matrix", record_matrix)
+    monkeypatch.setattr(np.linalg, "eigvalsh", record_spectrum)
+    monkeypatch.setattr(np.linalg, "solve", record_solve)
     pairs = sp.find_eigenvalues(circle_grid_128, sp.gap_sweep(circle_grid_128, coup, samples=48))
     assert [p.cluster for p in pairs] == [0, 1, 1]
     clusters = {p.z0: [q for q in pairs if q.z0 == p.z0] for p in pairs}
-    assert len(solved) == len(clusters)
-    want = {sp._hermitian_matrix(circle_grid_128, coup, z0).tobytes(): len(members)
-            for z0, members in clusters.items()}
-    for mat, fortran, kw in solved:
-        lo, hi = kw["subset_by_index"]
-        assert want.pop(mat.tobytes()) == hi - lo + 1
-        assert fortran and kw["overwrite_a"] and kw["driver"] == "evr"
+    assert len(solved) == 2 * len(clusters)
+    want = {}
+    for z0, members in clusters.items():
+        ev = spectra[z0]
+        lo = int(np.argmin(np.maximum(-ev[:len(ev) - len(members) + 1], ev[len(members) - 1:])))
+        mat = hermitian(circle_grid_128, coup, z0)
+        mat[np.diag_indices_from(mat)] -= np.mean(ev[lo:lo + len(members)])
+        want[mat.tobytes()] = len(members)
+    for mat, columns in solved:
+        assert want[mat.tobytes()] == columns
     for z0, members in clusters.items():
         ev = np.sort(np.abs(spectra[z0]))
         second = ev[min(len(members), len(ev) - 1)]
@@ -199,12 +218,12 @@ def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_
 
 
 def test_root_step_holds_the_blocks_and_about_one_matrix():
-    # the eigensolve overwrites the Hermitian matrix and computes one
-    # eigenvector, and Theta_z is formed only after the matrix is dropped
+    # the Hermitian matrix is solved and dropped before the blocks of C_z
+    # and Theta_z are formed from the same kernel values
     grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 128)
     coup = Coupling(3.0, 1.0)
     ev = sp._hermitian_eigs(grid, coup, 0.3)
-    blocks, _ = sp._blocks(grid, coup, 0.3)
+    blocks = bo.cz_blocks(grid, coup, bo.kernel_values(grid, 0.3, coup.mass))
     held = sum(b.nbytes for row in blocks for b in row)
     del blocks
     matrix = (2 * grid.n_nodes) ** 2 * 16
@@ -215,6 +234,88 @@ def test_root_step_holds_the_blocks_and_about_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= held + 1.5 * matrix
+
+
+_SEARCH_CASES = [
+    (geo.circle(1.0), 128, Coupling(1.0, 0.0)),
+    (geo.circle(1.0), 128, Coupling(3.0, 1.0)),
+    (geo.circle(1.0), 128, Coupling(-1.0, -1.0)),  # a double root
+    (geo.square(2.0), 16, Coupling(1.0, 0.0)),
+    (geo.square(2.0), 16, Coupling(-1.0, -1.0)),
+    (geo.ellipse(1.5, 1.0), 128, Coupling(1.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("spec, nodes, coup", _SEARCH_CASES,
+                         ids=["circle-1-0", "circle-3-1", "circle-double", "square-lambda",
+                              "square-scalar", "ellipse"])
+def test_certified_roots_match_exact_brentq(spec, nodes, coup, monkeypatch):
+    # brentq on cheap inverse-iteration values, then two exact spectra per
+    # root: the roots of brentq on exact spectra, to within tol, with the
+    # same eigenpairs and clusters, and no fallback taken
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    sweep = sp.gap_sweep(grid, coup, samples=48)
+    brackets = sum(abs(int(np.sum(a < 0)) - int(np.sum(b < 0)))
+                   for a, b in zip(sweep.eigenvalues, sweep.eigenvalues[1:]))
+    solves, fallbacks = [], []
+    eigvalsh, exact_root = np.linalg.eigvalsh, sp._exact_root
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+    monkeypatch.setattr(sp, "_exact_root", lambda *a: fallbacks.append(a) or exact_root(*a))
+    for tol in (1e-12, 1e-8):
+        solves.clear()
+        got = sp.find_eigenvalues(grid, sweep, tol)
+        assert not fallbacks
+        assert len(solves) <= 2 * brackets
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_bracket_root", exact_root)
+            want = sp.find_eigenvalues(grid, sweep, tol)
+        assert len(got) == len(want) >= 1
+        assert [p.cluster for p in got] == [p.cluster for p in want]
+        assert max(abs(p.z0 - q.z0) for p, q in zip(got, want)) <= tol
+
+
+def test_wrong_branch_cheap_values_take_the_exact_fallback(circle_grid_128, monkeypatch):
+    # cheap values of the wrong sign lead brentq to a point that the exact
+    # spectra do not certify; the bracket is then solved by exact brentq
+    coup = Coupling(3.0, 1.0)
+    sweep = sp.gap_sweep(circle_grid_128, coup, samples=48)
+    inverse_step, exact_root = sp._inverse_step, sp._exact_root
+    with monkeypatch.context() as m:
+        m.setattr(sp, "_bracket_root", exact_root)
+        want = sp.find_eigenvalues(circle_grid_128, sweep)
+    fallbacks = []
+
+    def wrong_branch(*args, **kwargs):
+        lam, vec = inverse_step(*args, **kwargs)
+        return -lam, vec
+
+    monkeypatch.setattr(sp, "_inverse_step", wrong_branch)
+    monkeypatch.setattr(sp, "_exact_root", lambda *a: fallbacks.append(a) or exact_root(*a))
+    got = sp.find_eigenvalues(circle_grid_128, sweep)
+    assert len(fallbacks) == len(want) >= 1
+    assert [(p.z0, p.cluster) for p in got] == [(p.z0, p.cluster) for p in want]
+
+
+def test_search_calls_no_dense_or_sparse_eigenvector_solver(circle_grid_128, monkeypatch):
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search called an eigenvector solver")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    for coup in (Coupling(1.0, 0.0), Coupling(-1.0, -1.0)):
+        pairs = sp.find_eigenvalues(circle_grid_128,
+                                    sp.gap_sweep(circle_grid_128, coup, samples=32))
+        assert len(pairs) >= 1
+
+
+@pytest.mark.parametrize("tol", [1e-13, 2e-8, 0.01])
+def test_find_eigenvalues_refuses_tol_outside_its_range(circle_grid_128, tol):
+    sweep = sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), samples=16)
+    with pytest.raises(SpectralParameterError):
+        sp.find_eigenvalues(circle_grid_128, sweep, tol)
 
 
 _SHAPES = [(geo.circle(1.0), 128), (geo.square(1.0), 16), (geo.l_shape(1.0), 16)]
@@ -236,21 +337,27 @@ def test_lambda_sample_forms_no_spinor_cz(spec, nodes, monkeypatch):
 
 
 @pytest.mark.parametrize("spec, nodes", _SHAPES)
-def test_sweep_hermitian_matrix_is_bitwise_hermitian_part(spec, nodes):
-    # written block by block from the blocks of C_z, without Lambda_z; the
-    # bytes are those of (L + L^H)/2, signed zeros included, and of
-    # (M + M^T)/2 + I/(2 eps) on the scalar route
+def test_sweep_hermitian_matrix_is_hermitian_and_the_hermitian_part(spec, nodes):
+    # written once from the kernel values, component by component, without
+    # Lambda_z: exactly Hermitian, and (L + L^H)/2 to within the last bit of
+    # its largest entry, (M + M^T)/2 + I/(2 eps) on the scalar route
     grid = geo.discretize(geo.build_curve(spec), nodes)
     n = grid.n_nodes
+    by_component = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    ulp = 2 * np.finfo(float).eps
     for z in (-0.9, 0.3, 0.97):
         c = Coupling(3.0, 1.0, 1.0)
         lam = bo.assemble_lambda(grid, z, c)
-        want = 0.5 * (lam + lam.conj().T)
-        assert sp._hermitian_matrix(grid, c, z).tobytes() == want.tobytes()
+        want = 0.5 * (lam + lam.conj().T)[np.ix_(by_component, by_component)]
+        got = sp._hermitian_matrix(grid, c, z)
+        assert np.array_equal(got, got.conj().T)
+        assert np.max(np.abs(got - want)) <= ulp * np.max(np.abs(want))
         for c, sign in ((Coupling(1.5, 1.5), 1.0), (Coupling(-1.0, 1.0), -1.0)):
             m = (z + sign * c.mass) * bo.assemble_Sz(grid, z, c)
             want = 0.5 * (m + m.T) + np.eye(n) / (2 * c.eps)
-            assert sp._hermitian_matrix(grid, c, z).tobytes() == want.tobytes()
+            got = sp._hermitian_matrix(grid, c, z)
+            assert got.dtype == float and np.array_equal(got, got.T)
+            assert np.max(np.abs(got - want)) <= ulp * np.max(np.abs(want))
 
 
 def test_one_z_evaluates_bessel_once_per_node_pair(monkeypatch):
@@ -311,7 +418,7 @@ def test_solve_pool_gives_back_the_blas_thread_counts(circle_grid_128):
 
 
 _GRID_TABLES = ("_distances", "_upper_pairs", "_k1_phase", "log_weight_table",
-                "cauchy_weight_table", "cauchy_block_matrices")
+                "_symmetric_weights", "cauchy_weight_table", "cauchy_block_matrices")
 
 
 def test_pooled_sweep_builds_each_grid_table_once(monkeypatch):
