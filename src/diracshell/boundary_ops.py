@@ -2,7 +2,9 @@
 
 Every operator is returned as its dense matrix.  Scalar operators act on
 discretized densities sampled at the grid nodes; spinor operators act on
-C^2-valued densities stored interleaved by node (index 2*i + component).
+C^2-valued densities stored component by component: entry k*N + i is
+component k at node i, so block (k, j) of a spinor operator is
+[k*N:(k+1)*N, j*N:(j+1)*N] and a density reshapes to (2, N).
 Principal values use the alternate-point trapezoid rule on smooth closed
 curves and Legendre product integration on panels; logarithmic kernels use
 the periodic circulant log rule (smooth curves) or a parameter-space log
@@ -14,12 +16,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from . import kernels as K
 from .errors import (
@@ -40,35 +42,26 @@ from .quadrature import (
 _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
 _POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
 _FIELD_PAIRS = 1 << 13  # pairs per solve-pool task; worker temporaries stay resident
-
-
-def interleaved(blocks) -> np.ndarray:
-    """The matrix with B_kj on the rows of spinor component k and the columns
-    of j, interleaved by node, from the N x N blocks B_kj given row by row;
-    real when they all are."""
-    a, n = len(blocks), len(blocks[0][0])
-    out = np.empty((a * n, a * n), dtype=np.result_type(*(b for row in blocks for b in row)))
-    for k, row in enumerate(blocks):
-        for j, b in enumerate(row):
-            out[k::a, j::a] = b
-    return out
-
-
-def spinor_from_blocks(b11, b12, b21, b22) -> np.ndarray:
-    return interleaved(((b11, b12), (b21, b22)))
+_TABLES_LOCK = threading.RLock()  # held to build a per-grid table; builders nest
 
 
 def coupling_diagonal(coupling: Coupling, n: int) -> np.ndarray:
-    """(eps sigma_0 + mu sigma_3) as a (2N,) diagonal, interleaved."""
-    return np.tile(coupling.diagonal, n)
+    """(eps sigma_0 + mu sigma_3) as a (2N,) diagonal."""
+    return np.repeat(coupling.diagonal, n)
+
+
+def _off_diagonal(upper, lower) -> np.ndarray:
+    """The 2N x 2N complex matrix [[0, upper], [lower, 0]] of N x N blocks."""
+    n = len(upper)
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    out[:n, n:] = upper
+    out[n:, :n] = lower
+    return out
 
 
 def sigma_nu_matrix(grid: QuadratureGrid) -> np.ndarray:
     """Multiplication operator by sigma . nu(x)."""
-    n = grid.n_nodes
-    nc = grid.nc
-    return spinor_from_blocks(np.zeros((n, n)), np.diag(np.conj(nc)),
-                              np.diag(nc), np.zeros((n, n)))
+    return _off_diagonal(np.diag(np.conj(grid.nc)), np.diag(grid.nc))
 
 
 @functools.cache
@@ -132,17 +125,19 @@ def solve_pool():
 
 
 def _per_grid(build):
-    """Build a z-independent table once per grid: the result of build(grid)
-    is kept in ``grid.cache()`` under the builder's name, its arrays
-    read-only."""
+    """Build a z-independent table once per grid, under one lock so that
+    concurrent assemblies build it once: the result of build(grid) is kept
+    in ``grid.cache()`` under the builder's name, its arrays read-only."""
     @functools.wraps(build)
     def cached(grid):
         tables = grid.cache()
         if build.__name__ not in tables:
-            table = build(grid)
-            for arr in table if isinstance(table, tuple) else (table,):
-                arr.setflags(write=False)
-            tables[build.__name__] = table
+            with _TABLES_LOCK:
+                if build.__name__ not in tables:
+                    table = build(grid)
+                    for arr in table if isinstance(table, tuple) else (table,):
+                        arr.setflags(write=False)
+                    tables[build.__name__] = table
         return tables[build.__name__]
     return cached
 
@@ -257,9 +252,7 @@ def cauchy_block_matrices(grid: QuadratureGrid):
 
 def assemble_Cm(grid: QuadratureGrid) -> np.ndarray:
     """The singular matrix operator at z = m: off-diagonal Cauchy blocks."""
-    upper, lower = cauchy_block_matrices(grid)
-    zero = np.zeros((grid.n_nodes, grid.n_nodes))
-    return spinor_from_blocks(zero, upper, lower, zero)
+    return _off_diagonal(*cauchy_block_matrices(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -372,37 +365,40 @@ def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarra
 
 def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """Principal-value operator with the full gap kernel at real z, |z| < m."""
-    top, bottom = cz_blocks(grid, coupling, kernel_values(grid, z, coupling.mass))
-    return spinor_from_blocks(*top, *bottom)
+    return cz_blocks(grid, coupling, kernel_values(grid, z, coupling.mass))
 
 
 def cz_blocks(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
-              components=(0, 1)):
-    """The N x N blocks of C_z at |z| < m among the given spinor components,
-    row by row, from the kernel values at z: the diagonal blocks (z +- m) S_z
-    are real, and the K1 blocks come only with both components.  Each block
-    is formed in place, so the blocks and one complex N x N temporary are
-    all that is held."""
+              components=(0, 1)) -> np.ndarray:
+    """The matrix of C_z at |z| < m among the given spinor components, from
+    the kernel values at z: (z +- m) S_z, real, on one component; on both,
+    the complex 2N x 2N matrix with the diagonal blocks (z + m) S_z and
+    (z - m) S_z and the Cauchy plus K1 blocks off the diagonal.  Each block
+    is written in place into the one matrix returned."""
     z, mass = values.z, coupling.mass
     s_mat = _scalar_k0_matrix(grid, z, mass, values)
     if len(components) == 1:
         s_mat *= z + mass if components[0] == 0 else z - mass
-        return ((s_mat,),)
-    b12 = _k1_block(grid, values)
+        return s_mat
+    n = grid.n_nodes
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    top, bottom = out[:n, n:], out[n:, :n]
+    np.multiply(s_mat, mass + z, out=out[:n, :n])
+    np.multiply(s_mat, z - mass, out=out[n:, n:])
+    del s_mat
+    _k1_block(grid, values, top, bottom)
     # The lower block's kernel (dx/r in place of conj(dx)/r) is minus the
     # complex conjugate of the upper one, and every quadrature weight (the
     # log weight table, the arclength weights) is real, so minus the
     # conjugate of the assembled upper block is exactly the assembled lower
     # block.  Subtracting from 0.0 rather than negating leaves its zero
     # entries +0.0, as a direct assembly gives them.
-    b21 = np.conjugate(b12)
-    np.subtract(0.0, b21, out=b21)
+    np.conjugate(top, out=bottom)
+    np.subtract(0.0, bottom, out=bottom)
     upper, lower = cauchy_block_matrices(grid)
-    b21 += lower
-    b12 += upper
-    s_upper = (mass + z) * s_mat
-    s_mat *= z - mass
-    return (s_upper, b12), (b21, s_mat)
+    bottom += lower
+    top += upper
+    return out
 
 
 class SymmetricKernels(NamedTuple):
@@ -469,9 +465,10 @@ def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, kernels: Symmetri
 
 
 def build_tables(grid: QuadratureGrid, components=(0, 1)):
-    """Build the per-grid tables that ``cz_blocks`` and ``hermitian_matrix``
-    read among the given spinor components, so that assemblies running
-    concurrently on the grid only read them."""
+    """Build on this thread the per-grid tables that ``cz_blocks`` and
+    ``hermitian_matrix`` read on the given spinor components: built on first
+    use in a pool worker, among its per-z arrays, they raised the repeated
+    ``eigs`` peak RSS by up to 6 MB (N=256 circle, 2 cores)."""
     _upper_pairs(grid)
     log_weight_table(grid)
     _symmetric_weights(grid)
@@ -480,19 +477,18 @@ def build_tables(grid: QuadratureGrid, components=(0, 1)):
         cauchy_block_matrices(grid)
 
 
-def _k1_block(grid, values: KernelValues) -> np.ndarray:
-    """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r) conj(dx)/r.
-
-    The complex block and one complex temporary are the only N x N
-    complex matrices formed."""
+def _k1_block(grid, values: KernelValues, out, scratch):
+    """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r)
+    conj(dx)/r, written into the complex N x N ``out``; ``scratch``, of the
+    same shape, holds the second kernel and is overwritten."""
     phase = _k1_phase(grid)
     a = _symmetric(grid, values.i1, 0.0)
     a *= values.kappa
-    a = a * phase
-    np.fill_diagonal(a, 0.0)
-    b = _symmetric(grid, values.b_k1, 0.0) * phase
-    np.fill_diagonal(b, 0.0)
-    return log_kernel_matrix(grid, a, b)
+    np.multiply(a, phase, out=out)
+    np.fill_diagonal(out, 0.0)
+    np.multiply(_symmetric(grid, values.b_k1, 0.0, a), phase, out=scratch)
+    np.fill_diagonal(scratch, 0.0)
+    log_kernel_matrix(grid, out, scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +537,9 @@ def assemble_gamma(grid: QuadratureGrid, coupling: Coupling) -> np.ndarray:
     """Gamma with (eps^2 - mu^2) Lambda_m = eps sigma_0 + Gamma."""
     upper, lower = cauchy_block_matrices(grid)
     d = coupling.strength
-    eye = np.eye(grid.n_nodes)
-    return spinor_from_blocks(-coupling.mu * eye, d * upper, d * lower, coupling.mu * eye)
+    gamma = _off_diagonal(d * upper, d * lower)
+    np.fill_diagonal(gamma, np.repeat([-coupling.mu, coupling.mu], grid.n_nodes))
+    return gamma
 
 
 def hermitian_defect(matrix: np.ndarray) -> float:
@@ -553,8 +550,7 @@ def lu_solve_with_cond(matrix: np.ndarray, rhs: np.ndarray):
     """LU solve with a 1-norm condition estimate (reported alongside inverses)."""
     lu, piv = sla.lu_factor(matrix)
     anorm = np.linalg.norm(matrix, 1)
-    gecon = lapack.zgecon if np.iscomplexobj(matrix) else lapack.dgecon
-    rcond, _ = gecon(lu, anorm)
+    rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm)
     cond = np.inf if rcond == 0 else 1.0 / rcond
     return sla.lu_solve((lu, piv), rhs), cond
 
@@ -565,7 +561,7 @@ def lu_solve_with_cond(matrix: np.ndarray, rhs: np.ndarray):
 
 
 def _phi_z_apply(points, srcs, weights, g2, z, coupling):
-    """sum_j phi_z(p - y_j) g_j w_j for points (M,2), g2 (N,2).
+    """sum_j phi_z(p - y_j) g_j w_j, (2, M), for points (M, 2) and g2 (2, N).
 
     phi_z = (1/2pi) K0 (m sigma_3 + z sigma_0) + (i kappa / 2pi r) K1 (sigma . x),
     so with gw = g w each component takes a product with the real field K0
@@ -580,7 +576,7 @@ def _phi_z_apply(points, srcs, weights, g2, z, coupling):
     kappa = K.gap_kappa(z, coupling.mass)
     pref = 1.0 / (2 * np.pi)
     mass = coupling.mass
-    gw = g2 * weights[:, None]
+    gw = np.ascontiguousarray((g2 * weights).T)
     gw_real = gw.view(float)  # (N, 4): real and imaginary parts side by side
     gw_f = np.stack([gw[:, 0], np.conj(gw[:, 1])], axis=1)
     pc = points[:, 0] + 1j * points[:, 1]
@@ -594,7 +590,7 @@ def _phi_z_apply(points, srcs, weights, g2, z, coupling):
         k0[i:i + step] = K.bessel_k0(kappa * r)
         f[i:i + step] = K.bessel_k1(kappa * r) / r * d
 
-    out = np.empty((len(pc), 2), dtype=complex)
+    out = np.empty((2, len(pc)), dtype=complex)
     with solve_pool() as pool_map:
         for lo in range(0, len(pc), rows):
             chunk = pc[lo:lo + rows]
@@ -605,8 +601,8 @@ def _phi_z_apply(points, srcs, weights, g2, z, coupling):
                 pass  # reading each result raises what its task raised
             k0_gw = (k0 @ gw_real).view(complex)
             f_gw = (pref * kappa) * (f @ gw_f)
-            out[lo:lo + rows, 0] = pref * (mass + z) * k0_gw[:, 0] + 1j * np.conj(f_gw[:, 1])
-            out[lo:lo + rows, 1] = pref * (z - mass) * k0_gw[:, 1] + 1j * f_gw[:, 0]
+            out[0, lo:lo + rows] = pref * (mass + z) * k0_gw[:, 0] + 1j * np.conj(f_gw[:, 1])
+            out[1, lo:lo + rows] = pref * (z - mass) * k0_gw[:, 1] + 1j * f_gw[:, 0]
     return out
 
 
@@ -620,29 +616,31 @@ def _upsample_closed(grid, g2, factor):
     vel = edge.velocity(t)
     speed = np.linalg.norm(vel, axis=-1)
     w = speed / n_up
-    g_up = np.empty((n_up, 2), dtype=complex)
+    g_up = np.empty((2, n_up), dtype=complex)
     for c in range(2):
-        spec = np.fft.fft(g2[:, c])
+        spec = np.fft.fft(g2[c])
         pad = np.zeros(n_up, dtype=complex)
         half = n // 2
         pad[:half] = spec[:half]
         pad[-half + 1:] = spec[-half + 1:]
         pad[half] = 0.5 * spec[half]
         pad[-half] += 0.5 * spec[half]
-        g_up[:, c] = np.fft.ifft(pad) * factor
+        g_up[c] = np.fft.ifft(pad) * factor
     return pos, w, g_up
 
 
 def evaluate_potential(grid, density, z, coupling, points):
     """Layer potential Phi_z applied to a boundary density, evaluated off Sigma.
 
-    Returns (values (M, 2) complex, degraded (M,) bool).  Points closer than
-    ten local mesh widths are evaluated with trigonometric upsampling on
-    smooth grids; on panel grids they are flagged as degraded instead.
+    The density is (2N,) or (2, N); returns (values (2, M) complex,
+    degraded (M,) bool).  Points closer than ten local mesh widths are
+    evaluated with trigonometric upsampling on smooth grids; on panel grids
+    they are flagged as degraded instead.
     """
     g2 = np.asarray(density, dtype=complex)
-    if g2.ndim == 1:
-        g2 = g2.reshape(-1, 2)
+    if g2.shape not in ((2 * grid.n_nodes,), (2, grid.n_nodes)):
+        raise ValueError(f"density of shape {g2.shape}, not (2N,) or (2, N), N = {grid.n_nodes}")
+    g2 = g2.reshape(2, -1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dist = np.linalg.norm(points[:, None, :] - grid.nodes[None, :, :], axis=-1)
     jmin = np.argmin(dist, axis=1)
@@ -660,11 +658,11 @@ def evaluate_potential(grid, density, z, coupling, points):
             factor *= 2
         if grid.n_nodes * factor >= target:
             degraded = np.zeros(len(points), dtype=bool)
-    values = np.empty((len(points), 2), dtype=complex)
+    values = np.empty((2, len(points)), dtype=complex)
     coarse = ~near if factor > 1 else slice(None)
     if factor == 1 or np.any(coarse):
-        values[coarse] = _phi_z_apply(points[coarse], grid.nodes, grid.weights, g2, z, coupling)
+        values[:, coarse] = _phi_z_apply(points[coarse], grid.nodes, grid.weights, g2, z, coupling)
     if factor > 1:
         pos, w, g_up = _upsample_closed(grid, g2, factor)
-        values[near] = _phi_z_apply(points[near], pos, w, g_up, z, coupling)
+        values[:, near] = _phi_z_apply(points[near], pos, w, g_up, z, coupling)
     return values, degraded

@@ -65,7 +65,7 @@ class BranchData:
 @dataclass
 class Eigenpair:
     z0: float
-    density: np.ndarray  # (2N,) complex, interleaved, unit norm
+    density: np.ndarray  # (2N,) complex, component by component, unit norm
     residual: float  # ||Theta_{z0} density||_2
     cluster: int
     second_smallest: float  # |second smallest eigenvalue| at the root
@@ -136,7 +136,6 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     if not (-m < lo < hi < m):
         raise SpectralParameterError("sweep window must lie inside the open gap")
     zs = np.linspace(lo, hi, samples)
-    # built on this thread, so that the workers only read them
     bo.build_tables(grid, _active(coupling))
     with bo.solve_pool() as solve_map:
         eigs = np.stack(list(solve_map(functools.partial(_hermitian_eigs, grid, coupling), zs)))
@@ -255,7 +254,9 @@ def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
     the matrix shifted by the window's mean, a QR step and a mult x mult
     Rayleigh-Ritz (``_window_vectors``); the matrix is dropped before
     Theta_z0 = I + diag(d_k) C_z0 on the active components (the other rows
-    are the identity on zeros) is formed from the same kernel values."""
+    are the identity on zeros) is formed in place of their C_z0 from the
+    same kernel values.  Both matrices order the active components one
+    after the other, as does the density."""
     second = float(np.sort(np.abs(ev))[min(mult, len(ev) - 1)])
     if second < 1e-6:
         warnings.warn(
@@ -270,13 +271,10 @@ def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
     h = _hermitian_matrix(grid, coupling, z0, bo.symmetric_kernels(grid, values))
     vecs = _window_vectors(h, float(np.mean(ev[lo:lo + mult])), mult)
     del h  # before the blocks of Theta_z0 are formed
-    n = grid.n_nodes
-    theta = bo.theta_in_place(bo.interleaved(bo.cz_blocks(grid, coupling, values, active)),
-                              np.tile(np.take(coupling.diagonal, active), n))
+    theta = bo.theta_in_place(bo.cz_blocks(grid, coupling, values, active),
+                              np.repeat(np.take(coupling.diagonal, active), grid.n_nodes))
     pairs = []
     for v in vecs.T:
-        # from the component-by-component order of the matrix to the node one
-        v = v.reshape(len(active), n).T.reshape(-1)
         v = v / np.linalg.norm(v)
         residual = float(np.linalg.norm(theta @ v))
         pairs.append(Eigenpair(float(z0), _embed_density(v, coupling), residual,
@@ -297,10 +295,10 @@ def _window_vectors(h, shift, mult):
 
 
 def _embed_density(vec, coupling):
-    """The interleaved 2N density: ``vec`` on the active components, else 0."""
+    """The 2N density: ``vec`` on the active components, else 0."""
     active = _active(coupling)
-    g = np.zeros((len(vec) // len(active), 2), dtype=complex)
-    g[:, active] = vec.reshape(len(g), -1)
+    g = np.zeros((2, len(vec) // len(active)), dtype=complex)
+    g[active] = vec.reshape(len(active), -1)
     return g.reshape(-1)
 
 
@@ -311,7 +309,8 @@ def theta_min_singular(grid: QuadratureGrid, coupling: Coupling, z: float) -> fl
 
 
 def eigenfunction(grid: QuadratureGrid, pair: Eigenpair, points):
-    """Evaluate the eigenfunction Phi_{z0} g at points off the curve."""
+    """Evaluate the eigenfunction Phi_{z0} g at points off the curve: values
+    (2, M) and degraded flags (M,), as ``boundary_ops.evaluate_potential``."""
     return bo.evaluate_potential(grid, pair.density, pair.z0, pair.coupling, points)
 
 
@@ -367,13 +366,14 @@ DEFAULT_TOLERANCES = {
 
 
 def _smooth_test_density(grid, seed=1234):
+    """A deterministic band-limited (2, N) density on a trapezoid grid."""
     rng = np.random.default_rng(seed)
     n = grid.n_nodes
-    dens = np.zeros((n, 2), dtype=complex)
+    dens = np.zeros((2, n), dtype=complex)
     th = grid.param
     for comp in range(2):
         for k in range(-8, 9):
-            dens[:, comp] += (rng.normal() + 1j * rng.normal()) * np.exp(1j * k * th)
+            dens[comp] += (rng.normal() + 1j * rng.normal()) * np.exp(1j * k * th)
     return dens / np.abs(dens).max()
 
 
@@ -385,11 +385,11 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
     checks = []
 
     cz = bo.assemble_Cz(grid, z, coupling)
-    # C_z (sigma . nu): sigma . nu swaps the spinor components of node j and
-    # scales them by nu_j and conj(nu_j), so it acts on the columns of C_z
+    # C_z (sigma . nu): sigma . nu swaps the spinor components and scales
+    # them by nu and conj(nu), so it swaps the column blocks of C_z
     m1 = np.empty_like(cz)
-    m1[:, 0::2] = cz[:, 1::2] * grid.nc
-    m1[:, 1::2] = cz[:, 0::2] * np.conj(grid.nc)
+    m1[:, :n] = cz[:, n:] * grid.nc
+    m1[:, n:] = cz[:, :n] * np.conj(grid.nc)
     cc2 = float(np.linalg.norm(m1 @ m1 + 0.25 * np.eye(2 * n), 2))
     checks.append(IdentityCheck("cc2", cc2, tols["cc2"], cc2 <= tols["cc2"]))
 
@@ -399,14 +399,11 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
         pout = grid.nodes + offset * grid.normals
         vin, _ = bo.evaluate_potential(grid, dens, z, coupling, pin)
         vout, _ = bo.evaluate_potential(grid, dens, z, coupling, pout)
-        snu_blocks = np.zeros((n, 2, 2), complex)
-        snu_blocks[:, 0, 1] = np.conj(grid.nc)
-        snu_blocks[:, 1, 0] = grid.nc
-        snu_g = np.einsum("nab,nb->na", snu_blocks, dens)
+        snu_g = np.stack([np.conj(grid.nc) * dens[1], grid.nc * dens[0]])
         want_jump = -1j * snu_g
         rel2 = float(np.linalg.norm(vin - vout - want_jump)
                      / np.linalg.norm(want_jump))
-        czg = (cz @ dens.reshape(-1)).reshape(-1, 2)
+        czg = (cz @ dens.reshape(-1)).reshape(2, -1)
         want_in = -0.5j * snu_g + czg
         want_out = +0.5j * snu_g + czg
         rel1 = max(
@@ -445,8 +442,11 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
     if not coupling.is_critical:
         lam = bo.lambda_from_cz(cz, coupling)
         inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex))
-        mcpl = bo.coupling_diagonal(coupling, n)
-        e = mcpl[:, None] * (np.eye(2 * n) - cz @ inv) - inv
+        # d (I - C_z inv) - inv, formed in place of the product
+        e = cz @ inv
+        np.subtract(np.eye(2 * n), e, out=e)
+        e *= bo.coupling_diagonal(coupling, n)[:, None]
+        e -= inv
         resid = float(np.max(np.abs(e)))
         thr = tols["resolvent_factor"] * cond
         checks.append(IdentityCheck("resolvent_cancellation", resid, thr,

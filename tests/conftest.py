@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from diracshell import geometry as geo
@@ -27,15 +26,3 @@ def circle_grid_256(circle_curve):
 @pytest.fixture(scope="session")
 def circle_grid_512(circle_curve):
     return geo.discretize(circle_curve, 512)
-
-
-def smooth_density(grid, seed=7, modes=8):
-    """Deterministic band-limited C^2-valued density on a trapezoid grid."""
-    rng = np.random.default_rng(seed)
-    n = grid.n_nodes
-    dens = np.zeros((n, 2), dtype=complex)
-    th = grid.param
-    for comp in range(2):
-        for k in range(-modes, modes + 1):
-            dens[:, comp] += (rng.normal() + 1j * rng.normal()) * np.exp(1j * k * th)
-    return dens / np.abs(dens).max()

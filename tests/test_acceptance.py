@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from conftest import smooth_density
 from diracshell import boundary_ops as bo
 from diracshell import corner_symbol as cs
 from diracshell import geometry as geo
@@ -153,20 +152,16 @@ def test_criterion_06_jump_formulas(circle_grid_512):
     g = circle_grid_512
     coup = Coupling(1.0, 0.0, 1.0)
     z = 0.5
-    dens = smooth_density(g, seed=7)
+    dens = sp._smooth_test_density(g, seed=7)
     h = 1e-3
     vin, _ = bo.evaluate_potential(g, dens, z, coup, g.nodes - h * g.normals)
     vout, _ = bo.evaluate_potential(g, dens, z, coup, g.nodes + h * g.normals)
-    n = g.n_nodes
-    snu = np.zeros((n, 2, 2), complex)
-    snu[:, 0, 1] = np.conj(g.nc)
-    snu[:, 1, 0] = g.nc
-    snu_g = np.einsum("nab,nb->na", snu, dens)
+    snu_g = np.stack([np.conj(g.nc) * dens[1], g.nc * dens[0]])
     want_jump = -1j * snu_g
     rel2 = float(np.linalg.norm(vin - vout - want_jump) / np.linalg.norm(want_jump))
     if rel2 > 1e-2:
         failures.append(f"two-sided jump rel err {rel2:.2e} > 1e-2")
-    czg = (bo.assemble_Cz(g, z, coup) @ dens.reshape(-1)).reshape(-1, 2)
+    czg = (bo.assemble_Cz(g, z, coup) @ dens.reshape(-1)).reshape(2, -1)
     for side, vals, sign in (("interior", vin, -1), ("exterior", vout, +1)):
         want = sign * 0.5j * snu_g + czg
         rel = float(np.linalg.norm(vals - want) / np.linalg.norm(want))
@@ -243,7 +238,7 @@ def _pde_residual(grid, pair, rng):
     d1 = (vals[(1, 0)] - vals[(-1, 0)]) / (2 * h)
     d2 = (vals[(0, 1)] - vals[(0, -1)]) / (2 * h)
     f0 = vals[(0, 0)]
-    resid = -1j * (d1 @ s1.T + d2 @ s2.T) + f0 @ s3.T - pair.z0 * f0
+    resid = -1j * (s1 @ d1 + s2 @ d2) + s3 @ f0 - pair.z0 * f0
     return float(np.linalg.norm(resid) / np.linalg.norm(f0))
 
 

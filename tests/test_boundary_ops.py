@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import smooth_density
 from diracshell import boundary_ops as bo
 from diracshell import geometry as geo
 from diracshell import kernels as K
@@ -48,9 +47,10 @@ def test_cauchy_polynomial_oracle_on_square(square_curve):
 
 def test_cm_block_structure(circle_grid_256):
     cm = bo.assemble_Cm(circle_grid_256)
-    b12 = cm[0::2, 1::2]
-    assert np.max(np.abs(cm[0::2, 0::2])) == 0.0
-    assert np.max(np.abs(cm[1::2, 1::2])) == 0.0
+    n = circle_grid_256.n_nodes
+    b12 = cm[:n, n:]
+    assert np.max(np.abs(cm[:n, :n])) == 0.0
+    assert np.max(np.abs(cm[n:, n:])) == 0.0
     assert bo.hermitian_defect(cm) < 1e-8
     one = np.ones(circle_grid_256.n_nodes)
     th = circle_grid_256.param
@@ -91,8 +91,8 @@ def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
         return bo.log_kernel_matrix(grid, a, b)
 
     s_mat = bo._scalar_k0_matrix(grid, z, mass)
-    diff = bo.spinor_from_blocks((mass + z) * s_mat, off_block(np.conj),
-                                 off_block(lambda dx: dx), (z - mass) * s_mat)
+    diff = np.block([[(mass + z) * s_mat, off_block(np.conj)],
+                     [off_block(lambda dx: dx), (z - mass) * s_mat]])
     want = bo.assemble_Cm(grid) + diff
     got = bo.assemble_Cz(grid, z, COUP)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
@@ -196,7 +196,7 @@ def test_theta_critical_coupling_touches_first_row_only(circle_grid_128):
     cz = bo.assemble_Cz(circle_grid_128, 0.1, c)
     n = circle_grid_128.n_nodes
     pattern = np.zeros_like(th)
-    pattern[0::2, :] = 2 * 1.5 * cz[0::2, :]
+    pattern[:n, :] = 2 * 1.5 * cz[:n, :]
     assert np.array_equal(th, np.eye(2 * n) + pattern)
 
 
@@ -229,7 +229,7 @@ def test_lambda_critical_coupling_error(circle_grid_128):
 def test_gamma_structure_and_bounds(circle_grid_256):
     n = circle_grid_256.n_nodes
     g0 = bo.assemble_gamma(circle_grid_256, Coupling(1.5, 0.0, 1.0))
-    assert np.max(np.abs(g0[0::2, 0::2])) == 0.0 and np.max(np.abs(g0[1::2, 1::2])) == 0.0
+    assert np.max(np.abs(g0[:n, :n])) == 0.0 and np.max(np.abs(g0[n:, n:])) == 0.0
 
     c = Coupling(1.0, 2.0, 1.0)
     gam = bo.assemble_gamma(circle_grid_256, c)
@@ -258,7 +258,7 @@ def test_sz_symmetry_decay_and_block_identity(circle_grid_256):
     assert sv[n // 4] == pytest.approx(want, rel=1e-6)
     assert float(np.sum(sv**2)) < np.inf
     cz = bo.assemble_Cz(circle_grid_256, z, COUP)
-    assert np.max(np.abs(cz[0::2, 0::2] - (z + 1.0) * s)) < 1e-12
+    assert np.max(np.abs(cz[:n, :n] - (z + 1.0) * s)) < 1e-12
 
 
 def test_critical_theta_factorization(circle_grid_128):
@@ -270,7 +270,7 @@ def test_critical_theta_factorization(circle_grid_128):
     s = bo.assemble_Sz(circle_grid_128, z, c)
     n = circle_grid_128.n_nodes
     lam_scalar = np.eye(n) / (2 * eps) + (z + 1.0) * s
-    theta_p = th[:, 0::2][0::2, :], th[:, 0::2][1::2, :]
+    theta_p = th[:n, :n], th[n:, :n]
     assert np.max(np.abs(theta_p[0] - 2 * eps * lam_scalar)) < 1e-12
     # lower spinor row of Theta P+ vanishes for eps = mu
     assert np.max(np.abs(theta_p[1])) < 1e-12
@@ -298,7 +298,7 @@ def test_c1_compactness_proxy_on_ellipse():
 
 def test_potential_zero_density(circle_grid_128):
     pts = np.array([[0.2, 0.1], [3.0, 0.0]])
-    vals, flags = bo.evaluate_potential(circle_grid_128, np.zeros((128, 2)), 0.3,
+    vals, flags = bo.evaluate_potential(circle_grid_128, np.zeros((2, 128)), 0.3,
                                         COUP, pts)
     assert np.max(np.abs(vals)) == 0.0
     assert not flags.any()
@@ -306,27 +306,23 @@ def test_potential_zero_density(circle_grid_128):
 
 def test_potential_point_on_curve(circle_grid_128):
     with pytest.raises(PointOnCurveError):
-        bo.evaluate_potential(circle_grid_128, np.ones((128, 2)), 0.3, COUP,
+        bo.evaluate_potential(circle_grid_128, np.ones((2, 128)), 0.3, COUP,
                               circle_grid_128.nodes[3])
 
 
 def test_jump_relations(circle_grid_256):
     g = circle_grid_256
     z = 0.5
-    dens = smooth_density(g)
+    dens = sp._smooth_test_density(g, 7)
     h = 1e-3
     vin, fin = bo.evaluate_potential(g, dens, z, COUP, g.nodes - h * g.normals)
     vout, fout = bo.evaluate_potential(g, dens, z, COUP, g.nodes + h * g.normals)
     assert not fin.any() and not fout.any()
-    n = g.n_nodes
-    snu = np.zeros((n, 2, 2), complex)
-    snu[:, 0, 1] = np.conj(g.nc)
-    snu[:, 1, 0] = g.nc
-    snu_g = np.einsum("nab,nb->na", snu, dens)
+    snu_g = np.stack([np.conj(g.nc) * dens[1], g.nc * dens[0]])
     want_jump = -1j * snu_g
     assert (np.linalg.norm(vin - vout - want_jump) / np.linalg.norm(want_jump)) < 1e-2
     cz = bo.assemble_Cz(g, z, COUP)
-    czg = (cz @ dens.reshape(-1)).reshape(-1, 2)
+    czg = (cz @ dens.reshape(-1)).reshape(2, -1)
     want_in = -0.5j * snu_g + czg
     want_out = +0.5j * snu_g + czg
     assert (np.linalg.norm(vin - want_in) / np.linalg.norm(want_in)) < 2e-2
@@ -336,7 +332,7 @@ def test_jump_relations(circle_grid_256):
 def _explicit_potential(points, srcs, weights, g2, z, coupling):
     """sum_j phi_z(p - y_j) g_j w_j from the full 2x2 kernel matrices."""
     phi = K.phi_z(points[:, None, :] - srcs[None, :, :], z, coupling)
-    return np.einsum("mnab,nb->ma", phi, g2 * weights[:, None])
+    return np.einsum("mnab,bn->am", phi, g2 * weights)
 
 
 def _off_curve(grid, offset, step):
@@ -350,7 +346,7 @@ def test_potential_equals_explicit_sum(spec, nodes):
     grid = geo.discretize(geo.build_curve(spec), nodes)
     c, z = Coupling(3.0, 1.0, 1.0), 0.3
     rng = np.random.default_rng(5)
-    g2 = rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))
+    g2 = (rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))).T
     # on the circle, points 0.6 off are far (ten mesh widths are 0.49) and
     # take the coarse rule; points 0.01 off are near and take the upsampled
     # rule with 8 / 0.01 = 800 sources wanted, so 128 nodes times 8.  Panel
@@ -365,15 +361,31 @@ def test_potential_equals_explicit_sum(spec, nodes):
         assert not flags.any()
     else:
         want_near = _explicit_potential(near, grid.nodes, grid.weights, g2, z, c)
-    want = np.concatenate([want_far, want_near])
+    want = np.concatenate([want_far, want_near], axis=1)
     assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_potential_reads_a_density_in_any_memory_order():
+    # the flat (2N,) density, its C-ordered (2, N) form and the transpose of
+    # a C-ordered (N, 2) copy (a Fortran-ordered (2, N) array) give bitwise
+    # the same values, on the coarse and the upsampled rule; an (N, 2)
+    # array, which reshapes to (2, N) with its components mixed, is refused
+    grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 64)
+    dens = sp._smooth_test_density(grid, 7)
+    pts = np.concatenate([_off_curve(grid, 0.6, 8), _off_curve(grid, 0.01, 8)])
+    want, _ = bo.evaluate_potential(grid, dens.reshape(-1), 0.3, COUP, pts)
+    for layout in (dens, dens.T.copy().T):
+        got, _ = bo.evaluate_potential(grid, layout, 0.3, COUP, pts)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        bo.evaluate_potential(grid, dens.T, 0.3, COUP, pts)
 
 
 def test_potential_near_curve_peak_memory(circle_grid_256):
     # 256 points 1e-3 off the circle take the upsampled rule with 8192
     # sources: 2M point-source pairs, contracted in bounded chunks
     g = circle_grid_256
-    dens = smooth_density(g)
+    dens = sp._smooth_test_density(g, 7)
     pts = g.nodes + 1e-3 * g.normals
     tracemalloc.start()
     try:
@@ -391,7 +403,7 @@ def test_pooled_potential_matches_one_worker(circle_grid_256, monkeypatch, worke
     # chunk's fields, and the products still take whole chunks, so the
     # values are bitwise those of one worker, within the same memory bound
     g = circle_grid_256
-    dens = smooth_density(g)
+    dens = sp._smooth_test_density(g, 7)
     pts = g.nodes + 1e-3 * g.normals
     monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [])
     want, _ = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
@@ -411,7 +423,7 @@ def test_pooled_potential_matches_one_worker(circle_grid_256, monkeypatch, worke
 
 
 def test_potential_far_field_flagless(circle_grid_128):
-    dens = smooth_density(circle_grid_128)
+    dens = sp._smooth_test_density(circle_grid_128, 7)
     pts = np.array([[2.5, 0.0], [0.0, 0.1]])
     _, flags = bo.evaluate_potential(circle_grid_128, dens, 0.2, COUP, pts)
     assert not flags.any()
@@ -436,7 +448,7 @@ def test_theta_and_lambda_from_cz_allocate_one_matrix(circle_grid_256, name):
     if name == "theta_from_cz":
         want = np.eye(512) + d[:, None] * cz
     else:
-        want = np.diag(np.tile([1 / (c.eps + c.mu), 1 / (c.eps - c.mu)], 256)) + cz
+        want = np.diag(np.repeat([1 / (c.eps + c.mu), 1 / (c.eps - c.mu)], 256)) + cz
     assert np.array_equal(got, want)
 
 
@@ -487,7 +499,7 @@ def test_potential_with_every_point_near_makes_no_empty_coarse_pass(circle_grid_
                                                                     monkeypatch):
     # points 1e-3 off the circle are all near: only the upsampled rule runs
     g = circle_grid_256
-    dens = smooth_density(g)
+    dens = sp._smooth_test_density(g, 7)
     pts = g.nodes + 1e-3 * g.normals
     want, _ = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
     sizes = []
@@ -500,18 +512,17 @@ def test_potential_with_every_point_near_makes_no_empty_coarse_pass(circle_grid_
 
 
 def test_cz_blocks_hold_the_blocks_and_one_complex_matrix(circle_grid_256):
-    # each block is formed in place from the kernel values: the peak is the
-    # blocks themselves plus one complex N x N temporary
+    # each block is written in place into the one 2N x 2N matrix from the
+    # kernel values: the peak is that matrix plus one complex N x N temporary
     grid, c = circle_grid_256, Coupling(3.0, 1.0, 1.0)
     bo.build_tables(grid)
     values = bo.kernel_values(grid, 0.3, c.mass)
     tracemalloc.start()
     try:
-        blocks = bo.cz_blocks(grid, c, values)
+        cz = bo.cz_blocks(grid, c, values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     n = grid.n_nodes
-    held = sum(b.nbytes for row in blocks for b in row)
-    assert held == 3 * 16 * n * n
-    assert peak <= held + 16 * n * n
+    assert cz.shape == (2 * n, 2 * n) and cz.nbytes == 4 * 16 * n * n
+    assert peak <= cz.nbytes + 16 * n * n

@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_scalar_route_negative_coupling(circle_grid_128):
     assert len(pairs) >= 1
     for p in pairs:
         # density is supported on the first spinor component for eps = mu
-        assert np.max(np.abs(p.density[1::2])) < 1e-14
+        assert np.max(np.abs(p.density.reshape(2, -1)[1])) < 1e-14
         assert p.residual < 1e-8
         # full-operator cross-check: Theta_z is singular there
         assert sp.theta_min_singular(circle_grid_128, p.coupling, p.z0) < 1e-7
@@ -128,7 +129,7 @@ def test_scalar_route_on_the_second_component(circle_grid_128):
     z_second, z_first = (np.array([p.z0 for p in pairs]) for pairs in (second, first))
     assert np.max(np.abs(z_second + z_first[::-1])) <= 1e-10
     for p in second:
-        assert not np.any(p.density[0::2])
+        assert not np.any(p.density.reshape(2, -1)[0])
         assert p.residual < 1e-8
 
 
@@ -219,21 +220,21 @@ def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_
 
 def test_root_step_holds_the_blocks_and_about_one_matrix():
     # the Hermitian matrix is solved and dropped before the blocks of C_z
-    # and Theta_z are formed from the same kernel values
+    # are written from the same kernel values into the one matrix that
+    # becomes Theta_z
     grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 128)
     coup = Coupling(3.0, 1.0)
     ev = sp._hermitian_eigs(grid, coup, 0.3)
-    blocks = bo.cz_blocks(grid, coup, bo.kernel_values(grid, 0.3, coup.mass))
-    held = sum(b.nbytes for row in blocks for b in row)
-    del blocks
+    held = bo.cz_blocks(grid, coup, bo.kernel_values(grid, 0.3, coup.mass)).nbytes
     matrix = (2 * grid.n_nodes) ** 2 * 16
+    assert held == matrix
     tracemalloc.start()
     try:
         sp._cluster_pairs(grid, coup, 0.3, ev, 1, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= held + 1.5 * matrix
+    assert peak <= held + matrix
 
 
 _SEARCH_CASES = [
@@ -323,15 +324,15 @@ _SHAPES = [(geo.circle(1.0), 128), (geo.square(1.0), 16), (geo.l_shape(1.0), 16)
 
 @pytest.mark.parametrize("spec, nodes", _SHAPES[:2])
 def test_lambda_sample_forms_no_spinor_cz(spec, nodes, monkeypatch):
-    # a sweep sample writes the Hermitian matrix from the N x N blocks of
-    # C_z; the interleaved 2N x 2N C_z is never formed
+    # a sweep sample writes the Hermitian matrix from the symmetric kernels;
+    # the 2N x 2N C_z is never formed
     grid = geo.discretize(geo.build_curve(spec), nodes)
 
     def refuse(*args):
         raise AssertionError("sweep sample formed the 2N x 2N C_z")
 
     monkeypatch.setattr(bo, "assemble_Cz", refuse)
-    monkeypatch.setattr(bo, "spinor_from_blocks", refuse)
+    monkeypatch.setattr(bo, "cz_blocks", refuse)
     herm = sp._hermitian_matrix(grid, Coupling(3.0, 1.0, 1.0), 0.3)
     assert herm.shape == (2 * grid.n_nodes, 2 * grid.n_nodes)
 
@@ -343,12 +344,11 @@ def test_sweep_hermitian_matrix_is_hermitian_and_the_hermitian_part(spec, nodes)
     # its largest entry, (M + M^T)/2 + I/(2 eps) on the scalar route
     grid = geo.discretize(geo.build_curve(spec), nodes)
     n = grid.n_nodes
-    by_component = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
     ulp = 2 * np.finfo(float).eps
     for z in (-0.9, 0.3, 0.97):
         c = Coupling(3.0, 1.0, 1.0)
         lam = bo.assemble_lambda(grid, z, c)
-        want = 0.5 * (lam + lam.conj().T)[np.ix_(by_component, by_component)]
+        want = 0.5 * (lam + lam.conj().T)
         got = sp._hermitian_matrix(grid, c, z)
         assert np.array_equal(got, got.conj().T)
         assert np.max(np.abs(got - want)) <= ulp * np.max(np.abs(want))
@@ -423,14 +423,19 @@ _GRID_TABLES = ("_distances", "_upper_pairs", "_k1_phase", "log_weight_table",
 
 def test_pooled_sweep_builds_each_grid_table_once(monkeypatch):
     # four workers switching threads every microsecond: a table that two
-    # workers found missing at once would be built twice
-    builds = {}
+    # workers found missing at once would be built twice.  The sweep, the
+    # search's brackets and roots, and (five times) the sweep's samples
+    # mapped on the pool alone each build them on first use, on a grid whose
+    # tables are missing.  The sweep builds them on the calling thread, not
+    # among a worker's per-z arrays
+    builds, builders = {}, set()
     for name in _GRID_TABLES:
         build = getattr(bo, name).__wrapped__
 
         @functools.wraps(build)
         def counted(grid, build=build):
             builds[build.__name__] = builds.get(build.__name__, 0) + 1
+            builders.add(threading.get_ident())
             return build(grid)
         monkeypatch.setattr(bo, name, bo._per_grid(counted))
     setters = bo._openblas_thread_setters()
@@ -439,7 +444,19 @@ def test_pooled_sweep_builds_each_grid_table_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        sp.gap_sweep(grid, Coupling(1.0, 0.0), samples=32)
+        sweep = sp.gap_sweep(grid, Coupling(1.0, 0.0), samples=32)
+        assert builds == dict.fromkeys(_GRID_TABLES, 1)
+        assert builders == {threading.get_ident()}
+        grid.cache().clear()
+        builds.clear()
+        assert len(sp.find_eigenvalues(grid, sweep)) >= 1
+        for _ in range(5):
+            assert builds == dict.fromkeys(_GRID_TABLES, 1)
+            grid.cache().clear()
+            builds.clear()
+            with bo.solve_pool() as solve_map:
+                list(solve_map(functools.partial(sp._hermitian_eigs, grid, sweep.coupling),
+                               sweep.z_samples))
     finally:
         sys.setswitchinterval(interval)
     assert builds == dict.fromkeys(_GRID_TABLES, 1)
@@ -475,7 +492,7 @@ def test_no_spurious_roots_dominated_coupling(circle_grid_256):
         d1 = (vals[(1, 0)] - vals[(-1, 0)]) / (2 * h)
         d2 = (vals[(0, 1)] - vals[(0, -1)]) / (2 * h)
         f0 = vals[(0, 0)]
-        resid = -1j * (d1 @ s1.T + d2 @ s2.T) + f0 @ s3.T - p.z0 * f0
+        resid = -1j * (s1 @ d1 + s2 @ d2) + s3 @ f0 - p.z0 * f0
         assert np.linalg.norm(resid) / np.linalg.norm(f0) < 1e-3
 
 
@@ -511,7 +528,7 @@ def test_eigenfunction_pde_residual(circle_grid_256):
     d1 = (vals[(1, 0)] - vals[(-1, 0)]) / (2 * h)
     d2 = (vals[(0, 1)] - vals[(0, -1)]) / (2 * h)
     f0 = vals[(0, 0)]
-    resid = (-1j * (d1 @ s1.T + d2 @ s2.T) + f0 @ s3.T - p.z0 * f0)
+    resid = (-1j * (s1 @ d1 + s2 @ d2) + s3 @ f0 - p.z0 * f0)
     rel = np.linalg.norm(resid) / np.linalg.norm(f0)
     assert rel < 1e-3
 
@@ -536,12 +553,9 @@ def test_eigenfunction_transmission_condition(circle_grid_256):
     h = 1e-3
     fin, _ = sp.eigenfunction(circle_grid_256, p, g.nodes - h * g.normals)
     fout, _ = sp.eigenfunction(circle_grid_256, p, g.nodes + h * g.normals)
-    n = g.n_nodes
-    snu = np.zeros((n, 2, 2), complex)
-    snu[:, 0, 1] = np.conj(g.nc)
-    snu[:, 1, 0] = g.nc
-    mcoup = c.matrix()
-    lhs = (fin + fout) / 2 @ mcoup.T + 1j * np.einsum("nab,nb->na", snu, fin - fout)
+    jump = fin - fout
+    lhs = c.matrix() @ (fin + fout) / 2 + 1j * np.stack([np.conj(g.nc) * jump[1],
+                                                         g.nc * jump[0]])
     rel = np.linalg.norm(lhs) / np.linalg.norm(fin)
     assert rel < 5e-2
 
