@@ -26,6 +26,7 @@ import scipy.linalg as sla
 from . import kernels as K
 from .errors import (
     CriticalCouplingError,
+    DomainError,
     GridTooCoarse,
     PointOnCurveError,
 )
@@ -42,7 +43,8 @@ from .quadrature import (
 _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
 _POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
 _FIELD_PAIRS = 1 << 13  # pairs per solve-pool task; worker temporaries stay resident
-_TABLES_LOCK = threading.RLock()  # held to build a per-grid table; builders nest
+_TABLES_LOCK = threading.Lock()  # held to build a grid's tables
+KAPPA_DIAM_MAX = 16.0  # kappa times the node diameter the log split resolves to 1e-9
 
 
 def coupling_diagonal(coupling: Coupling, n: int) -> np.ndarray:
@@ -120,52 +122,61 @@ def solve_pool():
 
 
 # ---------------------------------------------------------------------------
-# Cauchy transform
+# per-grid tables
 # ---------------------------------------------------------------------------
 
 
-def _per_grid(build):
-    """Build a z-independent table once per grid, under one lock so that
-    concurrent assemblies build it once: the result of build(grid) is kept
-    in ``grid.cache()`` under the builder's name, its arrays read-only."""
-    @functools.wraps(build)
-    def cached(grid):
-        tables = grid.cache()
-        if build.__name__ not in tables:
-            with _TABLES_LOCK:
-                if build.__name__ not in tables:
-                    table = build(grid)
-                    for arr in table if isinstance(table, tuple) else (table,):
-                        arr.setflags(write=False)
-                    tables[build.__name__] = table
-        return tables[build.__name__]
-    return cached
+class GridTables(NamedTuple):
+    """The z-independent tables of one grid (``grid_tables``), read-only.
+    The node pairs are the strict upper triangle i < j, in row-major order."""
+
+    upper: np.ndarray  # (N, N) boolean mask of the node pairs
+    r: np.ndarray  # R = |x_i - x_j| on the pairs
+    log_r: np.ndarray  # log R on the pairs
+    diameter: float  # the largest R
+    log_weights: np.ndarray  # L, (N, N) (``log_weight_table``)
+    l_sym: np.ndarray  # (L + L^T)/2 on the pairs
+    w_sym: np.ndarray  # (w_i + w_j)/2 on the pairs
+    k1_phase: np.ndarray  # (i/2pi) conj(x_i - x_j)/R, (N, N) complex, 0 on the diagonal
+    cauchy_upper: np.ndarray  # C_Sigma t*, the upper off-diagonal block at z = m
+    cauchy_lower: np.ndarray  # t C_Sigma*, the lower one
 
 
-@_per_grid
-def _distances(grid) -> np.ndarray:
-    """Node distances R = |x_i - y_j|, with 1.0 on the diagonal."""
-    z = grid.zc
-    r = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(r, 1.0)  # masked; diagonal handled explicitly
-    return r
-
-
-@_per_grid
-def _upper_pairs(grid):
-    """Strict upper triangle (i < j) of the node pairs: its boolean mask,
-    and R and log R on it in row-major order."""
-    n = grid.n_nodes
-    mask = np.triu(np.ones((n, n), dtype=bool), 1)
-    r = _distances(grid)[mask]
-    return mask, r, np.log(r)
+def grid_tables(grid: QuadratureGrid) -> GridTables:
+    """The grid's tables, built on first use under one lock, so that
+    concurrent assemblies build them once, and kept as the only entry of
+    ``grid.cache()``.  Pools call this on their calling thread first: built
+    in a worker, among its per-z arrays, the tables raised the repeated
+    ``eigs`` peak RSS by up to 6 MB (N=256 circle, 2 cores)."""
+    cache = grid.cache()
+    if "tables" not in cache:
+        with _TABLES_LOCK:
+            if "tables" not in cache:
+                dx = grid.zc[:, None] - grid.zc[None, :]
+                r = np.abs(dx)
+                np.fill_diagonal(r, 1.0)  # masked; diagonal handled explicitly
+                k1_phase = 1j * (1.0 / (2 * np.pi)) * (np.conj(dx) / r)
+                upper = np.triu(np.ones(r.shape, dtype=bool), 1)
+                r_upper = r[upper]
+                log_weights = log_weight_table(grid, r)
+                a = assemble_cauchy(grid)
+                tables = GridTables(
+                    upper, r_upper, np.log(r_upper), float(np.max(r_upper)), log_weights,
+                    0.5 * (log_weights + log_weights.T)[upper],
+                    0.5 * (grid.weights[:, None] + grid.weights[None, :])[upper], k1_phase,
+                    a * np.conj(grid.tc)[None, :], -np.conj(a) * grid.tc[None, :])
+                for table in tables:
+                    if isinstance(table, np.ndarray):
+                        table.setflags(write=False)
+                cache["tables"] = tables
+    return cache["tables"]
 
 
 def _symmetric(grid, upper, diag, out=None) -> np.ndarray:
     """The symmetric (N, N) matrix with the given strict upper triangle
-    (row-major, as ``_upper_pairs`` orders it) and diagonal, written into
+    (row-major, as ``GridTables`` orders it) and diagonal, written into
     ``out`` (a new real matrix by default)."""
-    mask = _upper_pairs(grid)[0]
+    mask = grid_tables(grid).upper
     if out is None:
         out = np.empty(mask.shape)
     out[mask] = upper
@@ -174,15 +185,11 @@ def _symmetric(grid, upper, diag, out=None) -> np.ndarray:
     return out
 
 
-@_per_grid
-def _k1_phase(grid):
-    """(i/2pi) conj(DX)/R, the angular factor of the K1 kernel."""
-    z = grid.zc
-    dx = z[:, None] - z[None, :]
-    return 1j * (1.0 / (2 * np.pi)) * (np.conj(dx) / _distances(grid))
+# ---------------------------------------------------------------------------
+# Cauchy transform
+# ---------------------------------------------------------------------------
 
 
-@_per_grid
 def cauchy_weight_table(grid: QuadratureGrid) -> np.ndarray:
     """Complex weights V with sum_j V[i,j] h(y_j) ~ pv int h(y)/(y - x_i) dy."""
     n = grid.n_nodes
@@ -242,17 +249,10 @@ def assemble_cauchy(grid: QuadratureGrid) -> np.ndarray:
     return -(1j / (2 * np.pi)) * V
 
 
-@_per_grid
-def cauchy_block_matrices(grid: QuadratureGrid):
-    """Matrices of C_Sigma t* and t C_Sigma* (the off-diagonal blocks at z = m)."""
-    a = assemble_cauchy(grid)
-    tc = grid.tc
-    return a * np.conj(tc)[None, :], -np.conj(a) * tc[None, :]
-
-
 def assemble_Cm(grid: QuadratureGrid) -> np.ndarray:
     """The singular matrix operator at z = m: off-diagonal Cauchy blocks."""
-    return _off_diagonal(*cauchy_block_matrices(grid))
+    tables = grid_tables(grid)
+    return _off_diagonal(tables.cauchy_upper, tables.cauchy_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +260,9 @@ def assemble_Cm(grid: QuadratureGrid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@_per_grid
-def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
-    """Real weights L with sum_j L[i,j] a(y_j) ~ int a(y) log|x_i - y| ds(y).
+def log_weight_table(grid: QuadratureGrid, r: np.ndarray) -> np.ndarray:
+    """Real weights L with sum_j L[i,j] a(y_j) ~ int a(y) log|x_i - y| ds(y),
+    from the node distances r (1.0 on the diagonal).
 
     Trapezoid grids use the periodic circulant log rule on log(4 sin^2) plus
     the smooth remainder log(|x - y| / 2|sin|); panel grids use the plain
@@ -270,7 +270,6 @@ def log_weight_table(grid: QuadratureGrid) -> np.ndarray:
     eight product-weight vectors on every panel, whose Gauss nodes agree).
     """
     n = grid.n_nodes
-    r = _distances(grid)
     if grid.kind == "trapezoid":
         sp = np.abs(grid.dy_dparam)  # |dz/dtheta|
         th = grid.param
@@ -303,26 +302,15 @@ def log_kernel_matrix(grid, a, b) -> np.ndarray:
     a and b are (N, N) kernel values at the node pairs, with their diagonal
     limits on the diagonal; both are overwritten, and a holds the result.
     """
-    a *= log_weight_table(grid)
+    a *= grid_tables(grid).log_weights
     b *= grid.weights[None, :]
     a += b
     return a
 
 
-@_per_grid
-def _symmetric_weights(grid):
-    """The symmetrised log weights (L + L^T)/2 and arclength weights
-    (w_i + w_j)/2 on the strict upper node pairs: against a kernel symmetric
-    in the node pair they give the symmetric part of its Nystrom matrix."""
-    mask = _upper_pairs(grid)[0]
-    table = log_weight_table(grid)
-    w = grid.weights
-    return 0.5 * (table + table.T)[mask], 0.5 * (w[:, None] + w[None, :])[mask]
-
-
 class KernelValues(NamedTuple):
     """The Bessel factors of the log splits of K0 and kappa K1 - 1/r at one
-    z, on the strict upper node pairs (row-major, as ``_upper_pairs`` orders
+    z, on the strict upper node pairs (row-major, as ``GridTables`` orders
     them); ``i1`` and ``b_k1`` are None where no K1 block is formed."""
 
     z: float
@@ -339,9 +327,11 @@ def kernel_values(grid: QuadratureGrid, z: float, mass: float, k1: bool = True) 
     pair; the matrices formed from them only read them, so one set serves
     every matrix formed at z."""
     kappa = K.gap_kappa(z, mass)
-    _, r, log_r = _upper_pairs(grid)
-    i0, b0 = K.b_k0(r, kappa, log_r)
-    i1, b1 = K.b_k1(r, kappa, log_r) if k1 else (None, None)
+    tables = grid_tables(grid)
+    if kappa * tables.diameter > KAPPA_DIAM_MAX:  # beyond what the log split resolves
+        raise DomainError(f"kappa diameter {kappa * tables.diameter:.4g} > {KAPPA_DIAM_MAX:g}")
+    i0, b0 = K.b_k0(tables.r, kappa, tables.log_r)
+    i1, b1 = K.b_k1(tables.r, kappa, tables.log_r) if k1 else (None, None)
     return KernelValues(z, kappa, i0, b0, i1, b1)
 
 
@@ -395,9 +385,8 @@ def cz_blocks(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
     # entries +0.0, as a direct assembly gives them.
     np.conjugate(top, out=bottom)
     np.subtract(0.0, bottom, out=bottom)
-    upper, lower = cauchy_block_matrices(grid)
-    bottom += lower
-    top += upper
+    bottom += grid_tables(grid).cauchy_lower
+    top += grid_tables(grid).cauchy_upper
     return out
 
 
@@ -416,16 +405,16 @@ class SymmetricKernels(NamedTuple):
 def symmetric_kernels(grid: QuadratureGrid, values: KernelValues) -> SymmetricKernels:
     """The kernel values are symmetric in the node pair, so the Hermitian part
     of a log-kernel block weighs them by the symmetrised tables
-    (``_symmetric_weights``)."""
-    l_sym, w_sym = _symmetric_weights(grid)
-    s = values.b_k0 * w_sym
-    s -= values.i0 * l_sym
+    (L + L^T)/2 and (w_i + w_j)/2 of ``GridTables``."""
+    tables = grid_tables(grid)
+    s = values.b_k0 * tables.w_sym
+    s -= values.i0 * tables.l_sym
     s *= 1.0 / (2 * np.pi)
     k1 = None
     if values.i1 is not None:
-        k1 = values.i1 * l_sym
+        k1 = values.i1 * tables.l_sym
         k1 *= values.kappa
-        k1 += values.b_k1 * w_sym
+        k1 += values.b_k1 * tables.w_sym
     return SymmetricKernels(values.z, values.kappa, s, k1)
 
 
@@ -442,9 +431,10 @@ def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, kernels: Symmetri
     so the matrix is Hermitian bitwise.
     """
     n, z, mass = grid.n_nodes, kernels.z, coupling.mass
+    tables = grid_tables(grid)
     out = np.empty((len(components) * n,) * 2, dtype=complex if len(components) == 2 else float)
     s_diag = (K.b_k0_at_zero(kernels.kappa) * grid.weights
-              - np.diagonal(log_weight_table(grid))) / (2 * np.pi)
+              - np.diagonal(tables.log_weights)) / (2 * np.pi)
     for k, comp in enumerate(components):
         coef = z + mass if comp == 0 else z - mass
         block = out[k * n:(k + 1) * n, k * n:(k + 1) * n]
@@ -452,36 +442,22 @@ def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, kernels: Symmetri
     if len(components) == 2:
         # the lower-left block holds the Cauchy half until the upper-right
         # one is complete, so no complex N x N temporary is made
-        upper, lower = cauchy_block_matrices(grid)
         top, bottom = out[:n, n:], out[n:, :n]
-        np.conjugate(lower.T, out=bottom)
-        bottom += upper
+        np.conjugate(tables.cauchy_lower.T, out=bottom)
+        bottom += tables.cauchy_upper
         bottom *= 0.5
         _symmetric(grid, kernels.k1, 0.0, top)
-        top *= _k1_phase(grid)
+        top *= tables.k1_phase
         top += bottom
         np.conjugate(top.T, out=bottom)
     return out
-
-
-def build_tables(grid: QuadratureGrid, components=(0, 1)):
-    """Build on this thread the per-grid tables that ``cz_blocks`` and
-    ``hermitian_matrix`` read on the given spinor components: built on first
-    use in a pool worker, among its per-z arrays, they raised the repeated
-    ``eigs`` peak RSS by up to 6 MB (N=256 circle, 2 cores)."""
-    _upper_pairs(grid)
-    log_weight_table(grid)
-    _symmetric_weights(grid)
-    if len(components) == 2:
-        _k1_phase(grid)
-        cauchy_block_matrices(grid)
 
 
 def _k1_block(grid, values: KernelValues, out, scratch):
     """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r)
     conj(dx)/r, written into the complex N x N ``out``; ``scratch``, of the
     same shape, holds the second kernel and is overwritten."""
-    phase = _k1_phase(grid)
+    phase = grid_tables(grid).k1_phase
     a = _symmetric(grid, values.i1, 0.0)
     a *= values.kappa
     np.multiply(a, phase, out=out)
@@ -535,9 +511,9 @@ def assemble_lambda(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.nd
 
 def assemble_gamma(grid: QuadratureGrid, coupling: Coupling) -> np.ndarray:
     """Gamma with (eps^2 - mu^2) Lambda_m = eps sigma_0 + Gamma."""
-    upper, lower = cauchy_block_matrices(grid)
+    tables = grid_tables(grid)
     d = coupling.strength
-    gamma = _off_diagonal(d * upper, d * lower)
+    gamma = _off_diagonal(d * tables.cauchy_upper, d * tables.cauchy_lower)
     np.fill_diagonal(gamma, np.repeat([-coupling.mu, coupling.mu], grid.n_nodes))
     return gamma
 
@@ -642,9 +618,11 @@ def evaluate_potential(grid, density, z, coupling, points):
         raise ValueError(f"density of shape {g2.shape}, not (2N,) or (2, N), N = {grid.n_nodes}")
     g2 = g2.reshape(2, -1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dist = np.linalg.norm(points[:, None, :] - grid.nodes[None, :, :], axis=-1)
-    jmin = np.argmin(dist, axis=1)
-    dmin = dist[np.arange(len(points)), jmin]
+    rows = max(1, _POTENTIAL_PAIRS // grid.n_nodes)  # each point's nearest node, in chunks
+    jmin = np.concatenate([np.argmin(np.linalg.norm(points[lo:lo + rows, None, :] - grid.nodes,
+                                                    axis=-1), axis=1)
+                           for lo in range(0, len(points), rows)])
+    dmin = np.linalg.norm(points - grid.nodes[jmin], axis=-1)
     scale = max(1.0, float(np.max(np.abs(grid.nodes))))
     if np.any(dmin < 1e-12 * scale):
         raise PointOnCurveError("evaluation point lies on the curve")

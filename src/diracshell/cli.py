@@ -2,8 +2,8 @@
 
 Commands: classify, mtheta, symbol, eigs, verify, sweep.  Configuration is a
 flat sectioned key = value file (a TOML-compatible subset).  Each command has
-a read step, which fetches every section, key and coupling flag it uses
-through one typed reader, and a compute step; whatever the read step leaves
+a read step, which fetches every section, key and flag it uses through one
+typed reader, and a compute step; whatever the read step leaves
 unread is refused before any numerics run.  Outputs are deterministic: floats
 are serialized with 17 significant digits and files are written atomically
 (temp + rename).
@@ -117,7 +117,7 @@ _COUPLING = {"eps": 0.0, "mu": 0.0, "mass": 1.0}
 
 class _Reader:
     """Typed access to a parsed config that records every section, key and
-    coupling flag read, so that whatever a command leaves unread is refused."""
+    flag read, so that whatever a command leaves unread is refused."""
 
     def __init__(self, cfg, command: str = "", args=None):
         self.cfg, self.command, self.args = cfg, command, args
@@ -143,19 +143,23 @@ class _Reader:
             return tuple(float(v) for v in (value if isinstance(value, (list, tuple)) else [value]))
         return kind(value)
 
+    def flag(self, name: str):
+        """The value of the flag --name, None where it is not given."""
+        self.read.add("--" + name)
+        return getattr(self.args, name, None)
+
     def coupling(self, key: str, required: bool = False) -> float:
         """[coupling] key, or its flag if set; the config value is read and
         type-checked either way."""
         value = self.section("coupling", required)(key, _COUPLING[key])
-        self.read.add("--" + key)
-        flag = getattr(self.args, key, None)
+        flag = self.flag(key)
         return value if flag is None else flag
 
     def refuse_unread(self):
         unread = [f"[{s}]" for s in self.cfg if s not in self.read]
         unread += [f"[{s}] {k}" for s in self.cfg if s in self.read
                    for k in self.cfg[s] if (s, k) not in self.read]
-        unread += [f"--{k}" for k in _COUPLING
+        unread += [f"--{k}" for k in (*_COUPLING, "strict")
                    if getattr(self.args, k, None) is not None and "--" + k not in self.read]
         if unread:
             raise ConfigError(f"command {self.command!r} does not read {', '.join(unread)}")
@@ -163,7 +167,7 @@ class _Reader:
 
 def validate_config(cfg, command: str, args=None) -> dict:
     """Run the read step of the command on a parsed config and refuse every
-    section, key and coupling flag it leaves unread; returns the keyword
+    section, key and flag it leaves unread; returns the keyword
     arguments of its compute step."""
     reader = _Reader(cfg, command, args)
     params = _COMMANDS[command][0](reader)
@@ -377,7 +381,7 @@ def _read_classify(r):
                 curve_class=_read_curve_class(r))
 
 
-def cmd_classify(args, out, coupling, curve_class):
+def cmd_classify(out, coupling, curve_class):
     from .classify import classify
 
     coupling, cls = coupling(), curve_class()
@@ -397,7 +401,7 @@ def _read_mtheta(r):
                 steps=get("steps", 19, int))
 
 
-def cmd_mtheta(args, out, lo, hi, steps):
+def cmd_mtheta(out, lo, hi, steps):
     from .corner_symbol import m_of
 
     rows = []
@@ -416,7 +420,7 @@ def _read_symbol(r):
                 coupling=_read_coupling(r))
 
 
-def cmd_symbol(args, out, thetas, eta_min, eta_max, eta_steps, trunc, tol, coupling):
+def cmd_symbol(out, thetas, eta_min, eta_max, eta_steps, trunc, tol, coupling):
     from .corner_symbol import delta_closed, delta_direct
 
     coupling = coupling()
@@ -448,10 +452,10 @@ def _read_eigs(r):
                           f"[{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
     return dict(grid=grid, coupling=coupling, z_min=get("z_min"), z_max=get("z_max"),
                 samples=get("samples", 128, int), tol=tol,
-                branch_csv=get("branch_csv", False, bool))
+                branch_csv=get("branch_csv", False, bool), strict=bool(r.flag("strict")))
 
 
-def cmd_eigs(args, out, grid, coupling, z_min, z_max, samples, tol, branch_csv):
+def cmd_eigs(out, grid, coupling, z_min, z_max, samples, tol, branch_csv, strict):
     from . import spectral as sp
 
     grid, coupling = grid(), coupling()
@@ -461,8 +465,7 @@ def cmd_eigs(args, out, grid, coupling, z_min, z_max, samples, tol, branch_csv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedWarning)
         pairs = sp.find_eigenvalues(grid, sweep, tol)
-    if args.strict and any(issubclass(w.category, IllConditionedWarning)
-                           for w in caught):
+    if strict and any(issubclass(w.category, IllConditionedWarning) for w in caught):
         raise ConvergenceError("ill-conditioned eigenvalue root under --strict")
     doc = {
         "route": sweep.route,
@@ -490,17 +493,18 @@ def _read_verify(r):
     grid, coupling = _read_grid(r), _read_coupling(r, required=True)
     get = r.section("verify", required=True)
     return dict(grid=grid, coupling=coupling, z=get("z", 0.0),
-                offset=get("offset", 1e-3), seed=get("seed", 1234, int))
+                offset=get("offset", 1e-3), seed=get("seed", 1234, int),
+                strict=bool(r.flag("strict")))
 
 
-def cmd_verify(args, out, grid, coupling, z, offset, seed):
+def cmd_verify(out, grid, coupling, z, offset, seed, strict):
     from . import spectral as sp
 
     grid, coupling = grid(), coupling()
     rep = sp.verify_identities(grid, z, coupling, offset=offset, seed=seed)
     write_atomic(os.path.join(out, "verification.json"),
                  emit_json(rep.to_json_dict()) + "\n")
-    if args.strict and not rep.all_passed:
+    if strict and not rep.all_passed:
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -512,7 +516,7 @@ def _read_sweep(r):
                 mass=r.coupling("mass"), curve_class=_read_curve_class(r))
 
 
-def cmd_sweep(args, out, eps_range, mu_range, mass, curve_class):
+def cmd_sweep(out, eps_range, mu_range, mass, curve_class):
     from .classify import classify
     from .kernels import Coupling
 
@@ -549,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("--config", required=True, help="path to the run configuration")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--strict", action="store_true",
-                   help="promote numerical warnings to exit status 3")
+    p.add_argument("--strict", action="store_true", default=None,  # None: not given
+                   help="promote numerical warnings to exit status 3 (eigs, verify)")
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS thread pools")
     p.add_argument("--eps", type=float, default=None, help="override coupling eps")
@@ -567,7 +571,7 @@ def main(argv=None) -> int:
             os.environ[var] = str(args.threads)
     try:
         params = validate_config(RunConfig.load(args.config), args.command, args)
-        return _COMMANDS[args.command][1](args, args.out, **params)
+        return _COMMANDS[args.command][1](args.out, **params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

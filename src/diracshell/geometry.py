@@ -269,38 +269,53 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _segments_meet(p, q):
+    """(K, L) mask of the closed segments p_k p_(k+1) and q_l q_(l+1) of two
+    polylines that meet, touching included: each has its ends on both sides
+    of, or on, the other's line, and (which decides collinear ones) their
+    bounding boxes overlap."""
+    def straddles(p, q):  # (K, L): segment l of q against the line of segment k of p
+        a, u = p[:-1, None], p[1:, None] - p[:-1, None]
+        side = u[..., 0] * (q[:, 1] - a[..., 1]) - u[..., 1] * (q[:, 0] - a[..., 0])
+        return side[:, :-1] * side[:, 1:] <= 0
+    lo_p, hi_p = np.minimum(p[:-1], p[1:])[:, None], np.maximum(p[:-1], p[1:])[:, None]
+    lo_q, hi_q = np.minimum(q[:-1], q[1:]), np.maximum(q[:-1], q[1:])
+    return (straddles(p, q) & straddles(q, p).T
+            & np.all((hi_p >= lo_q) & (hi_q >= lo_p), axis=-1))
+
+
 def _check_self_intersection(edges, scale):
-    samples = []
-    for e in edges:
-        t = np.linspace(0.0, 1.0, 65)
-        samples.append(e.point(t))
+    """Refuse two arcs whose samples come within 1e-9 scale of each other
+    away from a shared junction, or whose sampled polylines meet, so that a
+    crossing between samples is refused too.  Segments that share a sample
+    (neighbours along one arc, the two at a junction) are not compared."""
+    t = np.linspace(0.0, 1.0, 65)
+    samples = [e.point(t) for e in edges]
+    lo = [p.min(axis=0) - 1e-9 * scale for p in samples]
+    hi = [p.max(axis=0) for p in samples]
     ne = len(edges)
     for i in range(ne):
         for j in range(i, ne):
+            if np.any(lo[i] > hi[j]) or np.any(lo[j] > hi[i]):
+                continue  # bounding boxes apart
             pi, pj = samples[i], samples[j]
             d = np.linalg.norm(pi[:, None, :] - pj[None, :, :], axis=-1)
-            if i == j:
-                # ignore parametrically close pairs on the same arc
+            meet = _segments_meet(pi, pj)
+            if i == j:  # parametrically close pairs on the same arc
                 idx = np.abs(np.arange(65)[:, None] - np.arange(65)[None, :])
-                if ne == 1:
-                    idx = np.minimum(idx, 65 - idx)
+                if ne == 1:  # a closed arc: sample 64 is sample 0
+                    idx = np.minimum(idx, 64 - idx)
                 mask = idx > 8
-                if np.any(d[mask] < 1e-9 * scale):
-                    raise SelfIntersectionError("arc approaches itself")
-            else:
-                adjacent = (j == i + 1) or (i == 0 and j == ne - 1)
-                if adjacent:
-                    # mask the shared junction neighbourhood
-                    mask = np.ones_like(d, dtype=bool)
-                    if j == i + 1:
-                        mask[-9:, :9] = False
-                    if i == 0 and j == ne - 1:
-                        mask[:9, -9:] = False
-                    if np.any(d[mask] < 1e-9 * scale):
-                        raise SelfIntersectionError(f"arcs {i} and {j} intersect")
-                else:
-                    if d.min() < 1e-9 * scale:
-                        raise SelfIntersectionError(f"arcs {i} and {j} intersect")
+                meet &= idx[:-1, :-1] > 1
+            else:  # the neighbourhood of a shared junction
+                mask = np.ones_like(d, dtype=bool)
+                if j == i + 1:
+                    mask[-9:, :9] = meet[-1, 0] = False
+                if i == 0 and j == ne - 1:
+                    mask[:9, -9:] = meet[0, -1] = False
+            if np.any(d[mask] < 1e-9 * scale) or np.any(meet):
+                raise SelfIntersectionError("arc approaches itself" if i == j
+                                            else f"arcs {i} and {j} intersect")
 
 
 def build_curve(spec: CurveSpec) -> Curve:

@@ -136,7 +136,7 @@ def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
     if not (-m < lo < hi < m):
         raise SpectralParameterError("sweep window must lie inside the open gap")
     zs = np.linspace(lo, hi, samples)
-    bo.build_tables(grid, _active(coupling))
+    bo.grid_tables(grid)  # on this thread, not among a worker's per-z arrays
     with bo.solve_pool() as solve_map:
         eigs = np.stack(list(solve_map(functools.partial(_hermitian_eigs, grid, coupling), zs)))
     return BranchData(zs, eigs, route, coupling)
@@ -175,6 +175,8 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
         z0, ev = members[0]
         return _cluster_pairs(grid, coupling, z0, ev, len(members), cluster)
 
+    if brackets:
+        bo.grid_tables(grid)  # on this thread, not among a worker's per-z arrays
     with bo.solve_pool() as solve_map:
         roots = sorted(solve_map(functools.partial(_bracket_root, grid, coupling, spectra, tol),
                                  brackets), key=lambda root: root[0])

@@ -11,6 +11,7 @@ from diracshell import kernels as K
 from diracshell import spectral as sp
 from diracshell.errors import (
     CriticalCouplingError,
+    DomainError,
     GridTooCoarse,
     PointOnCurveError,
     SpectralParameterError,
@@ -107,22 +108,23 @@ def _complex_cache_bytes(obj):
 
 
 @pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 128), (geo.square(1.0), 16)])
-def test_grid_cache_holds_four_complex_matrices(spec, nodes):
-    # after one sweep sample: the K1 phase, the Cauchy weights and the two
-    # Cauchy blocks; the displacements themselves are not kept
+def test_grid_cache_holds_three_complex_matrices(spec, nodes):
+    # after one sweep sample: the K1 phase and the two Cauchy blocks; the
+    # displacements and the Cauchy weights are not kept
     grid = geo.discretize(geo.build_curve(spec), nodes)
     sp._hermitian_eigs(grid, Coupling(3.0, 1.0, 1.0), 0.3)
     n = grid.n_nodes
-    assert _complex_cache_bytes(grid.cache()) <= 4 * 16 * n * n
+    assert _complex_cache_bytes(grid.cache()) <= 3 * 16 * n * n
 
 
 @pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 64), (geo.square(1.0), 16)])
 def test_grid_tables_are_read_only(spec, nodes):
     grid = geo.discretize(geo.build_curve(spec), nodes)
     sp._hermitian_eigs(grid, Coupling(3.0, 1.0, 1.0), 0.3)
-    tables = grid.cache()
-    arrays = [a for t in tables.values() for a in (t if isinstance(t, tuple) else (t,))]
-    assert "log_weight_table" in tables and "cauchy_block_matrices" in tables
+    tables = bo.grid_tables(grid)
+    assert len(grid.cache()) == 1 and next(iter(grid.cache().values())) is tables
+    arrays = [a for a in tables if isinstance(a, np.ndarray)]
+    assert len(arrays) == len(tables) - 1  # every table but the diameter
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -160,10 +162,21 @@ def test_log_weight_table_built_once_per_grid(monkeypatch):
     bo.assemble_Cz(grid, 0.4, COUP)
     assert first > 0
     assert len(calls) == first  # the second z reuses the table
-    table = bo.log_weight_table(grid)
+    table = bo.grid_tables(grid).log_weights
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0] = 0.0
+
+
+def test_kernel_values_refuse_kappa_diameter_beyond_the_log_split():
+    # kappa = 1 at z = 0, m = 1: a radius-10 circle (kappa diam = 20) is
+    # beyond what the log split resolves, a radius-1 circle (2) is not
+    big, unit = (geo.discretize(geo.build_curve(geo.circle(r)), 64) for r in (10.0, 1.0))
+    with pytest.raises(DomainError):
+        bo.kernel_values(big, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        bo.assemble_Sz(big, 0.0, COUP)
+    assert np.isfinite(bo.kernel_values(unit, 0.0, 1.0).b_k1).all()
 
 
 def test_cz_near_gap_edge(circle_grid_128):
@@ -397,6 +410,25 @@ def test_potential_near_curve_peak_memory(circle_grid_256):
     assert peak < 32 * 2**20
 
 
+def test_potential_memory_does_not_grow_with_the_points(circle_grid_256):
+    # far points on a radius-3 circle: the near/far classification takes the
+    # row chunks of the fields, so 8192 points peak as 1024 do
+    g = circle_grid_256
+    dens = sp._smooth_test_density(g, 7)
+    peaks = []
+    for m in (1024, 8192):
+        t = 2 * np.pi * np.arange(m) / m
+        pts = 3.0 * np.stack([np.cos(t), np.sin(t)], axis=-1)
+        tracemalloc.start()
+        try:
+            _, flags = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not flags.any()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 @pytest.mark.parametrize("workers", [2, 4])
 def test_pooled_potential_matches_one_worker(circle_grid_256, monkeypatch, workers):
     # the near-curve case above: the pool fills disjoint rows of each
@@ -456,7 +488,7 @@ def test_scalar_k0_matrix_is_written_into_its_kernel_values(circle_grid_256):
     # a L + b w is formed in place in a and b, so S_z holds about its two
     # kernel-value matrices and the Bessel values of the upper triangle
     grid, z, mass = circle_grid_256, 0.3, 1.0
-    bo.build_tables(grid, (0,))  # per-grid tables, built once and kept
+    bo.grid_tables(grid)  # per-grid tables, built once and kept
     tracemalloc.start()
     try:
         got = bo._scalar_k0_matrix(grid, z, mass)
@@ -472,7 +504,7 @@ def test_scalar_k0_matrix_is_written_into_its_kernel_values(circle_grid_256):
     a, b = -pref * i0, pref * b
     np.fill_diagonal(a, -pref)
     np.fill_diagonal(b, pref * K.b_k0_at_zero(kappa))
-    want = a * bo.log_weight_table(grid) + b * grid.weights[None, :]
+    want = a * bo.grid_tables(grid).log_weights + b * grid.weights[None, :]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -515,7 +547,7 @@ def test_cz_blocks_hold_the_blocks_and_one_complex_matrix(circle_grid_256):
     # each block is written in place into the one 2N x 2N matrix from the
     # kernel values: the peak is that matrix plus one complex N x N temporary
     grid, c = circle_grid_256, Coupling(3.0, 1.0, 1.0)
-    bo.build_tables(grid)
+    bo.grid_tables(grid)
     values = bo.kernel_values(grid, 0.3, c.mass)
     tracemalloc.start()
     try:

@@ -605,30 +605,30 @@ def test_keys_a_command_does_not_read_exit_2(tmp_path, capsys, command, text):
 
 
 # command -> (a config with every section it reads, a section it does not
-# read, a coupling flag it does not read or None where it reads all three)
+# read, the flags it does not read, each as its arguments)
 _READ_WHOLE = {
-    "classify": (CLASSIFY_CFG, "discretization", None),
-    "mtheta": (_MTHETA_CFG, "coupling", "--eps"),
-    "symbol": ("[coupling]\neps = 2.0\n[symbol]\neta_steps = 3\n", "curve", None),
+    "classify": (CLASSIFY_CFG, "discretization", [["--strict"]]),
+    "mtheta": (_MTHETA_CFG, "coupling", [["--eps", "1"], ["--strict"]]),
+    "symbol": ("[coupling]\neps = 2.0\n[symbol]\neta_steps = 3\n", "curve", [["--strict"]]),
     "eigs": ("[curve]\npreset = circle\n[coupling]\neps = 1.0\n[discretization]\n"
-             "nodes_per_edge = 16\n[eigs]\nsamples = 16\n", "verify", None),
+             "nodes_per_edge = 16\n[eigs]\nsamples = 16\n", "verify", []),
     "verify": ("[curve]\n" + _CIRCLE_EDGE + "[coupling]\neps = 1.0\n[discretization]\n"
-               "nodes_per_edge = 16\n[verify]\nz = 0.0\n", "eigs", None),
+               "nodes_per_edge = 16\n[verify]\nz = 0.0\n", "eigs", []),
     "sweep": ("[curve]\npreset = square\n[classify]\ncurve_class = auto\n[coupling]\n"
-              "mass = 1.0\n" + _SWEEP_TAIL, "symbol", "--mu"),
+              "mass = 1.0\n" + _SWEEP_TAIL, "symbol", [["--mu", "1"], ["--strict"]]),
 }
 
 
 def _refusal_cases():
-    for command, (text, other, flag) in _READ_WHOLE.items():
+    for command, (text, other, flags) in _READ_WHOLE.items():
         for section in re.findall(r"^\[(.+)\]$", text, re.M):
             header = f"[{section}]\n"
             assert text.count(header) == 1
             yield pytest.param(command, text.replace(header, header + "bogus = 1\n"), [],
                                id=f"{command}-{section}-key")
         yield pytest.param(command, text + f"[{other}]\n", [], id=f"{command}-{other}")
-        if flag:
-            yield pytest.param(command, text, [flag, "1"], id=f"{command}{flag}")
+        for flag in flags:
+            yield pytest.param(command, text, flag, id=f"{command}{flag[0]}")
 
 
 @pytest.mark.parametrize("command, text, flags", list(_refusal_cases()))

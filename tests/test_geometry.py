@@ -176,9 +176,15 @@ def test_cusp_error():
 
 
 def test_self_intersection_error():
-    bowtie = geo.polygon_from_vertices([(0, 0), (1, 1), (1, 0), (0, 1)])
-    with pytest.raises(SelfIntersectionError):
-        geo.build_curve(bowtie)
+    for vertices in (
+        [(0, 0), (1, 1), (1, 0), (0, 1)],  # bowtie
+        # crossings between the edge samples
+        [(0, 0), (2, 1), (2, 0), (0, 1.3)],
+        # crossings (2, 0) and (0.5, 0) at samples of one edge that lie on another
+        [(0, 0), (3, 0), (3, 1), (1, -1), (0, 1)],
+    ):
+        with pytest.raises(SelfIntersectionError):
+            geo.build_curve(geo.polygon_from_vertices(vertices))
 
 
 def test_invalid_refinement(circle_curve, square_curve):

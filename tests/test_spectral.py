@@ -417,27 +417,23 @@ def test_solve_pool_gives_back_the_blas_thread_counts(circle_grid_128):
     assert _blas_thread_counts(setters) == before
 
 
-_GRID_TABLES = ("_distances", "_upper_pairs", "_k1_phase", "log_weight_table",
-                "_symmetric_weights", "cauchy_weight_table", "cauchy_block_matrices")
-
-
 def test_pooled_sweep_builds_each_grid_table_once(monkeypatch):
-    # four workers switching threads every microsecond: a table that two
-    # workers found missing at once would be built twice.  The sweep, the
-    # search's brackets and roots, and (five times) the sweep's samples
-    # mapped on the pool alone each build them on first use, on a grid whose
-    # tables are missing.  The sweep builds them on the calling thread, not
-    # among a worker's per-z arrays
-    builds, builders = {}, set()
-    for name in _GRID_TABLES:
-        build = getattr(bo, name).__wrapped__
+    # four workers switching threads every microsecond: tables that two
+    # workers found missing at once would be built twice.  The sweep and the
+    # search's brackets and roots each build the grid's one table set on the
+    # calling thread, not among a worker's per-z arrays, on a grid whose
+    # tables are missing; the sweep's samples mapped on the pool alone (five
+    # times, on a cleared grid) build it once
+    builds, builders = [], set()
+    for name in ("log_weight_table", "cauchy_weight_table"):  # one call per build
+        build = getattr(bo, name)
 
-        @functools.wraps(build)
-        def counted(grid, build=build):
-            builds[build.__name__] = builds.get(build.__name__, 0) + 1
+        def counted(grid, *args, build=build):
+            builds.append(build.__name__)
             builders.add(threading.get_ident())
-            return build(grid)
-        monkeypatch.setattr(bo, name, bo._per_grid(counted))
+            return build(grid, *args)
+        monkeypatch.setattr(bo, name, counted)
+    once = ["log_weight_table", "cauchy_weight_table"]
     setters = bo._openblas_thread_setters()
     monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [*setters, lambda n: 4])
     grid = geo.discretize(geo.build_curve(geo.square(1.0)), 16)
@@ -445,21 +441,21 @@ def test_pooled_sweep_builds_each_grid_table_once(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         sweep = sp.gap_sweep(grid, Coupling(1.0, 0.0), samples=32)
-        assert builds == dict.fromkeys(_GRID_TABLES, 1)
-        assert builders == {threading.get_ident()}
+        assert builds == once
         grid.cache().clear()
         builds.clear()
         assert len(sp.find_eigenvalues(grid, sweep)) >= 1
+        assert builds == once
+        assert builders == {threading.get_ident()}
         for _ in range(5):
-            assert builds == dict.fromkeys(_GRID_TABLES, 1)
             grid.cache().clear()
             builds.clear()
             with bo.solve_pool() as solve_map:
                 list(solve_map(functools.partial(sp._hermitian_eigs, grid, sweep.coupling),
                                sweep.z_samples))
+            assert builds == once
     finally:
         sys.setswitchinterval(interval)
-    assert builds == dict.fromkeys(_GRID_TABLES, 1)
 
 
 def test_scalar_route_positive_coupling_empty(circle_grid_128):
