@@ -390,55 +390,36 @@ def cz_blocks(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
     return out
 
 
-class SymmetricKernels(NamedTuple):
-    """The kernels of the Hermitian part of C_z at one z, on the strict upper
-    node pairs: (1/2pi)(b_K0 (w_i + w_j)/2 - I0 (L + L^T)/2) of S_z, and
-    kappa I1 (L + L^T)/2 + b_K1 (w_i + w_j)/2 of the K1 block (None on one
-    component).  Half the size of the kernel values they come from."""
-
-    z: float
-    kappa: float
-    s: np.ndarray
-    k1: np.ndarray | None
-
-
-def symmetric_kernels(grid: QuadratureGrid, values: KernelValues) -> SymmetricKernels:
-    """The kernel values are symmetric in the node pair, so the Hermitian part
-    of a log-kernel block weighs them by the symmetrised tables
-    (L + L^T)/2 and (w_i + w_j)/2 of ``GridTables``."""
-    tables = grid_tables(grid)
-    s = values.b_k0 * tables.w_sym
-    s -= values.i0 * tables.l_sym
-    s *= 1.0 / (2 * np.pi)
-    k1 = None
-    if values.i1 is not None:
-        k1 = values.i1 * tables.l_sym
-        k1 *= values.kappa
-        k1 += values.b_k1 * tables.w_sym
-    return SymmetricKernels(values.z, values.kappa, s, k1)
-
-
-def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, kernels: SymmetricKernels,
+def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
                      components=(0, 1)) -> np.ndarray:
     """The Hermitian part of diag(1/d_k) + C_z on the given spinor components,
-    d_k = eps +- mu, written once from the symmetric kernels at z, component
-    by component (the rows and columns of the k-th given component are k N
-    to (k+1) N - 1); real on one component.
+    d_k = eps +- mu, written once from the kernel values at z, component by
+    component (the rows and columns of the k-th given component are k N to
+    (k+1) N - 1); real on one component.
 
-    The K1 phase is antisymmetric, so the upper-right block is the Hermitian
-    half (upper + lower^H)/2 of the Cauchy blocks plus the phase times the
+    The kernel values are symmetric in the node pair, so the Hermitian part
+    of a log-kernel block weighs them by the symmetrised tables
+    (L + L^T)/2 and (w_i + w_j)/2 of ``GridTables``: the kernel of S_z is
+    (1/2pi)(b_K0 (w_i + w_j)/2 - I0 (L + L^T)/2), that of the K1 block
+    kappa I1 (L + L^T)/2 + b_K1 (w_i + w_j)/2.  The K1 phase is
+    antisymmetric, so the upper-right block is the Hermitian half
+    (upper + lower^H)/2 of the Cauchy blocks plus the phase times the
     symmetric K1 kernel.  The lower-left block is its conjugate transpose,
     so the matrix is Hermitian bitwise.
     """
-    n, z, mass = grid.n_nodes, kernels.z, coupling.mass
+    n, z, mass = grid.n_nodes, values.z, coupling.mass
     tables = grid_tables(grid)
     out = np.empty((len(components) * n,) * 2, dtype=complex if len(components) == 2 else float)
-    s_diag = (K.b_k0_at_zero(kernels.kappa) * grid.weights
+    s = values.b_k0 * tables.w_sym
+    s -= values.i0 * tables.l_sym
+    s *= 1.0 / (2 * np.pi)
+    s_diag = (K.b_k0_at_zero(values.kappa) * grid.weights
               - np.diagonal(tables.log_weights)) / (2 * np.pi)
     for k, comp in enumerate(components):
         coef = z + mass if comp == 0 else z - mass
         block = out[k * n:(k + 1) * n, k * n:(k + 1) * n]
-        _symmetric(grid, coef * kernels.s, 1.0 / coupling.diagonal[comp] + coef * s_diag, block)
+        _symmetric(grid, coef * s, 1.0 / coupling.diagonal[comp] + coef * s_diag, block)
+    del s
     if len(components) == 2:
         # the lower-left block holds the Cauchy half until the upper-right
         # one is complete, so no complex N x N temporary is made
@@ -446,7 +427,10 @@ def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, kernels: Symmetri
         np.conjugate(tables.cauchy_lower.T, out=bottom)
         bottom += tables.cauchy_upper
         bottom *= 0.5
-        _symmetric(grid, kernels.k1, 0.0, top)
+        k1 = values.i1 * tables.l_sym
+        k1 *= values.kappa
+        k1 += values.b_k1 * tables.w_sym
+        _symmetric(grid, k1, 0.0, top)
         top *= tables.k1_phase
         top += bottom
         np.conjugate(top.T, out=bottom)

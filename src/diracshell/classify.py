@@ -169,21 +169,6 @@ def classify(curve_class: CurveClass, coupling: Coupling) -> ClassificationResul
     return ClassificationResult("Unknown", None, evidence, notes)
 
 
-def critical_set(curve_class: CurveClass) -> list:
-    """Threshold values of eps^2 - mu^2 where the classification changes.
-
-    Polygons return the pair (1/m(omega), 16 m(omega)), which coincide for
-    openings with m = 1/4; C1 curves return the single threshold 4.
-    """
-    if curve_class.kind == "c1":
-        return [4.0]
-    if curve_class.kind == "polygon":
-        if len(curve_class.angles) == 0:
-            return [4.0]
-        return [1.0 / curve_class.m_omega, 16.0 * curve_class.m_omega]
-    raise DomainError("critical_set requires a polygon or C1 curve class")
-
-
 def reduced_coupling(coupling: Coupling) -> Coupling:
     """The unitary-equivalence partner (-4 eps/d, -4 mu/d), d = eps^2 - mu^2."""
     d = coupling.strength

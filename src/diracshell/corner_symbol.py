@@ -195,23 +195,6 @@ def s_closed(theta: float, eta: float) -> float:
     return 4.0 * st * st * M(theta, 2.0 * eta)
 
 
-def zeta_function(theta: float, t):
-    """The unit direction entering the symbol kernel, as a complex number
-    in the model frame tau = 1, nu = i."""
-    t = np.asarray(t, dtype=float)
-    den = np.sqrt(np.exp(t) + np.exp(-t) - 2.0 * math.cos(theta))
-    return ((np.exp(-0.5 * t) * math.cos(theta) - np.exp(0.5 * t))
-            - 1j * np.exp(-0.5 * t) * math.sin(theta)) / den
-
-
-def shelepov_G(zeta_c: complex, coupling: Coupling) -> np.ndarray:
-    """The 2x2 matrix kernel of I - Theta_m in the singular-operator normal form."""
-    pref = -1j / (2.0 * math.pi)
-    ep, em = coupling.diagonal
-    return np.array([[0.0, pref * ep * np.conj(zeta_c)],
-                     [pref * em * zeta_c, 0.0]], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # reference Mellin integral
 # ---------------------------------------------------------------------------

@@ -6,11 +6,9 @@ is normalized to anticlockwise, so the bounded component Omega_+ lies on the
 left of the direction of travel.  Frames follow the convention
 
     nu = unit normal pointing into the unbounded component Omega_-,
-    tau = (-nu_2, nu_1)  (the direction of travel),
+    tau = (-nu_2, nu_1)  (the direction of travel).
 
-while each Corner additionally carries the corner frame of the Fredholm
-symbol machinery: tau along the incoming direction and the inward normal
-obtained from tau by a +pi/2 rotation.
+Each Corner records its interior angle and the two edges that meet there.
 """
 
 from __future__ import annotations
@@ -147,10 +145,6 @@ class CurveSpec:
 @dataclass(frozen=True)
 class Corner:
     theta: float  # interior angle in (0, 2pi) \ {pi}, measured inside Omega_+
-    tau_plus: np.ndarray  # unit vector away from the corner along outgoing arc
-    tau_minus: np.ndarray  # unit vector away from the corner along incoming arc
-    tau: np.ndarray  # left positive tangent, tau = -tau_minus
-    nu: np.ndarray  # tau rotated by +pi/2 (inward at a convex corner)
     edge_in: int
     edge_out: int
 
@@ -361,15 +355,7 @@ def build_curve(spec: CurveSpec) -> Curve:
         if math.pi - abs(delta) <= _ANGLE_TOL:
             raise CuspError(f"cusp at junction {j}: tangents anti-parallel")
         theta = math.pi - delta
-        corners.append(Corner(
-            theta=theta,
-            tau_plus=v,
-            tau_minus=-u,
-            tau=u,
-            nu=np.array([-u[1], u[0]]),
-            edge_in=(j - 1) % ne,
-            edge_out=j,
-        ))
+        corners.append(Corner(theta=theta, edge_in=(j - 1) % ne, edge_out=j))
 
     return Curve(tuple(edges), tuple(corners), area)
 

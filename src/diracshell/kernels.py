@@ -1,4 +1,4 @@
-"""Pauli algebra, modified Bessel functions and the Dirac fundamental solutions.
+"""Couplings, modified Bessel functions and the Dirac fundamental solutions.
 
 The fundamental solution of the two-dimensional Dirac expression
 ``D - z = -i(sigma_1 d_1 + sigma_2 d_2) + m sigma_3 - z`` in the spectral gap
@@ -26,19 +26,7 @@ from .errors import DomainError, SingularPointError, SpectralParameterError
 EULER_GAMMA = 0.57721566490153286061
 
 SIGMA0 = np.eye(2, dtype=complex)
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULI = (SIGMA1, SIGMA2, SIGMA3)
-
-
-def sigma_dot(x):
-    """sigma . x = x1 sigma_1 + x2 sigma_2 for x of shape (..., 2)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 1] = x[..., 0] - 1j * x[..., 1]
-    out[..., 1, 0] = x[..., 0] + 1j * x[..., 1]
-    return out
 
 
 @dataclass(frozen=True)

@@ -85,16 +85,13 @@ def _kernel_values(grid, coupling, z):
     return bo.kernel_values(grid, z, coupling.mass, k1=len(_active(coupling)) == 2)
 
 
-def _symmetric_kernels(grid, coupling, z):
-    return bo.symmetric_kernels(grid, _kernel_values(grid, coupling, z))
-
-
-def _hermitian_matrix(grid, coupling, z, kernels=None):
+def _hermitian_matrix(grid, coupling, z, values=None):
     """The Hermitian matrix of the search at z, the active components one
-    after the other (``boundary_ops.hermitian_matrix``)."""
-    if kernels is None:
-        kernels = _symmetric_kernels(grid, coupling, z)
-    return bo.hermitian_matrix(grid, coupling, kernels, _active(coupling))
+    after the other (``boundary_ops.hermitian_matrix``), from the kernel
+    values at z (evaluated here by default)."""
+    if values is None:
+        values = _kernel_values(grid, coupling, z)
+    return bo.hermitian_matrix(grid, coupling, values, _active(coupling))
 
 
 def _hermitian_eigs(grid, coupling, z):
@@ -194,29 +191,29 @@ def _bracket_root(grid, coupling, spectra, tol, bracket):
     brentq on cheap values, then the certificate of two exact spectra, else
     ``_exact_root`` (see the module docstring).  brentq returns the end of
     its last bracket nearest zero, as a rule the step nearest zero, whose
-    symmetric kernels are kept so that r is not assembled again.
+    kernel values are kept so that r is not evaluated again.
     """
     a, b, j = bracket
-    vec = best = None  # best: |lambda|, z and symmetric kernels of the step nearest zero
+    vec = best = None  # best: |lambda|, z and kernel values of the step nearest zero
 
     def cheap(z):
         nonlocal vec, best
         if z in spectra:
             return spectra[z][j]
-        kernels = _symmetric_kernels(grid, coupling, z)
-        h = _hermitian_matrix(grid, coupling, z, kernels)
+        values = _kernel_values(grid, coupling, z)
+        h = _hermitian_matrix(grid, coupling, z, values)
         if vec is None:
             lam, vec = _inverse_step(h, _start(len(h)), _START_STEPS)
         else:
             lam, vec = _inverse_step(h, vec)
         if best is None or abs(lam) <= best[0]:
-            best = (abs(lam), z, kernels)
+            best = (abs(lam), z, values)
         return lam
 
-    def exact(z, kernels=None):
+    def exact(z, values=None):
         if z in spectra:
             return spectra[z]
-        return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z, kernels))
+        return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z, values))
 
     r = brentq(cheap, a, b, xtol=tol, rtol=_RTOL)
     ev = exact(r, best[2] if best is not None and best[1] == r else None)
@@ -270,7 +267,7 @@ def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
     lo = int(np.argmin(np.maximum(-ev[:len(ev) - mult + 1], ev[mult - 1:])))
     active = _active(coupling)
     values = _kernel_values(grid, coupling, z0)
-    h = _hermitian_matrix(grid, coupling, z0, bo.symmetric_kernels(grid, values))
+    h = _hermitian_matrix(grid, coupling, z0, values)
     vecs = _window_vectors(h, float(np.mean(ev[lo:lo + mult])), mult)
     del h  # before the blocks of Theta_z0 are formed
     theta = bo.theta_in_place(bo.cz_blocks(grid, coupling, values, active),
@@ -426,7 +423,8 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
                                     tols["jump_one_sided"], None,
                                     {"note": "near-curve evaluation needs a smooth grid"}))
 
-    csigma = bo.assemble_cauchy(grid)
+    # C_Sigma from the grid's table set, its Cauchy weights built once
+    csigma = bo.grid_tables(grid).cauchy_upper * grid.tc[None, :]
     resid_mat = csigma @ csigma - 0.25 * np.eye(n)
     sv = np.linalg.svd(resid_mat, compute_uv=False)
     opnorm = float(sv[0])

@@ -14,12 +14,10 @@ from diracshell.classify import (
     CERT_POLYGON_UPPER,
     CurveClass,
     classify,
-    critical_set,
     reduced_coupling,
 )
 from diracshell import classify as cl
 from diracshell import geometry as geo
-from diracshell.errors import DomainError
 from diracshell.kernels import Coupling
 
 SQUARE = CurveClass.polygon([math.pi / 2] * 4)
@@ -90,18 +88,6 @@ def test_empty_polygon_reclassified():
     r = classify(CurveClass.polygon([]), Coupling(1.0, 0.0))
     assert (r.verdict, r.certificate) == ("SelfAdjoint", CERT_C1)
     assert any("reclassified" in n for n in r.notes)
-
-
-def test_critical_set():
-    assert critical_set(SQUARE) == [4.0, 4.0]
-    assert critical_set(CurveClass.c1()) == [4.0]
-    lo, hi = critical_set(CurveClass.polygon([0.1 * math.pi]))
-    from diracshell.corner_symbol import m_of
-    m = m_of(0.1 * math.pi)
-    assert 0.25 < m < 0.5
-    assert lo == pytest.approx(1.0 / m) and hi == pytest.approx(16.0 * m)
-    with pytest.raises(DomainError):
-        critical_set(CurveClass.lipschitz())
 
 
 def test_reduction_consistency_500_random():
@@ -182,9 +168,9 @@ def test_m_omega_computed_once_per_curve_class(monkeypatch):
     for eps in np.linspace(-4.0, 4.0, 9):
         for mu in (0.0, 0.5):
             classify(square, Coupling(eps, mu))
-    assert critical_set(square) == [1.0 / square.m_omega, 16.0 * square.m_omega]
+    assert square.m_omega == m_of(math.pi / 2)
     assert calls == [math.pi / 2]
-    critical_set(triangle)
+    assert 0.25 <= triangle.m_omega < 0.5
     assert calls == [math.pi / 2, pytest.approx(math.pi / 3)]
     assert CurveClass.polygon([math.pi / 2] * 4).m_omega == square.m_omega
     assert len(calls) == 3

@@ -235,23 +235,3 @@ def test_fredholm_negative_strength_always_fredholm():
 def test_fredholm_critical_coupling_error():
     with pytest.raises(CriticalCouplingError):
         cs.fredholm_polygon([math.pi / 2], Coupling(1.0, 1.0))
-
-
-def test_kernel_bound_shape():
-    # magnitude bound of the assembled 2x2 kernel matrix against the unit
-    # pairing moduli, C = (|eps|+|mu|)/pi; directions as unit complex numbers
-    rng = np.random.default_rng(42)
-    c = Coupling(1.7, -0.9)
-    cbound = (abs(c.eps) + abs(c.mu)) / math.pi
-    for _ in range(1000):
-        phi = rng.uniform(0, 2 * math.pi, size=3)
-        xi, eta, zeta = np.exp(1j * phi)
-        g = cs.shelepov_G(zeta, c)
-        rhs = cbound * (abs(xi * np.conj(zeta)) + abs(eta * np.conj(zeta)))
-        assert np.max(np.abs(g)) <= rhs + 1e-15
-
-
-def test_zeta_is_unit():
-    t = np.linspace(-30, 30, 101)
-    z = cs.zeta_function(0.3 * math.pi, t)
-    assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-12

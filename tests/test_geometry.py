@@ -202,19 +202,6 @@ def test_rounded_square_is_smooth():
     assert _perimeter(c) == pytest.approx(PERIMETER_ROUNDED_SQUARE, abs=1e-10)
 
 
-def test_corner_frame_convention(square_curve):
-    for c in square_curve.corners:
-        assert np.linalg.norm(c.tau) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(c.nu) == pytest.approx(1.0, abs=1e-14)
-        # corner normal is tau rotated by +pi/2
-        assert np.allclose(c.nu, [-c.tau[1], c.tau[0]])
-        assert np.allclose(c.tau, -c.tau_minus)
-        # the two arm directions enclose the interior angle on the Omega_+ side
-        cosang = float(np.dot(c.tau_plus, c.tau_minus))
-        assert math.acos(np.clip(cosang, -1, 1)) == pytest.approx(
-            min(c.theta, 2 * math.pi - c.theta), abs=1e-12)
-
-
 def test_grid_immutability(circle_curve):
     g = geo.discretize(circle_curve, 32)
     with pytest.raises(ValueError):

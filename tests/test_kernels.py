@@ -3,13 +3,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from diracshell.errors import DomainError, SingularPointError, SpectralParameterError
 from diracshell.kernels import (
     Coupling,
-    PAULI,
     SIGMA0,
     SIGMA3,
     b_k0,
@@ -21,7 +18,6 @@ from diracshell.kernels import (
     bessel_k1,
     phi_m,
     phi_z,
-    sigma_dot,
 )
 
 mp.mp.dps = 30
@@ -117,22 +113,6 @@ def test_log_splits_large_argument_against_arbitrary_precision():
             for name, (got, ref) in want.items():
                 rel = abs((mp.mpf(float(got)) - ref) / ref)
                 assert rel < 1e-13, (name, kappa, float(w), float(rel))
-
-
-def test_pauli_anticommutation_table():
-    for j in range(3):
-        for k in range(3):
-            anti = PAULI[j] @ PAULI[k] + PAULI[k] @ PAULI[j]
-            want = 2.0 * SIGMA0 if j == k else np.zeros((2, 2))
-            assert np.array_equal(anti, want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(-10, 10), st.floats(-10, 10))
-def test_sigma_dot_squares_to_norm(x1, x2):
-    x = np.array([x1, x2])
-    m = sigma_dot(x)
-    assert np.max(np.abs(m @ m - (x1**2 + x2**2) * SIGMA0)) < 1e-14 * max(1.0, x1**2 + x2**2)
 
 
 def test_phi_z_conjugate_symmetry():

@@ -12,6 +12,7 @@ from diracshell import geometry as geo
 from diracshell import spectral as sp
 from diracshell.errors import SpectralParameterError
 from diracshell.kernels import Coupling
+from oracles import circle_eigenvalues
 
 
 def test_free_coupling_empty_sweep(circle_grid_128):
@@ -58,6 +59,25 @@ def test_find_eigenvalues_circle(circle_grid_128):
         assert -1.0 < p.z0 < 1.0
         assert p.residual < 1e-8
         assert abs(np.linalg.norm(p.density) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("eps, mu, mass, radius, nodes, count", [
+    (1.0, 0.0, 1.0, 1.0, 256, 3),  # configs/eigs_circle.cfg
+    (-1.0, -1.0, 1.0, 1.0, 128, 3),  # scalar route: modes k and -k give one double root
+    (0.7, 0.2, 1.5, 1.0, 128, 1),
+    (1.0, 0.0, 2.0, 0.5, 128, 3),  # twice the roots of (1, 0, 1, 1): scale covariance
+    (-4.0, 0.0, 1.0, 1.0, 128, 3),  # the unitary partner of (1, 0): the same roots
+])
+def test_circle_roots_match_the_mode_oracle(eps, mu, mass, radius, nodes, count):
+    coup = Coupling(eps, mu, mass)
+    grid = geo.discretize(geo.build_curve(geo.circle(radius)), nodes)
+    pairs = sp.find_eigenvalues(grid, sp.gap_sweep(grid, coup, samples=64))
+    want = np.array(circle_eigenvalues(coup, radius, sp.default_window(coup)))
+    assert len(want) == len(pairs) == count
+    assert np.max(np.abs([p.z0 for p in pairs] - want)) < 1e-10
+    # the oracle's roots closer than 1e-9 are one root of that multiplicity
+    starts = np.flatnonzero(np.r_[True, np.diff(want) > 1e-9, True])
+    assert np.bincount([p.cluster for p in pairs]).tolist() == np.diff(starts).tolist()
 
 
 @pytest.mark.parametrize("coup", [Coupling(1.0, 0.0), Coupling(-1.0, -1.0)])
