@@ -614,8 +614,10 @@ def evaluate_potential(grid, density, z, coupling, points):
     factor = 1
     degraded = near
     if np.any(near) and grid.kind == "trapezoid":
-        # spectral upsampling for the near points
-        target = 8.0 / max(np.min(dmin[near]), 1e-6)
+        # spectral upsampling for the near points; the curve length over 2pi
+        # (a circle's radius) in the target keeps the rule scale-covariant
+        radius = float(np.sum(grid.weights)) / (2.0 * np.pi)
+        target = 8.0 * radius / max(np.min(dmin[near]), 1e-6 * radius)
         while grid.n_nodes * factor < target and grid.n_nodes * factor < 131072:
             factor *= 2
         if grid.n_nodes * factor >= target:

@@ -328,9 +328,9 @@ def _read_curve(r):
 
 
 def _read_curve_class(r):
-    """A function that returns the curve class: the stated one, or one taken
-    from the curve (auto, or polygon without angles_pi), which only then is
-    read."""
+    """A function that returns the curve class: the stated one (its angles
+    checked here, so that a bad one is a config error), or one taken from the
+    curve (auto, or polygon without angles_pi), which only then is read."""
     from . import geometry as geo
     from .classify import CurveClass
 
@@ -342,7 +342,11 @@ def _read_curve_class(r):
         raise ConfigError(f"unknown curve_class {kind!r}")
     angles = get("angles_pi", None, list) if kind == "polygon" else None
     if angles is not None:
-        return functools.partial(CurveClass.polygon, [a * math.pi for a in angles])
+        try:
+            cls = CurveClass.polygon([a * math.pi for a in angles])
+        except DomainError as exc:
+            raise ConfigError(f"[classify] angles_pi: {exc}") from None
+        return lambda: cls
     spec = _read_curve(r)
     return lambda: CurveClass.from_curve(geo.build_curve(spec()))
 

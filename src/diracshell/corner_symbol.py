@@ -6,9 +6,9 @@ Everything here is per-corner and purely analytic: the even function
 
 its supremum m(theta), the corner symbol determinant Delta on the line
 xi = eta + i/2 (in closed form and by direct quadrature of the Mellin-type
-integrals, which serves as the independent oracle), and the resulting
-Fredholm decision for a polygon: Fredholm iff eps^2 - mu^2 < 1/m(omega)
-with omega the sharpest effective corner opening.
+integrals, which serves as the independent oracle).  The Fredholm
+criterion they give for a polygon, eps^2 - mu^2 < 1/m(omega) with omega the
+sharpest effective corner opening, is decided in ``classify``.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
-from scipy.optimize import brentq
 
-from .errors import ConvergenceError, CriticalCouplingError, DomainError
-from .geometry import sharpest_angle
+from .errors import ConvergenceError, DomainError
 from .kernels import Coupling
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -62,31 +60,13 @@ def _golden_max(f, lo: float, hi: float):
     return xm, f(xm)
 
 
-def m_argsup(theta: float) -> tuple[float, float]:
-    """(m(theta), x*) by grid scan plus golden-section refinement, x* >= 0.
+def m_of(theta: float) -> float:
+    """m(theta) = sup_x M_theta(x), by grid scan plus golden-section refinement.
 
     m(theta) is the largest of the best scan point, the refined point and
-    M_theta(0) = 1/4; x* is the refined point, or 0 where M_theta(0) is at
-    least the refined value.  The scan window [0, X] is chosen from the tail
-    bound M_theta(x) <= exp(-min(theta, 2pi-theta) x), so that no point
-    beyond X can exceed M_theta(0).
-    """
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise DomainError(f"theta must lie in (0, 2pi), got {theta}")
-    omega = min(theta, 2.0 * math.pi - theta)
-    xmax = (math.log(4.0) + 37.0) / omega
-    grid = np.linspace(0.0, xmax, 4001)
-    vals = M(theta, grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    xm, fm = _golden_max(lambda x: M(theta, x), lo, hi)
-    m0 = M(theta, 0.0)
-    return max(float(vals[i]), float(fm), m0), (0.0 if m0 >= fm else xm)
-
-
-def m_of(theta: float) -> float:
-    """m(theta) = sup_x M_theta(x), the value of m_argsup.
+    M_theta(0) = 1/4.  The scan window [0, X] is chosen from the tail bound
+    M_theta(x) <= exp(-min(theta, 2pi-theta) x), so that no point beyond X
+    can exceed M_theta(0).
 
     m(theta) = m(2pi - theta), and for theta in (0, pi]
 
@@ -98,7 +78,17 @@ def m_of(theta: float) -> float:
     edge is M_theta(x) >= e^(-theta x) / (2 (1 + e^(-pi x))^2) evaluated at
     x = ln(2pi/theta)/pi with e^(-y) >= 1 - y and (1 + t)^-2 >= 1 - 2t.
     """
-    return m_argsup(theta)[0]
+    if not 0.0 < theta < 2.0 * math.pi:
+        raise DomainError(f"theta must lie in (0, 2pi), got {theta}")
+    omega = min(theta, 2.0 * math.pi - theta)
+    xmax = (math.log(4.0) + 37.0) / omega
+    grid = np.linspace(0.0, xmax, 4001)
+    vals = M(theta, grid)
+    i = int(np.argmax(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    _, fm = _golden_max(lambda x: M(theta, x), lo, hi)
+    return max(float(vals[i]), float(fm), M(theta, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,60 +238,3 @@ def mellin_reference_quadrature(alpha: complex, omega: float, b: float,
         raise ConvergenceError(
             f"reference quadrature error {err:.2e} above tol {tol:.2e}")
     return b ** (alpha - 2.0) * val
-
-
-# ---------------------------------------------------------------------------
-# polygon decision
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FredholmDecision:
-    fredholm: bool
-    omega: float
-    m_omega: float
-    strength: float
-    threshold: float  # 1 / m(omega)
-    witness_corner: int | None = None
-    witness_theta: float | None = None
-    witness_eta: float | None = None
-
-
-def _solve_level(theta: float, level: float) -> float:
-    """x >= 0 with M_theta(x) = level, for 0 < level < m(theta).
-
-    The root lies on the descending flank beyond the maximiser x*.  Since
-    M_theta(x) < exp(-omega x) with omega = min(theta, 2pi - theta) (the
-    bound m_argsup uses), M_theta - level is negative at
-    max(x*, ln(1/level)/omega) + 1, which closes the bracket.
-    """
-    _, xstar = m_argsup(theta)
-    if M(theta, xstar) <= level:
-        return xstar
-    omega = min(theta, 2.0 * math.pi - theta)
-    hi = max(xstar, math.log(1.0 / level) / omega) + 1.0
-    return brentq(lambda x: M(theta, x) - level, xstar, hi, xtol=1e-15)
-
-
-def fredholm_polygon(angles, coupling: Coupling) -> FredholmDecision:
-    """Fredholm decision for the boundary operator on a curvilinear polygon.
-
-    Fredholm iff eps^2 - mu^2 < 1/m(omega); when not, the witness reports the
-    sharpest corner and the eta* with M_theta(2 eta*) = 1/(eps^2 - mu^2).
-    """
-    if coupling.is_critical:
-        raise CriticalCouplingError("Fredholm criterion requires |eps| != |mu|")
-    angles = np.asarray(angles, dtype=float)
-    omega = sharpest_angle(angles)
-    m_omega = m_of(omega)
-    d = coupling.strength
-    threshold = 1.0 / m_omega
-    if d < threshold:
-        return FredholmDecision(True, omega, m_omega, d, threshold)
-    eff = np.minimum(angles, 2.0 * math.pi - angles)
-    j = int(np.argmin(eff))
-    theta_j = float(angles[j])
-    xstar = _solve_level(theta_j, 1.0 / d)
-    return FredholmDecision(False, omega, m_omega, d, threshold,
-                            witness_corner=j, witness_theta=theta_j,
-                            witness_eta=0.5 * xstar)

@@ -378,6 +378,24 @@ def test_potential_equals_explicit_sum(spec, nodes):
     assert np.max(np.abs(vals - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("radius", [0.1, 10.0])
+def test_near_curve_potential_is_scale_covariant(radius):
+    # Phi_z scales like 1/R and the weights like R when the curve, the points,
+    # 1/mass and 1/z all scale by R: the values at points 1e-3 R off a circle
+    # of radius R are those on the unit circle, so the upsampling must resolve
+    # the same relative distance at every R
+    def values(r):
+        grid = geo.discretize(geo.build_curve(geo.circle(r)), 256)
+        dens = sp._smooth_test_density(grid, 7)
+        pts = grid.nodes[::16] + 1e-3 * r * grid.normals[::16]
+        vals, flags = bo.evaluate_potential(grid, dens, 0.3 / r, Coupling(3.0, 1.0, 1.0 / r), pts)
+        assert not flags.any()
+        return vals
+
+    want = values(1.0)
+    assert np.max(np.abs(values(radius) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_potential_reads_a_density_in_any_memory_order():
     # the flat (2N,) density, its C-ordered (2, N) form and the transpose of
     # a C-ordered (N, 2) copy (a Fortran-ordered (2, N) array) give bitwise

@@ -18,6 +18,7 @@ from diracshell.classify import (
 )
 from diracshell import classify as cl
 from diracshell import geometry as geo
+from diracshell.corner_symbol import m_of
 from diracshell.kernels import Coupling
 
 SQUARE = CurveClass.polygon([math.pi / 2] * 4)
@@ -70,6 +71,17 @@ def test_upper_branch_reports_non_fredholm():
     r = classify(SQUARE, Coupling(3.0, 0.0))
     assert r.evidence["fredholm"] is False
     assert any("fredholm=false, self_adjoint=true" in n for n in r.notes)
+
+
+def test_fredholm_evidence_is_strict_and_read_at_the_sharpest_corner():
+    e = classify(SQUARE, Coupling(1.0, 0.0)).evidence
+    assert e["fredholm"] is True
+    assert e["threshold_lower"] == pytest.approx(4.0)
+    # d = 4 = 1/m(pi/2): the inequality d < 1/m(omega) is strict
+    assert classify(SQUARE, Coupling(2.0, 0.0)).evidence["fredholm"] is False
+    e = classify(CurveClass.polygon([0.3 * math.pi, math.pi / 2]), Coupling(2.0, 0.0)).evidence
+    assert e["omega"] == 0.3 * math.pi
+    assert e["fredholm"] == (4.0 < 1.0 / m_of(0.3 * math.pi))
 
 
 def test_verdict_certificate_invariant():

@@ -93,12 +93,23 @@ _TRIG_CIRCLE = "[edge.0]\nkind = trig\nx = 0.0, 1.0\ny = 0.0, 0.0\n"
     ("classify", "[curve]\npreset = square\nradius = 2.0\n"),
     ("classify", "[edge.a]\nkind = poly\nx = 0.0, 1.0\ny = 0.0\n"),
     ("classify", "[curve]\npreset = rounded_square\nside = 1.0\ncorner_radius = 0.6\n"),
+    ("classify", "[classify]\ncurve_class = polygon\nangles_pi = 0.5, 1.0\n"),
 ], ids=["non-number", "non-integer", "non-number-coefficient", "arc-without-radius",
-        "key-the-preset-does-not-read", "non-integer-edge-index", "rounding-radius-too-large"])
+        "key-the-preset-does-not-read", "non-integer-edge-index", "rounding-radius-too-large",
+        "straight-polygon-angle"])
 def test_malformed_config_exits_2(tmp_path, capsys, command, text):
     p = _write(tmp_path, "c.cfg", text + "[coupling]\neps = 3.0\nmu = 0.0\n")
     assert cli.main([command, "--config", p, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_sweep_refuses_a_polygon_angle_outside_the_range_as_a_config_error(tmp_path, capsys):
+    # no [coupling] eps or mu: sweep does not read them, so they cannot be
+    # the reason for the exit status
+    p = _write(tmp_path, "c.cfg", "[classify]\ncurve_class = polygon\nangles_pi = 2.5\n"
+                                  "[sweep]\neps_steps = 3\nmu_steps = 3\n")
+    assert cli.main(["sweep", "--config", p, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: [classify] angles_pi: ")
 
 
 def test_scalar_coefficients_read_as_one_term_lists(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracshell import corner_symbol as cs
-from diracshell.errors import ConvergenceError, CriticalCouplingError, DomainError
+from diracshell.errors import ConvergenceError, DomainError
 from diracshell.kernels import Coupling
 
 
@@ -186,52 +186,3 @@ def test_mellin_reference_domain():
         cs.mellin_reference(1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         cs.mellin_reference(1.0, 0.4, -1.0)
-
-
-def test_fredholm_polygon_square_cases():
-    d1 = cs.fredholm_polygon([math.pi / 2] * 4, Coupling(1.0, 0.0))
-    assert d1.fredholm
-    assert d1.threshold == pytest.approx(4.0)
-    d2 = cs.fredholm_polygon([math.pi / 2] * 4, Coupling(2.0, 0.0))
-    assert not d2.fredholm
-    assert d2.witness_eta == pytest.approx(0.0, abs=1e-8)
-    assert d2.witness_corner == 0
-    m03 = cs.m_of(0.3 * math.pi)
-    d3 = cs.fredholm_polygon([0.3 * math.pi, math.pi / 2], Coupling(2.0, 0.0))
-    assert d3.fredholm == (4.0 < 1.0 / m03)
-
-
-@pytest.mark.parametrize("tpi", [0.05, 0.3, 0.5, 0.9, 1.0, 1.4, 1.95])
-def test_m_argsup_gives_m_of_and_its_argument(tpi):
-    theta = tpi * math.pi
-    m, x = cs.m_argsup(theta)
-    assert m == cs.m_of(theta)
-    assert x >= 0.0
-    assert cs.M(theta, x) == pytest.approx(m, abs=1e-14)
-
-
-def test_fredholm_witness_hits_level():
-    c = Coupling(2.2, 0.0)
-    d = cs.fredholm_polygon([0.2 * math.pi], c)
-    assert not d.fredholm
-    lvl = cs.M(d.witness_theta, 2.0 * d.witness_eta)
-    assert lvl == pytest.approx(1.0 / c.strength, abs=1e-9)
-
-
-def test_fredholm_witness_beyond_a_fixed_window():
-    # at a sharp corner the level 1/d lies far out on the descending flank
-    # (eta* = 10.0046 here), past any window not derived from the tail bound
-    c = Coupling(2.0, 0.5)
-    d = cs.fredholm_polygon([0.01 * math.pi], c)
-    assert not d.fredholm
-    assert abs(cs.M(d.witness_theta, 2.0 * d.witness_eta) - 1.0 / 3.75) <= 1e-12
-
-
-def test_fredholm_negative_strength_always_fredholm():
-    d = cs.fredholm_polygon([0.1 * math.pi], Coupling(1.0, 3.0))
-    assert d.fredholm
-
-
-def test_fredholm_critical_coupling_error():
-    with pytest.raises(CriticalCouplingError):
-        cs.fredholm_polygon([math.pi / 2], Coupling(1.0, 1.0))
