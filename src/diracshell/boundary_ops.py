@@ -30,7 +30,7 @@ from .errors import (
     GridTooCoarse,
     PointOnCurveError,
 )
-from .geometry import PANEL_ORDER, QuadratureGrid
+from .geometry import PANEL_ORDER, QuadratureGrid, discretize
 from .kernels import Coupling
 from .quadrature import (
     cauchy_moments,
@@ -138,8 +138,8 @@ class GridTables(NamedTuple):
     l_sym: np.ndarray  # (L + L^T)/2 on the pairs
     w_sym: np.ndarray  # (w_i + w_j)/2 on the pairs
     k1_phase: np.ndarray  # (i/2pi) conj(x_i - x_j)/R, (N, N) complex, 0 on the diagonal
-    cauchy_upper: np.ndarray  # C_Sigma t*, the upper off-diagonal block at z = m
-    cauchy_lower: np.ndarray  # t C_Sigma*, the lower one
+    cauchy_upper: np.ndarray  # U = C_Sigma t*, the upper off-diagonal block at z = m
+    cauchy_half: np.ndarray  # (U - U^T)/2, the Hermitian half of the Cauchy blocks
 
 
 def grid_tables(grid: QuadratureGrid) -> GridTables:
@@ -159,12 +159,12 @@ def grid_tables(grid: QuadratureGrid) -> GridTables:
                 upper = np.triu(np.ones(r.shape, dtype=bool), 1)
                 r_upper = r[upper]
                 log_weights = log_weight_table(grid, r)
-                a = assemble_cauchy(grid)
+                cauchy = assemble_cauchy(grid) * np.conj(grid.tc)[None, :]
                 tables = GridTables(
                     upper, r_upper, np.log(r_upper), float(np.max(r_upper)), log_weights,
                     0.5 * (log_weights + log_weights.T)[upper],
                     0.5 * (grid.weights[:, None] + grid.weights[None, :])[upper], k1_phase,
-                    a * np.conj(grid.tc)[None, :], -np.conj(a) * grid.tc[None, :])
+                    cauchy, 0.5 * (cauchy - cauchy.T))
                 for table in tables:
                     if isinstance(table, np.ndarray):
                         table.setflags(write=False)
@@ -250,9 +250,10 @@ def assemble_cauchy(grid: QuadratureGrid) -> np.ndarray:
 
 
 def assemble_Cm(grid: QuadratureGrid) -> np.ndarray:
-    """The singular matrix operator at z = m: off-diagonal Cauchy blocks."""
-    tables = grid_tables(grid)
-    return _off_diagonal(tables.cauchy_upper, tables.cauchy_lower)
+    """The singular matrix operator at z = m: off-diagonal Cauchy blocks, the
+    lower one minus the conjugate of the upper one."""
+    upper = grid_tables(grid).cauchy_upper
+    return _off_diagonal(upper, -np.conj(upper))
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +378,11 @@ def cz_blocks(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
     np.multiply(s_mat, z - mass, out=out[n:, n:])
     del s_mat
     _k1_block(grid, values, top, bottom)
-    # The lower block's kernel (dx/r in place of conj(dx)/r) is minus the
-    # complex conjugate of the upper one, and every quadrature weight (the
-    # log weight table, the arclength weights) is real, so minus the
-    # conjugate of the assembled upper block is exactly the assembled lower
-    # block.  Subtracting from 0.0 rather than negating leaves its zero
-    # entries +0.0, as a direct assembly gives them.
+    top += grid_tables(grid).cauchy_upper
+    # both kernels flip to minus their conjugates and every weight is real;
+    # subtracting from 0.0 keeps the zero entries +0.0
     np.conjugate(top, out=bottom)
     np.subtract(0.0, bottom, out=bottom)
-    bottom += grid_tables(grid).cauchy_lower
-    top += grid_tables(grid).cauchy_upper
     return out
 
 
@@ -402,10 +398,10 @@ def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, values: KernelVal
     (L + L^T)/2 and (w_i + w_j)/2 of ``GridTables``: the kernel of S_z is
     (1/2pi)(b_K0 (w_i + w_j)/2 - I0 (L + L^T)/2), that of the K1 block
     kappa I1 (L + L^T)/2 + b_K1 (w_i + w_j)/2.  The K1 phase is
-    antisymmetric, so the upper-right block is the Hermitian half
-    (upper + lower^H)/2 of the Cauchy blocks plus the phase times the
-    symmetric K1 kernel.  The lower-left block is its conjugate transpose,
-    so the matrix is Hermitian bitwise.
+    antisymmetric, so the upper-right block is the phase times the
+    symmetric K1 kernel plus the Cauchy half of ``GridTables``.  The
+    lower-left block is its conjugate transpose, so the matrix is Hermitian
+    bitwise.
     """
     n, z, mass = grid.n_nodes, values.z, coupling.mass
     tables = grid_tables(grid)
@@ -421,19 +417,14 @@ def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, values: KernelVal
         _symmetric(grid, coef * s, 1.0 / coupling.diagonal[comp] + coef * s_diag, block)
     del s
     if len(components) == 2:
-        # the lower-left block holds the Cauchy half until the upper-right
-        # one is complete, so no complex N x N temporary is made
-        top, bottom = out[:n, n:], out[n:, :n]
-        np.conjugate(tables.cauchy_lower.T, out=bottom)
-        bottom += tables.cauchy_upper
-        bottom *= 0.5
+        top = out[:n, n:]
         k1 = values.i1 * tables.l_sym
         k1 *= values.kappa
         k1 += values.b_k1 * tables.w_sym
         _symmetric(grid, k1, 0.0, top)
         top *= tables.k1_phase
-        top += bottom
-        np.conjugate(top.T, out=bottom)
+        top += tables.cauchy_half
+        np.conjugate(top.T, out=out[n:, :n])
     return out
 
 
@@ -495,9 +486,8 @@ def assemble_lambda(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.nd
 
 def assemble_gamma(grid: QuadratureGrid, coupling: Coupling) -> np.ndarray:
     """Gamma with (eps^2 - mu^2) Lambda_m = eps sigma_0 + Gamma."""
-    tables = grid_tables(grid)
-    d = coupling.strength
-    gamma = _off_diagonal(d * tables.cauchy_upper, d * tables.cauchy_lower)
+    upper = coupling.strength * grid_tables(grid).cauchy_upper
+    gamma = _off_diagonal(upper, -np.conj(upper))
     np.fill_diagonal(gamma, np.repeat([-coupling.mu, coupling.mu], grid.n_nodes))
     return gamma
 
@@ -520,8 +510,9 @@ def lu_solve_with_cond(matrix: np.ndarray, rhs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _phi_z_apply(points, srcs, weights, g2, z, coupling):
-    """sum_j phi_z(p - y_j) g_j w_j, (2, M), for points (M, 2) and g2 (2, N).
+def _phi_z_apply(points, grid, g2, z, coupling):
+    """sum_j phi_z(p - y_j) g_j w_j, (2, M), for points (M, 2) and g2 (2, N)
+    at the grid's nodes y_j and weights w_j.
 
     phi_z = (1/2pi) K0 (m sigma_3 + z sigma_0) + (i kappa / 2pi r) K1 (sigma . x),
     so with gw = g w each component takes a product with the real field K0
@@ -536,11 +527,11 @@ def _phi_z_apply(points, srcs, weights, g2, z, coupling):
     kappa = K.gap_kappa(z, coupling.mass)
     pref = 1.0 / (2 * np.pi)
     mass = coupling.mass
-    gw = np.ascontiguousarray((g2 * weights).T)
+    gw = np.ascontiguousarray((g2 * grid.weights).T)
     gw_real = gw.view(float)  # (N, 4): real and imaginary parts side by side
     gw_f = np.stack([gw[:, 0], np.conj(gw[:, 1])], axis=1)
     pc = points[:, 0] + 1j * points[:, 1]
-    sc = srcs[:, 0] + 1j * srcs[:, 1]
+    sc = grid.zc
     rows = max(1, _POTENTIAL_PAIRS // max(len(sc), 1))
     step = max(1, _FIELD_PAIRS // max(len(sc), 1))
 
@@ -566,36 +557,14 @@ def _phi_z_apply(points, srcs, weights, g2, z, coupling):
     return out
 
 
-def _upsample_closed(grid, g2, factor):
-    """Trigonometric upsampling of grid geometry and density on a single arc."""
-    edge = grid.curve.edges[0]
-    n = grid.n_nodes
-    n_up = n * factor
-    t = np.arange(n_up) / n_up
-    pos = edge.point(t)
-    vel = edge.velocity(t)
-    speed = np.linalg.norm(vel, axis=-1)
-    w = speed / n_up
-    g_up = np.empty((2, n_up), dtype=complex)
-    for c in range(2):
-        spec = np.fft.fft(g2[c])
-        pad = np.zeros(n_up, dtype=complex)
-        half = n // 2
-        pad[:half] = spec[:half]
-        pad[-half + 1:] = spec[-half + 1:]
-        pad[half] = 0.5 * spec[half]
-        pad[-half] += 0.5 * spec[half]
-        g_up[c] = np.fft.ifft(pad) * factor
-    return pos, w, g_up
-
-
 def evaluate_potential(grid, density, z, coupling, points):
     """Layer potential Phi_z applied to a boundary density, evaluated off Sigma.
 
     The density is (2N,) or (2, N); returns (values (2, M) complex,
     degraded (M,) bool).  Points closer than ten local mesh widths are
-    evaluated with trigonometric upsampling on smooth grids; on panel grids
-    they are flagged as degraded instead.
+    evaluated on a finer trapezoid grid of the curve (``discretize``), the
+    density interpolated to it by FFT zero-padding, on smooth grids; on panel
+    grids they are flagged as degraded instead.
     """
     g2 = np.asarray(density, dtype=complex)
     if g2.shape not in ((2 * grid.n_nodes,), (2, grid.n_nodes)):
@@ -625,8 +594,15 @@ def evaluate_potential(grid, density, z, coupling, points):
     values = np.empty((2, len(points)), dtype=complex)
     coarse = ~near if factor > 1 else slice(None)
     if factor == 1 or np.any(coarse):
-        values[:, coarse] = _phi_z_apply(points[coarse], grid.nodes, grid.weights, g2, z, coupling)
+        values[:, coarse] = _phi_z_apply(points[coarse], grid, g2, z, coupling)
     if factor > 1:
-        pos, w, g_up = _upsample_closed(grid, g2, factor)
-        values[:, near] = _phi_z_apply(points[near], pos, w, g_up, z, coupling)
+        n, half = grid.n_nodes, grid.n_nodes // 2
+        spec = np.fft.fft(g2)
+        pad = np.zeros((2, n * factor), dtype=complex)
+        pad[:, :half] = spec[:, :half]
+        pad[:, -half + 1:] = spec[:, -half + 1:]
+        pad[:, half] = 0.5 * spec[:, half]
+        pad[:, -half] += 0.5 * spec[:, half]
+        fine = discretize(grid.curve, n * factor)
+        values[:, near] = _phi_z_apply(points[near], fine, np.fft.ifft(pad) * factor, z, coupling)
     return values, degraded

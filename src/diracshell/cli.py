@@ -366,12 +366,25 @@ def grid_from_config(cfg: dict):
     return _read_grid(_Reader(cfg))()
 
 
-def _read_coupling(r, required: bool = False):
-    """A function that returns the Coupling, its eps, mu and mass each from
-    its flag if set, else from [coupling]."""
+def _read_coupling(r, required: bool = False, keys=tuple(_COUPLING)):
+    """The Coupling, each of its eps, mu and mass in ``keys`` from its flag if
+    set, else from [coupling], the others 0; values it refuses (a
+    non-positive mass) are config errors."""
     from .kernels import Coupling
 
-    return functools.partial(Coupling, *(r.coupling(key, required) for key in _COUPLING))
+    try:
+        return Coupling(*(r.coupling(key, required) if key in keys else 0.0 for key in _COUPLING))
+    except DomainError as exc:
+        raise ConfigError(f"coupling: {exc}") from None
+
+
+def _read_range(r, section: str, lo, hi, steps) -> list:
+    """The points lo + (hi - lo) i / max(steps - 1, 1), i < steps, of the range
+    whose (key, default) pairs in [section] are lo, hi and steps (at least 1)."""
+    a, b, n = r.get(section, *lo), r.get(section, *hi), r.get(section, *steps, kind=int)
+    if n < 1:
+        raise ConfigError(f"[{section}] {steps[0]} = {n}: a range needs at least one step")
+    return [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +401,7 @@ def _read_classify(r):
 def cmd_classify(out, coupling, curve_class):
     from .classify import classify
 
-    coupling, cls = coupling(), curve_class()
+    cls = curve_class()
     res = classify(cls, coupling)
     doc = {"curve_class": cls.kind,
            "angles": [a for a in cls.angles],
@@ -401,35 +414,30 @@ def cmd_classify(out, coupling, curve_class):
 def _read_mtheta(r):
     get = r.section("mtheta", required=True)
     get("tol")  # read and ignored (m_of has no tolerance): older configs set it
-    return dict(lo=get("theta_min_pi", 0.05), hi=get("theta_max_pi", 0.95),
-                steps=get("steps", 19, int))
+    return dict(thetas_pi=_read_range(r, "mtheta", ("theta_min_pi", 0.05),
+                                      ("theta_max_pi", 0.95), ("steps", 19)))
 
 
-def cmd_mtheta(out, lo, hi, steps):
+def cmd_mtheta(out, thetas_pi):
     from .corner_symbol import m_of
 
-    rows = []
-    for i in range(steps):
-        tpi = lo + (hi - lo) * i / max(steps - 1, 1)
-        rows.append((tpi * math.pi, m_of(tpi * math.pi)))
+    rows = [(tpi * math.pi, m_of(tpi * math.pi)) for tpi in thetas_pi]
     write_csv(os.path.join(out, "mtheta.csv"), ["theta", "m_theta"], rows)
     return EXIT_OK
 
 
 def _read_symbol(r):
     get = r.section("symbol", required=True)
-    return dict(thetas=get("theta_pi", 0.5, list), eta_min=get("eta_min", -5.0),
-                eta_max=get("eta_max", 5.0), eta_steps=get("eta_steps", 21, int),
+    return dict(thetas=get("theta_pi", 0.5, list),
+                etas=_read_range(r, "symbol", ("eta_min", -5.0), ("eta_max", 5.0),
+                                 ("eta_steps", 21)),
                 trunc=get("trunc", 60.0), tol=get("tol", 1e-10),
                 coupling=_read_coupling(r))
 
 
-def cmd_symbol(out, thetas, eta_min, eta_max, eta_steps, trunc, tol, coupling):
+def cmd_symbol(out, thetas, etas, trunc, tol, coupling):
     from .corner_symbol import delta_closed, delta_direct
 
-    coupling = coupling()
-    etas = [eta_min + (eta_max - eta_min) * i / max(eta_steps - 1, 1)
-            for i in range(eta_steps)]
     rows = []
     for tpi in thetas:
         theta = tpi * math.pi
@@ -462,7 +470,7 @@ def _read_eigs(r):
 def cmd_eigs(out, grid, coupling, z_min, z_max, samples, tol, branch_csv, strict):
     from . import spectral as sp
 
-    grid, coupling = grid(), coupling()
+    grid = grid()
     lo, hi = sp.default_window(coupling)
     window = (lo if z_min is None else z_min, hi if z_max is None else z_max)
     sweep = sp.gap_sweep(grid, coupling, window, samples)
@@ -504,7 +512,7 @@ def _read_verify(r):
 def cmd_verify(out, grid, coupling, z, offset, seed, strict):
     from . import spectral as sp
 
-    grid, coupling = grid(), coupling()
+    grid = grid()
     rep = sp.verify_identities(grid, z, coupling, offset=offset, seed=seed)
     write_atomic(os.path.join(out, "verification.json"),
                  emit_json(rep.to_json_dict()) + "\n")
@@ -514,24 +522,23 @@ def cmd_verify(out, grid, coupling, z, offset, seed, strict):
 
 
 def _read_sweep(r):
-    get = r.section("sweep", required=True)
-    return dict(eps_range=(get("eps_min", -4.0), get("eps_max", 4.0), get("eps_steps", 33, int)),
-                mu_range=(get("mu_min", -4.0), get("mu_max", 4.0), get("mu_steps", 33, int)),
-                mass=r.coupling("mass"), curve_class=_read_curve_class(r))
+    r.section("sweep", required=True)
+    return dict(eps_values=_read_range(r, "sweep", ("eps_min", -4.0), ("eps_max", 4.0),
+                                       ("eps_steps", 33)),
+                mu_values=_read_range(r, "sweep", ("mu_min", -4.0), ("mu_max", 4.0),
+                                      ("mu_steps", 33)),
+                mass=_read_coupling(r, keys=("mass",)).mass,
+                curve_class=_read_curve_class(r))
 
 
-def cmd_sweep(out, eps_range, mu_range, mass, curve_class):
+def cmd_sweep(out, eps_values, mu_values, mass, curve_class):
     from .classify import classify
     from .kernels import Coupling
 
     cls = curve_class()
-    Coupling(0.0, 0.0, mass)  # a non-positive mass fails even on an empty grid
-    (e0, e1, ne), (m0, m1, nm) = eps_range, mu_range
     rows = []
-    for i in range(ne):
-        eps = e0 + (e1 - e0) * i / max(ne - 1, 1)
-        for j in range(nm):
-            mu = m0 + (m1 - m0) * j / max(nm - 1, 1)
+    for eps in eps_values:
+        for mu in mu_values:
             res = classify(cls, Coupling(eps, mu, mass))
             rows.append((eps, mu, res.verdict, res.certificate or ""))
     write_csv(os.path.join(out, "sweep.csv"),

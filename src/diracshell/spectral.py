@@ -394,10 +394,9 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
 
     if grid.kind == "trapezoid":
         dens = _smooth_test_density(grid, seed)
-        pin = grid.nodes - offset * grid.normals
-        pout = grid.nodes + offset * grid.normals
-        vin, _ = bo.evaluate_potential(grid, dens, z, coupling, pin)
-        vout, _ = bo.evaluate_potential(grid, dens, z, coupling, pout)
+        pts = np.concatenate([grid.nodes - offset * grid.normals,
+                              grid.nodes + offset * grid.normals])
+        vin, vout = np.split(bo.evaluate_potential(grid, dens, z, coupling, pts)[0], 2, axis=1)
         snu_g = np.stack([np.conj(grid.nc) * dens[1], grid.nc * dens[0]])
         want_jump = -1j * snu_g
         rel2 = float(np.linalg.norm(vin - vout - want_jump)

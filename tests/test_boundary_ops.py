@@ -109,12 +109,28 @@ def _complex_cache_bytes(obj):
 
 @pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 128), (geo.square(1.0), 16)])
 def test_grid_cache_holds_three_complex_matrices(spec, nodes):
-    # after one sweep sample: the K1 phase and the two Cauchy blocks; the
-    # displacements and the Cauchy weights are not kept
+    # after one sweep sample: the K1 phase, the Cauchy block and its
+    # Hermitian half; the displacements and the Cauchy weights are not kept
     grid = geo.discretize(geo.build_curve(spec), nodes)
     sp._hermitian_eigs(grid, Coupling(3.0, 1.0, 1.0), 0.3)
     n = grid.n_nodes
     assert _complex_cache_bytes(grid.cache()) <= 3 * 16 * n * n
+
+
+@pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 128),
+                                         (geo.square(1.0), 16),
+                                         (geo.l_shape(1.0), 16)])
+def test_cauchy_half_is_the_hermitian_half_of_the_explicit_blocks(spec, nodes):
+    # the lower block assembled from its own kernel, L = t C_Sigma*: the
+    # grid's Cauchy half is the Hermitian half (U + L^H)/2 of the two blocks
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    a = bo.assemble_cauchy(grid)
+    upper = a * np.conj(grid.tc)[None, :]
+    lower = -np.conj(a) * grid.tc[None, :]
+    tables = bo.grid_tables(grid)
+    assert "cauchy_lower" not in bo.GridTables._fields
+    assert np.array_equal(tables.cauchy_upper, upper)
+    assert np.array_equal(tables.cauchy_half, 0.5 * (upper + lower.conj().T))
 
 
 @pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 64), (geo.square(1.0), 16)])
@@ -369,8 +385,14 @@ def test_potential_equals_explicit_sum(spec, nodes):
     vals, flags = bo.evaluate_potential(grid, g2, z, c, np.concatenate([far, near]))
     want_far = _explicit_potential(far, grid.nodes, grid.weights, g2, z, c)
     if grid.kind == "trapezoid":
-        pos, w, g_up = bo._upsample_closed(grid, g2, 8)
-        want_near = _explicit_potential(near, pos, w, g_up, z, c)
+        # the trigonometric interpolant of the density, summed mode by mode
+        # (the Nyquist mode as a cosine), at the nodes of the 8 N grid
+        fine = geo.discretize(grid.curve, 8 * grid.n_nodes)
+        k = np.fft.fftfreq(grid.n_nodes, 1.0 / grid.n_nodes)
+        modes = np.exp(1j * k[:, None] * fine.param[None, :])
+        modes[grid.n_nodes // 2] = np.cos(grid.n_nodes // 2 * fine.param)
+        g_up = (np.fft.fft(g2) / grid.n_nodes) @ modes
+        want_near = _explicit_potential(near, fine.nodes, fine.weights, g_up, z, c)
         assert not flags.any()
     else:
         want_near = _explicit_potential(near, grid.nodes, grid.weights, g2, z, c)

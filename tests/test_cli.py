@@ -432,7 +432,37 @@ mu_steps = 3
 def test_sweep_refuses_a_negative_mass_from_flag_or_config(tmp_path, config, flags):
     p = _write(tmp_path, "s.cfg", config)
     assert cli.main(["sweep", "--config", p, "--out", str(tmp_path), *flags]) == \
-        cli.EXIT_NUMERICAL
+        cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, config, mass", [
+    ("classify", CLASSIFY_CFG, "0"),
+    ("eigs", "[curve]\npreset = circle\n[coupling]\neps = 1.0\n[discretization]\n"
+             "nodes_per_edge = 16\n[eigs]\n", "-1"),
+], ids=["classify-zero", "eigs-negative"])
+def test_a_non_positive_mass_is_a_config_error(tmp_path, capsys, command, config, mass):
+    # refused in the read step, like a bad preset or angle, before any numerics
+    p = _write(tmp_path, "c.cfg", config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out), "--mass", mass]) == \
+        cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: coupling: mass must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("mtheta", "[mtheta]\nsteps = 0\n"),
+    ("mtheta", "[mtheta]\nsteps = -3\n"),
+    ("symbol", "[coupling]\neps = 2.0\n[symbol]\neta_steps = 0\n"),
+    ("sweep", "[classify]\ncurve_class = c1\n[sweep]\neps_steps = 0\nmu_steps = 3\n"),
+    ("sweep", "[classify]\ncurve_class = c1\n[sweep]\neps_steps = 3\nmu_steps = 0\n"),
+], ids=["mtheta-zero", "mtheta-negative", "symbol-zero", "sweep-eps-zero", "sweep-mu-zero"])
+def test_a_range_of_fewer_than_one_step_exits_2(tmp_path, capsys, command, config):
+    p = _write(tmp_path, "c.cfg", config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "a range needs at least one step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _MTHETA_CFG = "[mtheta]\nsteps = 3\n"
@@ -461,6 +491,21 @@ def test_sections_and_flags_a_command_does_not_read_exit_2(tmp_path, capsys, com
 
 
 _ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("command, config, artifact", [
+    ("classify", "classify_square", "classification.json"),
+    ("sweep", "sweep_square", "sweep.csv"),
+    ("mtheta", "mtheta", "mtheta.csv"),
+    ("symbol", "symbol_scan", "symbol.csv"),
+])
+def test_blas_free_commands_reproduce_the_golden_artifacts(tmp_path, command, config, artifact):
+    # tests/golden holds these commands' artifacts of the shipped configs;
+    # none of them calls BLAS, so the bytes do not depend on the thread count
+    p = str(_ROOT / "configs" / f"{config}.cfg")
+    assert cli.main([command, "--config", p, "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert (tmp_path / artifact).read_bytes() == \
+        (_ROOT / "tests" / "golden" / artifact).read_bytes()
 
 
 def _workload_configs():

@@ -584,6 +584,19 @@ def test_verify_identities_circle(circle_grid_256):
                      "resolvent_cancellation"]
 
 
+def test_verify_identities_evaluates_the_potential_once(circle_grid_128, monkeypatch):
+    # the inside and outside points share one call, so the density goes to
+    # the fine grid once
+    sizes = []
+    evaluate = bo.evaluate_potential
+    monkeypatch.setattr(bo, "evaluate_potential",
+                        lambda grid, dens, z, coupling, points:
+                        sizes.append(len(points)) or evaluate(grid, dens, z, coupling, points))
+    rep = sp.verify_identities(circle_grid_128, 0.3, Coupling(3.0, 1.0, 1.0))
+    assert sizes == [2 * circle_grid_128.n_nodes]
+    assert rep.all_passed
+
+
 def test_verify_identities_square():
     g = geo.discretize(geo.build_curve(geo.square(1.0)), 32)
     rep = sp.verify_identities(g, 0.0, Coupling(1.0, 0.0, 1.0))
