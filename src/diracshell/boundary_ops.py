@@ -135,8 +135,10 @@ class GridTables(NamedTuple):
     log_r: np.ndarray  # log R on the pairs
     diameter: float  # the largest R
     log_weights: np.ndarray  # L, (N, N) (``log_weight_table``)
-    l_sym: np.ndarray  # (L + L^T)/2 on the pairs
-    w_sym: np.ndarray  # (w_i + w_j)/2 on the pairs
+    l_pairs: np.ndarray  # (L_ij, L_ji) on the pairs, two rows
+    w_pairs: np.ndarray  # (w_j, w_i) on the pairs, two rows
+    l_sym: np.ndarray  # (L_ij + L_ji)/2 on the pairs, one row
+    w_sym: np.ndarray  # (w_i + w_j)/2 on the pairs, one row
     k1_phase: np.ndarray  # (i/2pi) conj(x_i - x_j)/R, (N, N) complex, 0 on the diagonal
     cauchy_upper: np.ndarray  # U = C_Sigma t*, the upper off-diagonal block at z = m
     cauchy_half: np.ndarray  # (U - U^T)/2, the Hermitian half of the Cauchy blocks
@@ -159,30 +161,20 @@ def grid_tables(grid: QuadratureGrid) -> GridTables:
                 upper = np.triu(np.ones(r.shape, dtype=bool), 1)
                 r_upper = r[upper]
                 log_weights = log_weight_table(grid, r)
+                rows, cols = np.nonzero(upper)
+                l_pairs = np.stack([log_weights[upper], log_weights.T[upper]])
+                w_pairs = grid.weights[np.stack([cols, rows])]
                 cauchy = assemble_cauchy(grid) * np.conj(grid.tc)[None, :]
                 tables = GridTables(
                     upper, r_upper, np.log(r_upper), float(np.max(r_upper)), log_weights,
-                    0.5 * (log_weights + log_weights.T)[upper],
-                    0.5 * (grid.weights[:, None] + grid.weights[None, :])[upper], k1_phase,
+                    l_pairs, w_pairs, 0.5 * l_pairs.sum(axis=0, keepdims=True),
+                    0.5 * w_pairs.sum(axis=0, keepdims=True), k1_phase,
                     cauchy, 0.5 * (cauchy - cauchy.T))
                 for table in tables:
                     if isinstance(table, np.ndarray):
                         table.setflags(write=False)
                 cache["tables"] = tables
     return cache["tables"]
-
-
-def _symmetric(grid, upper, diag, out=None) -> np.ndarray:
-    """The symmetric (N, N) matrix with the given strict upper triangle
-    (row-major, as ``GridTables`` orders it) and diagonal, written into
-    ``out`` (a new real matrix by default)."""
-    mask = grid_tables(grid).upper
-    if out is None:
-        out = np.empty(mask.shape)
-    out[mask] = upper
-    out.T[mask] = upper
-    np.fill_diagonal(out, diag)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +294,8 @@ def log_kernel_matrix(grid, a, b) -> np.ndarray:
 
     a and b are (N, N) kernel values at the node pairs, with their diagonal
     limits on the diagonal; both are overwritten, and a holds the result.
+    The operators here are written by ``_per_z_matrix``; this general rule
+    is for tests (and ``perfbench/tracer.py`` names it).
     """
     a *= grid_tables(grid).log_weights
     b *= grid.weights[None, :]
@@ -336,22 +330,60 @@ def kernel_values(grid: QuadratureGrid, z: float, mass: float, k1: bool = True) 
     return KernelValues(z, kappa, i0, b0, i1, b1)
 
 
-def _scalar_k0_matrix(grid, z: float, mass: float, values=None) -> np.ndarray:
-    """Matrix of (1/2pi) K0(kappa |x-y|) against arclength (real symmetric
-    kernel), from the kernel values at z (evaluated here by default)."""
-    if values is None:
-        values = kernel_values(grid, z, mass, k1=False)
-    pref = 1.0 / (2 * np.pi)
-    a = _symmetric(grid, values.i0, 1.0)
-    a *= -pref
-    b = _symmetric(grid, values.b_k0, K.b_k0_at_zero(values.kappa))
-    b *= pref
-    return log_kernel_matrix(grid, a, b)
+def _write_pairs(block, upper, coef, pairs, diagonal):
+    """Write coef times a pair table into the N x N ``block``, its first row
+    on the pairs i < j and its last on their transposes, then ``diagonal``."""
+    tri = coef * pairs[0]
+    block[upper] = tri
+    if len(pairs) == 2:  # a one-row table's product serves both triangles
+        np.multiply(coef, pairs[1], out=tri)
+    block.T[upper] = tri
+    np.fill_diagonal(block, diagonal)
+
+
+def _per_z_matrix(grid, values: KernelValues, coefs, shifts, l, w, cauchy=None) -> np.ndarray:
+    """Every matrix at z, from the kernel values at z, one block row per entry
+    of ``coefs`` (real on one, complex on two): the diagonal blocks coef_k
+    (1/2pi)(b_K0 w - I0 l) + shift_k I; on two, the upper block k1_phase
+    (kappa I1 l + b_K1 w) + ``cauchy`` and the lower one 0 - conj(upper),
+    whose zero entries are +0.0.  With the pair tables ``l_pairs``,
+    ``w_pairs`` of ``GridTables`` these are the operator's blocks; with their
+    one-row half sums ``l_sym``, ``w_sym``, its Hermitian part's."""
+    n, tables = grid.n_nodes, grid_tables(grid)
+    s = values.b_k0 * w
+    s -= values.i0 * l
+    s *= 1.0 / (2 * np.pi)
+    s_diag = (K.b_k0_at_zero(values.kappa) * grid.weights
+              - np.diagonal(tables.log_weights)) / (2 * np.pi)
+    out = np.empty((len(coefs) * n,) * 2, dtype=complex if len(coefs) == 2 else float)
+    for k, (coef, shift) in enumerate(zip(coefs, shifts)):
+        _write_pairs(out[k * n:(k + 1) * n, k * n:(k + 1) * n], tables.upper, coef, s,
+                     shift + coef * s_diag)
+    del s
+    if len(coefs) == 2:
+        k1 = values.i1 * l
+        k1 *= values.kappa
+        for k1_row, w_row in zip(k1, w):  # one pair-sized temporary at a time
+            k1_row += values.b_k1 * w_row
+        top, bottom = out[:n, n:], out[n:, :n]
+        _write_pairs(top, tables.upper, 1.0, k1, 0.0)
+        top *= tables.k1_phase
+        top += cauchy
+        np.conjugate(top, out=bottom)
+        np.subtract(0.0, bottom, out=bottom)
+    return out
+
+
+def _coefficients(z: float, mass: float, components) -> list:
+    """The coefficient z + m of S_z on spinor component 0, z - m on 1."""
+    return [z + mass if k == 0 else z - mass for k in components]
 
 
 def assemble_Sz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
     """(S_z g)(x) = (1/2pi) int K0(kappa|x-y|) g(y) ds(y)."""
-    return _scalar_k0_matrix(grid, z, coupling.mass)
+    tables = grid_tables(grid)
+    return _per_z_matrix(grid, kernel_values(grid, z, coupling.mass, k1=False), (1.0,), (0.0,),
+                         tables.l_pairs, tables.w_pairs)
 
 
 def assemble_Cz(grid: QuadratureGrid, z: float, coupling: Coupling) -> np.ndarray:
@@ -364,26 +396,11 @@ def cz_blocks(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
     """The matrix of C_z at |z| < m among the given spinor components, from
     the kernel values at z: (z +- m) S_z, real, on one component; on both,
     the complex 2N x 2N matrix with the diagonal blocks (z + m) S_z and
-    (z - m) S_z and the Cauchy plus K1 blocks off the diagonal.  Each block
-    is written in place into the one matrix returned."""
-    z, mass = values.z, coupling.mass
-    s_mat = _scalar_k0_matrix(grid, z, mass, values)
-    if len(components) == 1:
-        s_mat *= z + mass if components[0] == 0 else z - mass
-        return s_mat
-    n = grid.n_nodes
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    top, bottom = out[:n, n:], out[n:, :n]
-    np.multiply(s_mat, mass + z, out=out[:n, :n])
-    np.multiply(s_mat, z - mass, out=out[n:, n:])
-    del s_mat
-    _k1_block(grid, values, top, bottom)
-    top += grid_tables(grid).cauchy_upper
-    # both kernels flip to minus their conjugates and every weight is real;
-    # subtracting from 0.0 keeps the zero entries +0.0
-    np.conjugate(top, out=bottom)
-    np.subtract(0.0, bottom, out=bottom)
-    return out
+    (z - m) S_z and the Cauchy plus K1 blocks off the diagonal."""
+    tables = grid_tables(grid)
+    return _per_z_matrix(grid, values, _coefficients(values.z, coupling.mass, components),
+                         (0.0,) * len(components), tables.l_pairs, tables.w_pairs,
+                         tables.cauchy_upper)
 
 
 def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, values: KernelValues,
@@ -394,52 +411,15 @@ def hermitian_matrix(grid: QuadratureGrid, coupling: Coupling, values: KernelVal
     (k+1) N - 1); real on one component.
 
     The kernel values are symmetric in the node pair, so the Hermitian part
-    of a log-kernel block weighs them by the symmetrised tables
-    (L + L^T)/2 and (w_i + w_j)/2 of ``GridTables``: the kernel of S_z is
-    (1/2pi)(b_K0 (w_i + w_j)/2 - I0 (L + L^T)/2), that of the K1 block
-    kappa I1 (L + L^T)/2 + b_K1 (w_i + w_j)/2.  The K1 phase is
-    antisymmetric, so the upper-right block is the phase times the
-    symmetric K1 kernel plus the Cauchy half of ``GridTables``.  The
-    lower-left block is its conjugate transpose, so the matrix is Hermitian
-    bitwise.
+    of a log-kernel block weighs them by the half sums ``l_sym``, ``w_sym``
+    of the pair tables.  The K1 phase and the Cauchy half are antisymmetric,
+    so minus the conjugate of the upper block is its conjugate transpose:
+    the matrix is Hermitian bitwise.
     """
-    n, z, mass = grid.n_nodes, values.z, coupling.mass
     tables = grid_tables(grid)
-    out = np.empty((len(components) * n,) * 2, dtype=complex if len(components) == 2 else float)
-    s = values.b_k0 * tables.w_sym
-    s -= values.i0 * tables.l_sym
-    s *= 1.0 / (2 * np.pi)
-    s_diag = (K.b_k0_at_zero(values.kappa) * grid.weights
-              - np.diagonal(tables.log_weights)) / (2 * np.pi)
-    for k, comp in enumerate(components):
-        coef = z + mass if comp == 0 else z - mass
-        block = out[k * n:(k + 1) * n, k * n:(k + 1) * n]
-        _symmetric(grid, coef * s, 1.0 / coupling.diagonal[comp] + coef * s_diag, block)
-    del s
-    if len(components) == 2:
-        top = out[:n, n:]
-        k1 = values.i1 * tables.l_sym
-        k1 *= values.kappa
-        k1 += values.b_k1 * tables.w_sym
-        _symmetric(grid, k1, 0.0, top)
-        top *= tables.k1_phase
-        top += tables.cauchy_half
-        np.conjugate(top.T, out=out[n:, :n])
-    return out
-
-
-def _k1_block(grid, values: KernelValues, out, scratch):
-    """Upper off-diagonal block of C_z - C_m, kernel (i/2pi)(kappa K1 - 1/r)
-    conj(dx)/r, written into the complex N x N ``out``; ``scratch``, of the
-    same shape, holds the second kernel and is overwritten."""
-    phase = grid_tables(grid).k1_phase
-    a = _symmetric(grid, values.i1, 0.0)
-    a *= values.kappa
-    np.multiply(a, phase, out=out)
-    np.fill_diagonal(out, 0.0)
-    np.multiply(_symmetric(grid, values.b_k1, 0.0, a), phase, out=scratch)
-    np.fill_diagonal(scratch, 0.0)
-    log_kernel_matrix(grid, out, scratch)
+    return _per_z_matrix(grid, values, _coefficients(values.z, coupling.mass, components),
+                         [1.0 / coupling.diagonal[k] for k in components],
+                         tables.l_sym, tables.w_sym, tables.cauchy_half)
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def grid_from_config(cfg: dict):
 def _read_coupling(r, required: bool = False, keys=tuple(_COUPLING)):
     """The Coupling, each of its eps, mu and mass in ``keys`` from its flag if
     set, else from [coupling], the others 0; values it refuses (a
-    non-positive mass) are config errors."""
+    non-finite value, a non-positive mass) are config errors."""
     from .kernels import Coupling
 
     try:
@@ -380,8 +380,12 @@ def _read_coupling(r, required: bool = False, keys=tuple(_COUPLING)):
 
 def _read_range(r, section: str, lo, hi, steps) -> list:
     """The points lo + (hi - lo) i / max(steps - 1, 1), i < steps, of the range
-    whose (key, default) pairs in [section] are lo, hi and steps (at least 1)."""
+    whose (key, default) pairs in [section] are lo, hi (finite) and steps (at
+    least 1)."""
     a, b, n = r.get(section, *lo), r.get(section, *hi), r.get(section, *steps, kind=int)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigError(f"[{section}] {lo[0]} = {a!r}, {hi[0]} = {b!r}: "
+                          "a range needs finite ends")
     if n < 1:
         raise ConfigError(f"[{section}] {steps[0]} = {n}: a range needs at least one step")
     return [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
@@ -452,7 +456,7 @@ def cmd_symbol(out, thetas, etas, trunc, tol, coupling):
 
 
 def _read_eigs(r):
-    from .spectral import TOL_RANGE
+    from .spectral import TOL_RANGE, default_window
 
     grid, coupling = _read_grid(r), _read_coupling(r, required=True)
     get = r.section("eigs", required=True)
@@ -462,17 +466,22 @@ def _read_eigs(r):
         # search cannot resolve z
         raise ConfigError(f"[eigs] tol = {tol!r} outside the supported "
                           f"[{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
-    return dict(grid=grid, coupling=coupling, z_min=get("z_min"), z_max=get("z_max"),
-                samples=get("samples", 128, int), tol=tol,
+    samples = get("samples", 128, int)
+    if samples < 16:
+        raise ConfigError(f"[eigs] samples = {samples}: a sweep needs at least 16")
+    lo, hi = default_window(coupling)
+    window = (get("z_min", lo), get("z_max", hi))
+    if not -coupling.mass < window[0] < window[1] < coupling.mass:
+        raise ConfigError(f"[eigs] window {window[0]!r}, {window[1]!r} is not an interval "
+                          f"inside the open gap (-{coupling.mass!r}, {coupling.mass!r})")
+    return dict(grid=grid, coupling=coupling, window=window, samples=samples, tol=tol,
                 branch_csv=get("branch_csv", False, bool), strict=bool(r.flag("strict")))
 
 
-def cmd_eigs(out, grid, coupling, z_min, z_max, samples, tol, branch_csv, strict):
+def cmd_eigs(out, grid, coupling, window, samples, tol, branch_csv, strict):
     from . import spectral as sp
 
     grid = grid()
-    lo, hi = sp.default_window(coupling)
-    window = (lo if z_min is None else z_min, hi if z_max is None else z_max)
     sweep = sp.gap_sweep(grid, coupling, window, samples)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", IllConditionedWarning)

@@ -38,6 +38,9 @@ class Coupling:
     mass: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eps, self.mu, self.mass))):
+            raise DomainError(f"eps, mu and mass must be finite, got {self.eps}, {self.mu}, "
+                              f"{self.mass}")
         if not self.mass > 0:
             raise DomainError(f"mass must be positive, got {self.mass}")
 

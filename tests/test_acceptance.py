@@ -21,6 +21,7 @@ import os
 import time
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from diracshell import boundary_ops as bo
 from diracshell import corner_symbol as cs
@@ -284,20 +285,11 @@ def test_criterion_11_critical_scalar_route(circle_grid_256):
     failures = []
 
     def theta_route_roots(coupling, scalar_roots):
-        # refine sigma_min(Theta_z) around each scalar root and in between
-        roots = []
-        for z_s in scalar_roots:
-            lo, hi = z_s - 5e-3, z_s + 5e-3
-            for _ in range(40):
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if sp.theta_min_singular(circle_grid_256, coupling, m1) < \
-                        sp.theta_min_singular(circle_grid_256, coupling, m2):
-                    hi = m2
-                else:
-                    lo = m1
-            roots.append(0.5 * (lo + hi))
-        return roots
+        # minimize sigma_min(Theta_z) near each scalar root; the middle point
+        # of the bracket is off the root, so the search does not start on it
+        return [minimize_scalar(
+            lambda z: sp.theta_min_singular(circle_grid_256, coupling, z), method="brent",
+            bracket=(z_s - 5e-3, z_s + 1e-3, z_s + 5e-3), tol=1e-12).x for z_s in scalar_roots]
 
     # stated case eps = mu = 1: the scalar operator is strictly positive in
     # the gap, so both routes must agree on "no eigenvalues"

@@ -71,30 +71,37 @@ def test_cz_minus_cm_compactness_proxy(circle_grid_128, circle_grid_256):
                                          (geo.square(1.0), 16),
                                          (geo.l_shape(1.0), 16)])
 def test_cz_lower_block_equals_explicit_assembly(spec, nodes):
-    # reference: the lower off-diagonal block assembled from its own kernel,
-    # i (1/2pi) [kappa I1(kappa r) log r + b_K1(r)] dx/r, as a second
-    # log-kernel matrix; assemble_Cz derives it from the upper block instead
+    # reference: each block in the writer's expression order on full
+    # matrices, the lower off-diagonal block from its own kernel,
+    # i (1/2pi) [kappa I1(kappa r) log r + b_K1(r)] dx/r; assemble_Cz
+    # derives it from the upper block instead
     grid = geo.discretize(geo.build_curve(spec), nodes)
     z, mass = 0.3, COUP.mass
     kappa = bo.K.gap_kappa(z, mass)
     pref = 1.0 / (2 * np.pi)
+    dx = grid.zc[:, None] - grid.zc[None, :]
+    r = np.abs(dx)
+    np.fill_diagonal(r, 1.0)
+    log_w, w = bo.grid_tables(grid).log_weights, grid.weights[None, :]
+    i0, b0 = bo.K.b_k0(r, kappa, np.log(r))
+    s_mat = b0 * w
+    s_mat -= i0 * log_w
+    s_mat *= pref
+    np.fill_diagonal(s_mat, (bo.K.b_k0_at_zero(kappa) * grid.weights
+                             - np.diagonal(log_w)) / (2 * np.pi))
+    i1, b1 = bo.K.b_k1(r, kappa, np.log(r))
+    k1 = i1 * log_w
+    k1 *= kappa
+    k1 += b1 * w
+    np.fill_diagonal(k1, 0.0)
 
     def off_block(conj):
-        dx = grid.zc[:, None] - grid.zc[None, :]
-        r = np.abs(dx)
-        np.fill_diagonal(r, 1.0)
-        i1, b = bo.K.b_k1(r, kappa, np.log(r))
-        ph = 1j * pref * (conj(dx) / r)
-        a = kappa * i1 * ph
-        b = b * ph
-        np.fill_diagonal(a, 0.0)
-        np.fill_diagonal(b, 0.0)
-        return bo.log_kernel_matrix(grid, a, b)
+        return (1j * pref * (conj(dx) / r)) * k1
 
-    s_mat = bo._scalar_k0_matrix(grid, z, mass)
     diff = np.block([[(mass + z) * s_mat, off_block(np.conj)],
-                     [off_block(lambda dx: dx), (z - mass) * s_mat]])
+                     [off_block(lambda d: d), (z - mass) * s_mat]])
     want = bo.assemble_Cm(grid) + diff
+    want[grid.n_nodes:, :grid.n_nodes] += 0.0  # the writer's lower zero entries are +0.0
     got = bo.assemble_Cz(grid, z, COUP)
     assert got.tobytes() == want.tobytes()  # bitwise, signed zeros included
 
@@ -131,6 +138,23 @@ def test_cauchy_half_is_the_hermitian_half_of_the_explicit_blocks(spec, nodes):
     assert "cauchy_lower" not in bo.GridTables._fields
     assert np.array_equal(tables.cauchy_upper, upper)
     assert np.array_equal(tables.cauchy_half, 0.5 * (upper + lower.conj().T))
+
+
+@pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 64),
+                                         (geo.square(1.0), 16),
+                                         (geo.l_shape(1.0), 16)])
+def test_pair_tables_hold_each_pair_and_its_transpose(spec, nodes):
+    # the operator's weights on the pair i < j and on its transpose, two
+    # rows; the Hermitian part's are their half sums, one row
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    tables = bo.grid_tables(grid)
+    upper, log_w = tables.upper, tables.log_weights
+    rows, cols = np.nonzero(upper)
+    assert np.array_equal(tables.l_pairs, np.stack([log_w[upper], log_w.T[upper]]))
+    assert np.array_equal(tables.w_pairs, np.stack([grid.weights[cols], grid.weights[rows]]))
+    assert tables.l_sym.shape == tables.w_sym.shape == (1, len(rows))
+    assert np.array_equal(tables.l_sym, 0.5 * (tables.l_pairs[:1] + tables.l_pairs[1:]))
+    assert np.array_equal(tables.w_sym, 0.5 * (tables.w_pairs[:1] + tables.w_pairs[1:]))
 
 
 @pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 64), (geo.square(1.0), 16)])
@@ -525,13 +549,14 @@ def test_theta_and_lambda_from_cz_allocate_one_matrix(circle_grid_256, name):
 
 
 def test_scalar_k0_matrix_is_written_into_its_kernel_values(circle_grid_256):
-    # a L + b w is formed in place in a and b, so S_z holds about its two
-    # kernel-value matrices and the Bessel values of the upper triangle
+    # S_z is written from its kernel values on the pair tables, one
+    # triangle at a time, so it holds about its kernel values, the kernel
+    # on the pairs and the Bessel values of the upper triangle
     grid, z, mass = circle_grid_256, 0.3, 1.0
     bo.grid_tables(grid)  # per-grid tables, built once and kept
     tracemalloc.start()
     try:
-        got = bo._scalar_k0_matrix(grid, z, mass)
+        got = bo.assemble_Sz(grid, z, Coupling(1.0, 0.0, mass))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -541,10 +566,11 @@ def test_scalar_k0_matrix_is_written_into_its_kernel_values(circle_grid_256):
     r = np.abs(grid.zc[:, None] - grid.zc[None, :])
     np.fill_diagonal(r, 1.0)
     i0, b = K.b_k0(r, kappa, np.log(r))
-    a, b = -pref * i0, pref * b
-    np.fill_diagonal(a, -pref)
-    np.fill_diagonal(b, pref * K.b_k0_at_zero(kappa))
-    want = a * bo.grid_tables(grid).log_weights + b * grid.weights[None, :]
+    log_w = bo.grid_tables(grid).log_weights
+    want = b * grid.weights[None, :]
+    want -= i0 * log_w
+    want *= pref
+    np.fill_diagonal(want, pref * (K.b_k0_at_zero(kappa) * grid.weights - np.diagonal(log_w)))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

@@ -465,6 +465,42 @@ def test_a_range_of_fewer_than_one_step_exits_2(tmp_path, capsys, command, confi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, flags", [
+    ("classify", CLASSIFY_CFG.replace("eps = 3.0", "eps = nan"), []),
+    ("classify", CLASSIFY_CFG, ["--mu", "inf"]),
+    ("eigs", "[curve]\npreset = circle\n[coupling]\neps = 1.0\n[discretization]\n"
+             "nodes_per_edge = 16\n[eigs]\nsamples = 16\n", ["--eps", "nan"]),
+    ("sweep", "[classify]\ncurve_class = c1\n[sweep]\neps_min = nan\neps_steps = 3\n"
+              "mu_steps = 3\n", []),
+    ("mtheta", "[mtheta]\ntheta_min_pi = nan\nsteps = 3\n", []),
+], ids=["classify-eps", "classify-mu-flag", "eigs-eps-flag", "sweep-range", "mtheta-range"])
+def test_a_non_finite_coupling_or_range_end_exits_2(tmp_path, capsys, command, config, flags):
+    # refused in the read step, before any numerics
+    p = _write(tmp_path, "c.cfg", config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out), *flags]) == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("samples = 8\n", "at least 16"),
+    ("z_min = 0.995\n", "open gap"),  # above the default z_max
+    ("z_min = -1.0\n", "open gap"),  # on the gap edge
+    ("z_min = -2.0\nz_max = 2.0\n", "open gap"),
+], ids=["samples", "empty-window", "edge", "outside"])
+def test_eigs_refuses_a_short_sweep_or_a_window_outside_the_gap(tmp_path, capsys, monkeypatch,
+                                                               extra, message):
+    # a config error of the read step, not a numerical failure of the sweep
+    monkeypatch.setattr(bo, "kernel_values", None)
+    p = _write(tmp_path, "e.cfg", "[curve]\npreset = circle\n[coupling]\neps = 1.0\n"
+                                  "[discretization]\nnodes_per_edge = 16\n[eigs]\n" + extra)
+    out = tmp_path / "out"
+    assert cli.main(["eigs", "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 _MTHETA_CFG = "[mtheta]\nsteps = 3\n"
 
 
@@ -771,10 +807,12 @@ def test_format_flag_removed(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    # eigs window outside the gap triggers a numerical-failure exit
+    # kappa diam = 20 at z = 0 on a radius-10 circle, beyond what the log
+    # split resolves, triggers a numerical-failure exit
     p = _write(tmp_path, "e.cfg", """
 [curve]
 preset = circle
+radius = 10.0
 
 [coupling]
 eps = 1.0
@@ -784,8 +822,7 @@ mu = 0.0
 nodes_per_edge = 16
 
 [eigs]
-z_min = -2.0
-z_max = 2.0
+samples = 16
 """)
     assert cli.main(["eigs", "--config", p, "--out", str(tmp_path)]) == \
         cli.EXIT_NUMERICAL

@@ -208,3 +208,10 @@ def test_coupling_validation():
     assert not c.is_critical
     assert Coupling(2.0, -2.0).is_critical
     assert np.array_equal(c.matrix(), 3.0 * SIGMA0 + 1.0 * SIGMA3)
+
+
+@pytest.mark.parametrize("args", [(math.nan, 0.0), (0.0, math.inf), (1.0, 0.0, math.inf),
+                                  (1.0, -math.inf, 1.0)])
+def test_coupling_refuses_non_finite_values(args):
+    with pytest.raises(DomainError, match="finite"):
+        Coupling(*args)

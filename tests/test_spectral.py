@@ -154,15 +154,16 @@ def test_scalar_route_on_the_second_component(circle_grid_128):
 
 
 def test_scalar_root_operators_assemble_k0_once(monkeypatch):
-    # S_z alone: one set of kernel values and one log-kernel assembly per
-    # scalar root, no K1 block and no 2N x 2N Theta_z; the two solves take
-    # the search's matrix shifted by the eigenvalue nearest zero, and the
-    # residual is still ||Theta_z g||, bitwise on the lambda route
+    # S_z alone: one set of kernel values per scalar root, and the writer
+    # forms the search's matrix and C_z on one component each, no K1 block
+    # and no 2N x 2N Theta_z; the two solves take the search's matrix
+    # shifted by the eigenvalue nearest zero, and the residual is still
+    # ||Theta_z g||, bitwise on the lambda route
     grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 64)
     calls, values, solved = [], [], []
-    assemble, kernel_values, solve = bo.log_kernel_matrix, bo.kernel_values, np.linalg.solve
-    monkeypatch.setattr(bo, "log_kernel_matrix",
-                        lambda *a: calls.append(a) or assemble(*a))
+    write, kernel_values, solve = bo._per_z_matrix, bo.kernel_values, np.linalg.solve
+    monkeypatch.setattr(bo, "_per_z_matrix",
+                        lambda *a: calls.append(len(a[2])) or write(*a))
     monkeypatch.setattr(bo, "kernel_values",
                         lambda *a, **kw: values.append(a) or kernel_values(*a, **kw))
     monkeypatch.setattr(np.linalg, "solve",
@@ -173,14 +174,14 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
         values.clear()
         solved.clear()
         (pair,) = sp._cluster_pairs(grid, coup, 0.3, ev, 1, 0)
-        assemblies = len(calls)
+        assemblies = list(calls)
         assert len(values) == 1 and len(solved) == 2
         want = sp._hermitian_matrix(grid, coup, 0.3)
         want[np.diag_indices_from(want)] -= ev[np.argmin(np.abs(ev))]
         assert all(mat.tobytes() == want.tobytes() for mat in solved)
         want = np.linalg.norm(bo.assemble_theta(grid, 0.3, coup) @ pair.density)
         if coup.is_critical:
-            assert assemblies == 1
+            assert assemblies == [1, 1]
             assert pair.residual == pytest.approx(want, rel=1e-13, abs=0.0)
         else:
             assert pair.residual == want
