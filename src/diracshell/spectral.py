@@ -11,20 +11,19 @@ changes between two samples, each sorted eigenvalue lambda_j whose index
 lies between the two counts changes sign.  Sorted eigenvalues are
 continuous in z, so this is robust to branch reordering at crossings.
 
-Between the samples, brentq needs only values of lambda_j, not spectra.  At
-the two samples it takes their exact lambda_j.  Elsewhere each step
-assembles the matrix once and takes the Rayleigh quotient of one
-inverse-iteration step from the bracket's previous vector, three from a
-seeded one at its first (an LU solve costs about a seventh of a Hermitian
-reduction; near its zero lambda_j is the eigenvalue nearest zero, which
-inverse iteration finds).  Two exact spectra then certify the root r: at r
-and at r +- tol/2, on the side where lambda_j must change sign.  If the
-signs differ the root is the one of the two with the smaller |lambda_j|,
-within tol/2 of a sign change of the exact lambda_j; otherwise (the cheap
-steps followed another eigenvalue) brentq is run again on the exact
-lambda_j of the whole bracket.  A root's ``mult`` eigenvectors come from
-two solves at the mean of its eigenvalue window, a QR step and a mult x
-mult Rayleigh-Ritz.  No dense eigenvector solver is used: scipy's ``*evr``
+Between the samples, brentq needs values of lambda_j of exact sign, not
+spectra: at the samples their lambda_j, elsewhere one factorization of the
+matrix (Bunch-Kaufman) per step.  Its negative count gives the sign
+(lambda_j < 0 iff more than j eigenvalues are, Sylvester's law of inertia)
+and the Rayleigh quotient of inverse iteration on it the size (one step
+from the bracket's previous vector, three from a seeded one at its first
+point; near its zero lambda_j is the eigenvalue nearest zero, which inverse
+iteration finds).  With exact signs brentq keeps a sign change of lambda_j
+in its bracket: run to tol/2, it returns a point within tol/2 of one,
+whatever the sizes.  One exact spectrum at the root gives its conditioning
+and eigenvalue window.  A root's ``mult`` eigenvectors come from two
+solves at the mean of that window, a QR step and a mult x mult
+Rayleigh-Ritz.  No dense eigenvector solver is used: scipy's ``*evr``
 holds the interpreter lock, as does the Python loop of ARPACK's
 shift-invert mode, so neither runs concurrently on the pool.
 
@@ -40,6 +39,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import brentq
 
 from . import boundary_ops as bo
@@ -104,13 +104,36 @@ def _start(size, columns=None):
                                                         else (size, columns))
 
 
-def _inverse_step(h, vec, steps=1):
-    """``steps`` inverse-iteration steps on h from vec: the Rayleigh quotient
-    of the unit vector they reach, and that vector."""
+def _factor_step(h, vec, steps=1):
+    """Factor h once (Bunch-Kaufman, LAPACK ``?hetrf`` or, for a real h,
+    ``?sytrf``; h is overwritten) and take ``steps`` inverse-iteration steps
+    from vec on the factor: the number of negative eigenvalues of h, the
+    Rayleigh quotient of the unit vector the steps reach, and that vector.
+
+    h = U D U^H has the inertia of the block diagonal D (Sylvester's law):
+    the signs of its 1x1 blocks and of the eigenvalues of its 2x2 ones.
+    h.T, in Fortran order, is conj(h): factoring it in place keeps no copy,
+    and h x = v is conj(h) conj(x) = conj(v).  With x = h^-1 v, the
+    Rayleigh quotient of x is x^H v / x^H x.
+    """
+    kind = "he" if np.iscomplexobj(h) else "sy"
+    trf, trs, trf_lwork = get_lapack_funcs((kind + "trf", kind + "trs", kind + "trf_lwork"),
+                                           (h,))
+    udu, ipiv, info = trf(h.T, lwork=int(trf_lwork(len(h))[0].real), overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("the search matrix is singular")
     for _ in range(steps):
-        vec = np.linalg.solve(h, vec)
-        vec /= np.linalg.norm(vec)
-    return float(np.vdot(vec, h @ vec).real), vec
+        x = trs(udu, ipiv, vec.conj())[0].conj()
+        lam = float(np.vdot(x, vec).real / np.vdot(x, x).real)
+        vec = x / np.linalg.norm(x)
+    # a 2x2 block of rows k, k+1 (both pivots negative) keeps its
+    # off-diagonal in the upper factor at (k, k+1)
+    d = udu.diagonal().real.copy()
+    k = np.flatnonzero(ipiv < 0)[::2]
+    mean = 0.5 * (d[k] + d[k + 1])
+    half = np.hypot(0.5 * (d[k] - d[k + 1]), np.abs(udu[k, k + 1]))
+    d[k], d[k + 1] = mean - half, mean + half
+    return int(np.sum(d < 0.0)), lam, vec
 
 
 def default_window(coupling: Coupling) -> tuple:
@@ -143,15 +166,15 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
                      tol: float = 1e-12) -> list:
     """Locate the gap eigenvalues of a ``gap_sweep`` of this grid: between
     two samples whose negative-eigenvalue counts differ, each sorted
-    eigenvalue that changes sign has a root, certified to lie within tol/2
-    of a sign change (``_bracket_root``).  Roots within 10 tol are one
+    eigenvalue that changes sign has a root, within tol/2 of a sign change
+    by construction (``_bracket_root``).  Roots within 10 tol are one
     cluster, its size the multiplicity; tol lies in ``TOL_RANGE``: a
     coarser one merges distinct roots into one cluster, and a finer one is
     below what the search resolves.
 
     The coupling, the sample points and their spectra are those of the
-    sweep; each root costs at most two exact spectra, and a cluster's
-    eigenvectors two more solves (``_cluster_pairs``).
+    sweep; each root costs one exact spectrum, and a cluster's eigenvectors
+    two solves (``_cluster_pairs``).
     """
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise SpectralParameterError(f"z tolerance {tol!r} outside the supported "
@@ -188,66 +211,40 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
 
 def _bracket_root(grid, coupling, spectra, tol, bracket):
     """(root, ascending spectrum there) of lambda_j in the bracket (a, b, j):
-    brentq on cheap values, then the certificate of two exact spectra, else
-    ``_exact_root`` (see the module docstring).  brentq returns the end of
-    its last bracket nearest zero, as a rule the step nearest zero, whose
-    kernel values are kept so that r is not evaluated again.
+    brentq to tol/2 on values of the sign of lambda_j (``_factor_step``, see
+    the module docstring), so within tol/2 (+ 4u|r|) of a sign change.
+    brentq returns the end of its last bracket nearest zero, as a rule the
+    step nearest zero, whose kernel values are kept for the root's spectrum.
     """
     a, b, j = bracket
-    vec = best = None  # best: |lambda|, z and kernel values of the step nearest zero
+    vec = best = None  # best: |value|, z and kernel values of the step nearest zero
 
-    def cheap(z):
+    def value(z):
         nonlocal vec, best
         if z in spectra:
             return spectra[z][j]
         values = _kernel_values(grid, coupling, z)
         h = _hermitian_matrix(grid, coupling, z, values)
         if vec is None:
-            lam, vec = _inverse_step(h, _start(len(h)), _START_STEPS)
+            count, lam, vec = _factor_step(h, _start(len(h)), _START_STEPS)
         else:
-            lam, vec = _inverse_step(h, vec)
+            count, lam, vec = _factor_step(h, vec)
+        lam = -abs(lam) if count > j else abs(lam)  # lambda_j < 0 iff count > j
         if best is None or abs(lam) <= best[0]:
             best = (abs(lam), z, values)
         return lam
 
-    def exact(z, values=None):
-        if z in spectra:
-            return spectra[z]
-        return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z, values))
-
-    r = brentq(cheap, a, b, xtol=tol, rtol=_RTOL)
-    ev = exact(r, best[2] if best is not None and best[1] == r else None)
+    r = brentq(value, a, b, xtol=0.5 * tol, rtol=_RTOL)
+    if r in spectra:
+        return r, spectra[r]
+    values = best[2] if best[1] == r else None
     best = None
-    if ev[j] == 0.0:
-        return r, ev
-    # lambda_j(a) and lambda_j(b) differ in sign; the change from the sign at
-    # r lies toward the end of the other sign
-    other = min(r + 0.5 * tol, b) if (ev[j] < 0.0) == (spectra[a][j] < 0.0) \
-        else max(r - 0.5 * tol, a)
-    ev_other = exact(other)
-    if ev[j] * ev_other[j] <= 0.0:
-        return (r, ev) if abs(ev[j]) <= abs(ev_other[j]) else (other, ev_other)
-    return _exact_root(grid, coupling, spectra, tol, bracket)
-
-
-def _exact_root(grid, coupling, spectra, tol, bracket):
-    """(root, spectrum there) of lambda_j in the bracket (a, b, j) by brentq
-    on the exact lambda_j, one Hermitian eigensolve per step."""
-    a, b, j = bracket
-    solved = dict(spectra)
-
-    def eigs_at(z):
-        if z not in solved:
-            solved[z] = _hermitian_eigs(grid, coupling, z)
-        return solved[z]
-
-    r = brentq(lambda z: eigs_at(z)[j], a, b, xtol=tol, rtol=_RTOL)
-    return r, eigs_at(r)
+    return r, np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, r, values))
 
 
 def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
     """The ``mult`` eigenpairs of the root z0.  ``ev``, the ascending
-    spectrum of the Hermitian matrix at z0 (the certificate solved it
+    spectrum of the Hermitian matrix at z0 (``_bracket_root`` solved it
     there), gives the conditioning and the window of the ``mult``
     eigenvalues nearest zero.  Their eigenvectors come from two solves with
     the matrix shifted by the window's mean, a QR step and a mult x mult

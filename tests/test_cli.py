@@ -321,19 +321,38 @@ def test_eigs_refuses_tol_outside_its_range_before_any_numerics(tmp_path, monkey
 
 
 def test_shipped_eigs_config_certifies_every_root(tmp_path, monkeypatch):
-    # each root costs two exact spectra and no bracket falls back to brentq
-    # on exact spectra
+    # one exact spectrum per sweep sample and one per root; each brentq step
+    # between two samples factors its matrix once, and the first step of a
+    # bracket takes its three solves from that one factorization
+    from scipy.optimize import brentq
+
     from diracshell import spectral as sp
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a bracket fell back to exact brentq")
+    solves, steps, factors = [], [], []
+    eigvalsh, get_lapack_funcs = np.linalg.eigvalsh, sp.get_lapack_funcs
 
-    monkeypatch.setattr(sp, "_exact_root", refuse)
+    def count_solves(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "diracshell.spectral":
+            solves.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    def count_steps(f, a, b, **kwargs):
+        return brentq(lambda z: steps.append(z not in (a, b)) or f(z), a, b, **kwargs)
+
+    def count_factors(names, arrays):
+        trf, *rest = get_lapack_funcs(names, arrays)
+        return (lambda *a, **kw: factors.append(1) or trf(*a, **kw), *rest)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", count_solves)
+    monkeypatch.setattr(sp, "brentq", count_steps)
+    monkeypatch.setattr(sp, "get_lapack_funcs", count_factors)
     out = tmp_path / "out"
     assert cli.main(["eigs", "--config", str(_ROOT / "configs" / "eigs_circle.cfg"),
                      "--out", str(out)]) == 0
     doc = json.loads((out / "eigenvalues.json").read_text())
     assert [p["cluster"] for p in doc["eigenvalues"]] == [0, 1, 2]
+    assert len(solves) == 64 + 3
+    assert len(factors) == sum(steps) > 0
 
 
 @pytest.mark.parametrize("threads", ["2", "1"])

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from diracshell import boundary_ops as bo
 from diracshell import geometry as geo
@@ -268,54 +269,113 @@ _SEARCH_CASES = [
 ]
 
 
+def _exact_bracket_root(grid, coupling, spectra, tol, bracket):
+    """The reference of ``sp._bracket_root``: brentq on the exact lambda_j,
+    one Hermitian eigensolve per step, to tol/100."""
+    a, b, j = bracket
+    solved = dict(spectra)
+
+    def eigs_at(z):
+        if z not in solved:
+            solved[z] = sp._hermitian_eigs(grid, coupling, z)
+        return solved[z]
+
+    r = brentq(lambda z: eigs_at(z)[j], a, b, xtol=0.01 * tol, rtol=sp._RTOL)
+    return r, eigs_at(r)
+
+
+def _reference_pairs(grid, sweep, tol, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(sp, "_bracket_root", _exact_bracket_root)
+        return sp.find_eigenvalues(grid, sweep, tol)
+
+
+@pytest.mark.parametrize("spec, nodes, coup", [
+    (geo.circle(1.0), 128, Coupling(1.0, 0.0)),
+    (geo.circle(1.0), 128, Coupling(-1.0, -1.0)),
+    (geo.square(2.0), 64, Coupling(1.0, 0.0)),
+    (geo.square(2.0), 64, Coupling(-1.0, -1.0)),
+    (geo.ellipse(1.5, 0.7), 128, Coupling(1.0, 0.0)),
+    (geo.ellipse(1.5, 0.7), 128, Coupling(-1.0, -1.0)),
+], ids=["circle-lambda", "circle-scalar", "square-lambda", "square-scalar",
+        "ellipse-lambda", "ellipse-scalar"])
+def test_factor_step_counts_the_negative_eigenvalues(spec, nodes, coup, monkeypatch):
+    # Sylvester's law on the Bunch-Kaufman factor: its negative count is
+    # eigvalsh's at every z, 2x2 pivots included (complex on the lambda
+    # route, real on the scalar one); its value is the Rayleigh quotient of
+    # the unit vector it returns
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    pivots = []
+    get_lapack_funcs = sp.get_lapack_funcs
+
+    def spy(names, arrays):
+        trf, *rest = get_lapack_funcs(names, arrays)
+
+        def recording_trf(*args, **kwargs):
+            out = trf(*args, **kwargs)
+            pivots.append(out[1].copy())
+            return out
+
+        return (recording_trf, *rest)
+
+    monkeypatch.setattr(sp, "get_lapack_funcs", spy)
+    for z in np.linspace(*sp.default_window(coup), 16):
+        h = sp._hermitian_matrix(grid, coup, z)
+        assert np.iscomplexobj(h) == (coup.mu == 0.0)
+        ev = np.linalg.eigvalsh(h)
+        count, lam, vec = sp._factor_step(h.copy(), sp._start(len(ev)), sp._START_STEPS)
+        assert count == int(np.sum(ev < 0.0))
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        assert abs(lam - np.vdot(vec, h @ vec).real) <= 1e-12 * np.max(np.abs(ev))
+    assert len(pivots) == 16
+    assert any(np.any(ipiv < 0) for ipiv in pivots)
+
+
 @pytest.mark.parametrize("spec, nodes, coup", _SEARCH_CASES,
                          ids=["circle-1-0", "circle-3-1", "circle-double", "square-lambda",
                               "square-scalar", "ellipse"])
 def test_certified_roots_match_exact_brentq(spec, nodes, coup, monkeypatch):
-    # brentq on cheap inverse-iteration values, then two exact spectra per
-    # root: the roots of brentq on exact spectra, to within tol, with the
-    # same eigenpairs and clusters, and no fallback taken
+    # brentq to tol/2 on values whose sign is the inertia's: the roots of
+    # brentq on exact spectra to within tol/2, with the same clusters, and
+    # one exact spectrum per root
     grid = geo.discretize(geo.build_curve(spec), nodes)
     sweep = sp.gap_sweep(grid, coup, samples=48)
-    brackets = sum(abs(int(np.sum(a < 0)) - int(np.sum(b < 0)))
-                   for a, b in zip(sweep.eigenvalues, sweep.eigenvalues[1:]))
-    solves, fallbacks = [], []
-    eigvalsh, exact_root = np.linalg.eigvalsh, sp._exact_root
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
-    monkeypatch.setattr(sp, "_exact_root", lambda *a: fallbacks.append(a) or exact_root(*a))
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
     for tol in (1e-12, 1e-8):
-        solves.clear()
-        got = sp.find_eigenvalues(grid, sweep, tol)
-        assert not fallbacks
-        assert len(solves) <= 2 * brackets
+        want = _reference_pairs(grid, sweep, tol, monkeypatch)
         with monkeypatch.context() as m:
-            m.setattr(sp, "_bracket_root", exact_root)
-            want = sp.find_eigenvalues(grid, sweep, tol)
+            m.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+            got = sp.find_eigenvalues(grid, sweep, tol)
         assert len(got) == len(want) >= 1
         assert [p.cluster for p in got] == [p.cluster for p in want]
-        assert max(abs(p.z0 - q.z0) for p, q in zip(got, want)) <= tol
+        assert max(abs(p.z0 - q.z0) for p, q in zip(got, want)) <= 0.5 * tol
+        assert len(solves) == len(got)
+        solves.clear()
 
 
-def test_wrong_branch_cheap_values_take_the_exact_fallback(circle_grid_128, monkeypatch):
-    # cheap values of the wrong sign lead brentq to a point that the exact
-    # spectra do not certify; the bracket is then solved by exact brentq
-    coup = Coupling(3.0, 1.0)
-    sweep = sp.gap_sweep(circle_grid_128, coup, samples=48)
-    inverse_step, exact_root = sp._inverse_step, sp._exact_root
-    with monkeypatch.context() as m:
-        m.setattr(sp, "_bracket_root", exact_root)
-        want = sp.find_eigenvalues(circle_grid_128, sweep)
-    fallbacks = []
+def test_corrupted_magnitudes_keep_each_root_within_half_tol(circle_grid_128, monkeypatch):
+    # the values' signs come from the inertia, so Rayleigh quotients of the
+    # wrong sign or of any size only slow brentq: negated, sign-only and
+    # random ones give the reference roots to within tol/2, each before
+    # brentq's maxiter
+    tol = 1e-12
+    rng = np.random.default_rng(7)
+    factor_step = sp._factor_step
+    for coup in (Coupling(3.0, 1.0), Coupling(-1.0, -1.0)):
+        sweep = sp.gap_sweep(circle_grid_128, coup, samples=48)
+        want = _reference_pairs(circle_grid_128, sweep, tol, monkeypatch)
+        for corrupt in (lambda lam: -lam, np.sign, lambda lam: 10.0 ** rng.uniform(-3, 3)):
+            def corrupted(*args, **kwargs):
+                count, lam, vec = factor_step(*args, **kwargs)
+                return count, corrupt(lam), vec
 
-    def wrong_branch(*args, **kwargs):
-        lam, vec = inverse_step(*args, **kwargs)
-        return -lam, vec
-
-    monkeypatch.setattr(sp, "_inverse_step", wrong_branch)
-    monkeypatch.setattr(sp, "_exact_root", lambda *a: fallbacks.append(a) or exact_root(*a))
-    got = sp.find_eigenvalues(circle_grid_128, sweep)
-    assert len(fallbacks) == len(want) >= 1
-    assert [(p.z0, p.cluster) for p in got] == [(p.z0, p.cluster) for p in want]
+            with monkeypatch.context() as m:
+                m.setattr(sp, "_factor_step", corrupted)
+                got = sp.find_eigenvalues(circle_grid_128, sweep, tol)
+            assert len(got) == len(want) >= 1
+            assert [p.cluster for p in got] == [p.cluster for p in want]
+            assert max(abs(p.z0 - q.z0) for p, q in zip(got, want)) <= 0.5 * tol
 
 
 def test_search_calls_no_dense_or_sparse_eigenvector_solver(circle_grid_128, monkeypatch):
