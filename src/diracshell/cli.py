@@ -391,6 +391,16 @@ def _read_range(r, section: str, lo, hi, steps) -> list:
     return [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
 
 
+def _check_angles(key: str, thetas_pi, straight: bool = True):
+    """Refuse the angles of ``key`` (in units of pi) that the corner
+    functions refuse: outside (0, 2), or 1 where not ``straight``."""
+    for tpi in thetas_pi:
+        theta = tpi * math.pi
+        if not 0.0 < theta < 2.0 * math.pi or (theta == math.pi and not straight):
+            raise ConfigError(f"{key}: {tpi!r} is not an angle in (0, 2)"
+                              + ("" if straight else " other than 1"))
+
+
 # ---------------------------------------------------------------------------
 # commands: a read step, which takes a _Reader and returns the keyword
 # arguments of the compute step, and the compute step
@@ -418,8 +428,10 @@ def cmd_classify(out, coupling, curve_class):
 def _read_mtheta(r):
     get = r.section("mtheta", required=True)
     get("tol")  # read and ignored (m_of has no tolerance): older configs set it
-    return dict(thetas_pi=_read_range(r, "mtheta", ("theta_min_pi", 0.05),
-                                      ("theta_max_pi", 0.95), ("steps", 19)))
+    thetas_pi = _read_range(r, "mtheta", ("theta_min_pi", 0.05), ("theta_max_pi", 0.95),
+                            ("steps", 19))
+    _check_angles("[mtheta] theta_min_pi..theta_max_pi", thetas_pi)
+    return dict(thetas_pi=thetas_pi)
 
 
 def cmd_mtheta(out, thetas_pi):
@@ -432,11 +444,15 @@ def cmd_mtheta(out, thetas_pi):
 
 def _read_symbol(r):
     get = r.section("symbol", required=True)
-    return dict(thetas=get("theta_pi", 0.5, list),
+    thetas, trunc, tol = get("theta_pi", 0.5, list), get("trunc", 60.0), get("tol", 1e-10)
+    _check_angles("[symbol] theta_pi", thetas, straight=False)
+    if not (trunc >= 40.0 and 0.0 < tol < math.inf):
+        raise ConfigError(f"[symbol] trunc = {trunc!r}, tol = {tol!r}: the quadrature "
+                          "needs a window of at least 40 and a finite positive tolerance")
+    return dict(thetas=thetas,
                 etas=_read_range(r, "symbol", ("eta_min", -5.0), ("eta_max", 5.0),
                                  ("eta_steps", 21)),
-                trunc=get("trunc", 60.0), tol=get("tol", 1e-10),
-                coupling=_read_coupling(r))
+                trunc=trunc, tol=tol, coupling=_read_coupling(r))
 
 
 def cmd_symbol(out, thetas, etas, trunc, tol, coupling):
@@ -513,9 +529,14 @@ def cmd_eigs(out, grid, coupling, window, samples, tol, branch_csv, strict):
 def _read_verify(r):
     grid, coupling = _read_grid(r), _read_coupling(r, required=True)
     get = r.section("verify", required=True)
-    return dict(grid=grid, coupling=coupling, z=get("z", 0.0),
-                offset=get("offset", 1e-3), seed=get("seed", 1234, int),
-                strict=bool(r.flag("strict")))
+    z, offset = get("z", 0.0), get("offset", 1e-3)
+    if not -coupling.mass < z < coupling.mass:
+        raise ConfigError(f"[verify] z = {z!r} outside the open gap "
+                          f"(-{coupling.mass!r}, {coupling.mass!r})")
+    if not offset > 0.0:  # the jump checks take the points at -offset as inside
+        raise ConfigError(f"[verify] offset = {offset!r}: the offset must be positive")
+    return dict(grid=grid, coupling=coupling, z=z, offset=offset,
+                seed=get("seed", 1234, int), strict=bool(r.flag("strict")))
 
 
 def cmd_verify(out, grid, coupling, z, offset, seed, strict):

@@ -20,12 +20,13 @@ from the bracket's previous vector, three from a seeded one at its first
 point; near its zero lambda_j is the eigenvalue nearest zero, which inverse
 iteration finds).  With exact signs brentq keeps a sign change of lambda_j
 in its bracket: run to tol/2, it returns a point within tol/2 of one,
-whatever the sizes.  One exact spectrum at the root gives its conditioning
-and eigenvalue window.  A root's ``mult`` eigenvectors come from two
-solves at the mean of that window, a QR step and a mult x mult
-Rayleigh-Ritz.  No dense eigenvector solver is used: scipy's ``*evr``
-holds the interpreter lock, as does the Python loop of ARPACK's
-shift-invert mode, so neither runs concurrently on the pool.
+whatever the sizes.  Each cluster of roots forms its matrix once: its
+exact spectrum there gives the conditioning and the window of eigenvalues
+nearest zero, and two inverse-iteration steps of a seeded block on one
+factorization of the matrix shifted into that window (``_factor_step``)
+and a QR step give the eigenvectors.  No dense eigenvector solver is used:
+scipy's ``*evr`` holds the interpreter lock, as does the Python loop of
+ARPACK's shift-invert mode, so neither runs concurrently on the pool.
 
 The sweep samples, the brackets and then the roots do not depend on each
 other and are solved concurrently, one BLAS thread each
@@ -98,10 +99,9 @@ def _hermitian_eigs(grid, coupling, z):
     return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z))
 
 
-def _start(size, columns=None):
-    """The seeded start vector(s) of inverse iteration."""
-    return np.random.default_rng(_SEED).standard_normal(size if columns is None
-                                                        else (size, columns))
+def _start(size, columns=1):
+    """The seeded start block of inverse iteration."""
+    return np.random.default_rng(_SEED).standard_normal((size, columns))
 
 
 def _factor_step(h, vec, steps=1):
@@ -109,6 +109,8 @@ def _factor_step(h, vec, steps=1):
     ``?sytrf``; h is overwritten) and take ``steps`` inverse-iteration steps
     from vec on the factor: the number of negative eigenvalues of h, the
     Rayleigh quotient of the unit vector the steps reach, and that vector.
+    vec may be a block of columns, which ``?hetrs`` solves at once; the
+    quotient and the norm are then those of the block as one vector.
 
     h = U D U^H has the inertia of the block diagonal D (Sylvester's law):
     the signs of its 1x1 blocks and of the eigenvalues of its 2x2 ones.
@@ -173,8 +175,9 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
     below what the search resolves.
 
     The coupling, the sample points and their spectra are those of the
-    sweep; each root costs one exact spectrum, and a cluster's eigenvectors
-    two solves (``_cluster_pairs``).
+    sweep; each brentq step between samples costs one factorization, and
+    each cluster one matrix, its spectrum and one factorization
+    (``_cluster_pairs``).
     """
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise SpectralParameterError(f"z tolerance {tol!r} outside the supported "
@@ -192,17 +195,16 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
 
     def root_pairs(numbered):
         cluster, members = numbered
-        z0, ev = members[0]
-        return _cluster_pairs(grid, coupling, z0, ev, len(members), cluster)
+        return _cluster_pairs(grid, coupling, members[0], len(members), cluster)
 
     if brackets:
         bo.grid_tables(grid)  # on this thread, not among a worker's per-z arrays
     with bo.solve_pool() as solve_map:
         roots = sorted(solve_map(functools.partial(_bracket_root, grid, coupling, spectra, tol),
-                                 brackets), key=lambda root: root[0])
+                                 brackets))
         clusters = []  # roots closer than 10 tol are one multiple root
         for root in roots:
-            if clusters and root[0] - clusters[-1][-1][0] <= 10.0 * tol:
+            if clusters and root - clusters[-1][-1] <= 10.0 * tol:
                 clusters[-1].append(root)
             else:
                 clusters.append([root])
@@ -210,49 +212,43 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
 
 
 def _bracket_root(grid, coupling, spectra, tol, bracket):
-    """(root, ascending spectrum there) of lambda_j in the bracket (a, b, j):
-    brentq to tol/2 on values of the sign of lambda_j (``_factor_step``, see
-    the module docstring), so within tol/2 (+ 4u|r|) of a sign change.
-    brentq returns the end of its last bracket nearest zero, as a rule the
-    step nearest zero, whose kernel values are kept for the root's spectrum.
-    """
+    """The root of lambda_j in the bracket (a, b, j): brentq to tol/2 on
+    values of the sign of lambda_j (``_factor_step``, see the module
+    docstring), so within tol/2 (+ 4u|r|) of a sign change."""
     a, b, j = bracket
-    vec = best = None  # best: |value|, z and kernel values of the step nearest zero
+    vec = None
 
     def value(z):
-        nonlocal vec, best
+        nonlocal vec
         if z in spectra:
             return spectra[z][j]
-        values = _kernel_values(grid, coupling, z)
-        h = _hermitian_matrix(grid, coupling, z, values)
+        h = _hermitian_matrix(grid, coupling, z)
         if vec is None:
             count, lam, vec = _factor_step(h, _start(len(h)), _START_STEPS)
         else:
             count, lam, vec = _factor_step(h, vec)
-        lam = -abs(lam) if count > j else abs(lam)  # lambda_j < 0 iff count > j
-        if best is None or abs(lam) <= best[0]:
-            best = (abs(lam), z, values)
-        return lam
+        return -abs(lam) if count > j else abs(lam)  # lambda_j < 0 iff count > j
 
-    r = brentq(value, a, b, xtol=0.5 * tol, rtol=_RTOL)
-    if r in spectra:
-        return r, spectra[r]
-    values = best[2] if best[1] == r else None
-    best = None
-    return r, np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, r, values))
+    return brentq(value, a, b, xtol=0.5 * tol, rtol=_RTOL)
 
 
-def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
-    """The ``mult`` eigenpairs of the root z0.  ``ev``, the ascending
-    spectrum of the Hermitian matrix at z0 (``_bracket_root`` solved it
-    there), gives the conditioning and the window of the ``mult``
-    eigenvalues nearest zero.  Their eigenvectors come from two solves with
-    the matrix shifted by the window's mean, a QR step and a mult x mult
-    Rayleigh-Ritz (``_window_vectors``); the matrix is dropped before
-    Theta_z0 = I + diag(d_k) C_z0 on the active components (the other rows
-    are the identity on zeros) is formed in place of their C_z0 from the
-    same kernel values.  Both matrices order the active components one
-    after the other, as does the density."""
+def _cluster_pairs(grid, coupling, z0, mult, cluster) -> list:
+    """The ``mult`` eigenpairs of the root z0, from one Hermitian matrix at
+    z0.  Its ascending spectrum gives the conditioning and the window of
+    the ``mult`` eigenvalues nearest zero.  Shifted in place by the
+    window's mean, it is factored once; two inverse-iteration steps of a
+    seeded block on the factor (``_factor_step``) and a QR step give an
+    orthonormal basis of the window's eigenspace.  The roots of a cluster
+    lie within 10 tol, below what the search resolves, so any such basis
+    is an answer.  Theta_z0 = I + diag(d_k) C_z0 on the active components
+    (the other rows are the identity on zeros) is formed in place of their
+    C_z0 from the same kernel values once the factor is dropped.  Both
+    matrices order the active components one after the other, as does the
+    density."""
+    active = _active(coupling)
+    values = _kernel_values(grid, coupling, z0)
+    h = _hermitian_matrix(grid, coupling, z0, values)
+    ev = np.linalg.eigvalsh(h)
     second = float(np.sort(np.abs(ev))[min(mult, len(ev) - 1)])
     if second < 1e-6:
         warnings.warn(
@@ -262,32 +258,13 @@ def _cluster_pairs(grid, coupling, z0, ev, mult, cluster) -> list:
     # the mult eigenvalues nearest zero are the window of mult sorted ones
     # whose end farthest from zero is nearest
     lo = int(np.argmin(np.maximum(-ev[:len(ev) - mult + 1], ev[mult - 1:])))
-    active = _active(coupling)
-    values = _kernel_values(grid, coupling, z0)
-    h = _hermitian_matrix(grid, coupling, z0, values)
-    vecs = _window_vectors(h, float(np.mean(ev[lo:lo + mult])), mult)
-    del h  # before the blocks of Theta_z0 are formed
+    h[np.diag_indices_from(h)] -= np.mean(ev[lo:lo + mult])
+    vecs = np.linalg.qr(_factor_step(h, _start(len(h), mult), 2)[2])[0]
+    del h  # the factor, before the blocks of Theta_z0 are formed
     theta = bo.theta_in_place(bo.cz_blocks(grid, coupling, values, active),
                               np.repeat(np.take(coupling.diagonal, active), grid.n_nodes))
-    pairs = []
-    for v in vecs.T:
-        v = v / np.linalg.norm(v)
-        residual = float(np.linalg.norm(theta @ v))
-        pairs.append(Eigenpair(float(z0), _embed_density(v, coupling), residual,
-                               cluster, second, cond, coupling))
-    return pairs
-
-
-def _window_vectors(h, shift, mult):
-    """Orthonormal eigenvectors of the Hermitian h for its ``mult``
-    eigenvalues nearest ``shift``: two inverse-iteration steps on a seeded
-    block, a QR step, and the Ritz vectors of the mult x mult projection.
-    h is shifted in place."""
-    h[np.diag_indices_from(h)] -= shift
-    q, _ = np.linalg.qr(np.linalg.solve(h, np.linalg.solve(h, _start(len(h), mult))))
-    if mult > 1:
-        q = q @ np.linalg.eigh(q.conj().T @ (h @ q))[1]
-    return q
+    return [Eigenpair(float(z0), _embed_density(v, coupling), float(np.linalg.norm(theta @ v)),
+                      cluster, second, cond, coupling) for v in vecs.T]
 
 
 def _embed_density(vec, coupling):

@@ -321,9 +321,10 @@ def test_eigs_refuses_tol_outside_its_range_before_any_numerics(tmp_path, monkey
 
 
 def test_shipped_eigs_config_certifies_every_root(tmp_path, monkeypatch):
-    # one exact spectrum per sweep sample and one per root; each brentq step
-    # between two samples factors its matrix once, and the first step of a
-    # bracket takes its three solves from that one factorization
+    # one exact spectrum per sweep sample and one per cluster; each brentq
+    # step between two samples factors its matrix once, the first step of a
+    # bracket takes its three solves from that one factorization, and each
+    # cluster factors its shifted matrix once
     from scipy.optimize import brentq
 
     from diracshell import spectral as sp
@@ -352,7 +353,7 @@ def test_shipped_eigs_config_certifies_every_root(tmp_path, monkeypatch):
     doc = json.loads((out / "eigenvalues.json").read_text())
     assert [p["cluster"] for p in doc["eigenvalues"]] == [0, 1, 2]
     assert len(solves) == 64 + 3
-    assert len(factors) == sum(steps) > 0
+    assert len(factors) == sum(steps) + 3 > 3
 
 
 @pytest.mark.parametrize("threads", ["2", "1"])
@@ -499,6 +500,41 @@ def test_a_non_finite_coupling_or_range_end_exits_2(tmp_path, capsys, command, c
     out = tmp_path / "out"
     assert cli.main([command, "--config", p, "--out", str(out), *flags]) == cli.EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_VERIFY_CFG = ("[curve]\npreset = circle\n[coupling]\neps = 3.0\n[discretization]\n"
+               "nodes_per_edge = 16\n[verify]\n")
+
+
+@pytest.mark.parametrize("command, config", [
+    ("symbol", "[symbol]\ntheta_pi = 0.5, 1.0\n"),
+    ("symbol", "[symbol]\ntheta_pi = 2.0\n"),
+    ("mtheta", "[mtheta]\ntheta_max_pi = 2.0\n"),
+    ("mtheta", "[mtheta]\ntheta_min_pi = 0.0\n"),
+    ("symbol", "[symbol]\ntrunc = 10\n"),
+    ("symbol", "[symbol]\ntol = 0\n"),
+    ("symbol", "[symbol]\ntol = inf\n"),  # once ran, exit 0, abs_diff 0.15 at eta = 5
+    ("verify", _VERIFY_CFG + "offset = -1e-3\n"),
+    ("verify", _VERIFY_CFG + "z = 1.5\n"),
+], ids=["symbol-straight", "symbol-full-turn", "mtheta-full-turn", "mtheta-zero",
+        "symbol-trunc", "symbol-tol", "symbol-tol-inf", "verify-offset", "verify-z"])
+def test_a_value_outside_the_domain_of_the_numerics_exits_2(tmp_path, capsys, monkeypatch,
+                                                            command, config):
+    # refused in the read step, like a non-finite or empty range, before
+    # any numerics: not exit 3 from the numerics, nor a failed check
+    from diracshell import corner_symbol, spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numerics ran for a refused config")
+
+    for module, name in [(corner_symbol, "M"), (corner_symbol, "m_of"),
+                         (corner_symbol, "mellin_symbol"), (spectral, "verify_identities")]:
+        monkeypatch.setattr(module, name, refuse)
+    p = _write(tmp_path, "c.cfg", config)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: [{command}] ")
     assert not out.exists()
 
 
@@ -777,14 +813,17 @@ samples = 16
     setters = bo._openblas_thread_setters()
     monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [*setters, lambda n: 2])
     threads = []
-    cluster_pairs = sp._cluster_pairs
+    eigvalsh = np.linalg.eigvalsh
 
-    def near_multiple(grid, coupling, z0, ev, mult, cluster):
-        # the spectrum scaled so that its second-smallest |eigenvalue| is tiny
+    def near_multiple(a):
+        # the root's spectrum scaled so that its second-smallest |eigenvalue|
+        # is tiny
+        if sys._getframe(1).f_code is not sp._cluster_pairs.__code__:
+            return eigvalsh(a)
         threads.append(threading.current_thread())
-        return cluster_pairs(grid, coupling, z0, 1e-9 * ev, mult, cluster)
+        return 1e-9 * eigvalsh(a)
 
-    monkeypatch.setattr(sp, "_cluster_pairs", near_multiple)
+    monkeypatch.setattr(np.linalg, "eigvalsh", near_multiple)
     strict, lenient = tmp_path / "strict", tmp_path / "lenient"
     assert cli.main(["eigs", "--config", p, "--out", str(strict), "--strict"]) == \
         cli.EXIT_NUMERICAL

@@ -154,32 +154,47 @@ def test_scalar_route_on_the_second_component(circle_grid_128):
         assert p.residual < 1e-8
 
 
+def _factored(monkeypatch):
+    """The matrices (copied, upper triangle as given) that ``_factor_step``
+    factors from within ``_cluster_pairs``, with their start blocks' column
+    counts and step counts."""
+    factored = []
+    factor_step = sp._factor_step
+
+    def record(h, vec, steps=1):
+        if sys._getframe(1).f_code.co_name == "_cluster_pairs":
+            factored.append((h.copy(), vec.shape[1], steps))
+        return factor_step(h, vec, steps)
+
+    monkeypatch.setattr(sp, "_factor_step", record)
+    return factored
+
+
 def test_scalar_root_operators_assemble_k0_once(monkeypatch):
     # S_z alone: one set of kernel values per scalar root, and the writer
     # forms the search's matrix and C_z on one component each, no K1 block
-    # and no 2N x 2N Theta_z; the two solves take the search's matrix
-    # shifted by the eigenvalue nearest zero, and the residual is still
-    # ||Theta_z g||, bitwise on the lambda route
+    # and no 2N x 2N Theta_z; the one factorization takes the search's
+    # matrix shifted by the eigenvalue nearest zero, and the residual is
+    # still ||Theta_z g||, bitwise on the lambda route
     grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 64)
-    calls, values, solved = [], [], []
-    write, kernel_values, solve = bo._per_z_matrix, bo.kernel_values, np.linalg.solve
+    calls, values = [], []
+    write, kernel_values = bo._per_z_matrix, bo.kernel_values
     monkeypatch.setattr(bo, "_per_z_matrix",
                         lambda *a: calls.append(len(a[2])) or write(*a))
     monkeypatch.setattr(bo, "kernel_values",
                         lambda *a, **kw: values.append(a) or kernel_values(*a, **kw))
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: solved.append(a.copy()) or solve(a, b))
+    factored = _factored(monkeypatch)
     for coup in (Coupling(-1.0, -1.0), Coupling(1.0, -1.0), Coupling(3.0, 1.0)):
         ev = sp._hermitian_eigs(grid, coup, 0.3)
         calls.clear()
         values.clear()
-        solved.clear()
-        (pair,) = sp._cluster_pairs(grid, coup, 0.3, ev, 1, 0)
+        factored.clear()
+        (pair,) = sp._cluster_pairs(grid, coup, 0.3, 1, 0)
         assemblies = list(calls)
-        assert len(values) == 1 and len(solved) == 2
+        assert len(values) == 1 and len(factored) == 1
         want = sp._hermitian_matrix(grid, coup, 0.3)
         want[np.diag_indices_from(want)] -= ev[np.argmin(np.abs(ev))]
-        assert all(mat.tobytes() == want.tobytes() for mat in solved)
+        assert factored[0][0].tobytes() == want.tobytes()
         want = np.linalg.norm(bo.assemble_theta(grid, 0.3, coup) @ pair.density)
         if coup.is_critical:
             assert assemblies == [1, 1]
@@ -188,14 +203,15 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
             assert pair.residual == want
 
 
-def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_grid_128,
-                                                                       monkeypatch):
-    # the scalar double root of the circle: two block solves per cluster on
-    # its matrix shifted by the mean of the kept eigenvalues; the
-    # eigenvalues are those of the certificate's exact spectrum at the root
+def test_root_step_factors_the_matrix_shifted_into_the_cluster_window(circle_grid_128,
+                                                                      monkeypatch):
+    # the scalar double root of the circle: one factorization per cluster,
+    # of its matrix shifted by the mean of the kept eigenvalues, with a
+    # block of as many columns as the cluster has roots and two steps; the
+    # eigenvalues are those of the one exact spectrum of that matrix
     coup = Coupling(-1.0, -1.0)
-    z_of, spectra, solved = {}, {}, []
-    hermitian, eigvalsh, solve = sp._hermitian_matrix, np.linalg.eigvalsh, np.linalg.solve
+    z_of, spectra = {}, {}
+    hermitian, eigvalsh = sp._hermitian_matrix, np.linalg.eigvalsh
 
     def record_matrix(grid, coupling, z, values=None):
         mat = hermitian(grid, coupling, z, values)
@@ -208,18 +224,13 @@ def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_
             spectra[z_of[a.tobytes()]] = ev
         return ev
 
-    def record_solve(a, b):
-        if b.ndim == 2:
-            solved.append((a.copy(), b.shape[1]))
-        return solve(a, b)
-
     monkeypatch.setattr(sp, "_hermitian_matrix", record_matrix)
     monkeypatch.setattr(np.linalg, "eigvalsh", record_spectrum)
-    monkeypatch.setattr(np.linalg, "solve", record_solve)
+    factored = _factored(monkeypatch)
     pairs = sp.find_eigenvalues(circle_grid_128, sp.gap_sweep(circle_grid_128, coup, samples=48))
     assert [p.cluster for p in pairs] == [0, 1, 1]
     clusters = {p.z0: [q for q in pairs if q.z0 == p.z0] for p in pairs}
-    assert len(solved) == 2 * len(clusters)
+    assert len(factored) == len(clusters)
     want = {}
     for z0, members in clusters.items():
         ev = spectra[z0]
@@ -227,8 +238,8 @@ def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_
         mat = hermitian(circle_grid_128, coup, z0)
         mat[np.diag_indices_from(mat)] -= np.mean(ev[lo:lo + len(members)])
         want[mat.tobytes()] = len(members)
-    for mat, columns in solved:
-        assert want[mat.tobytes()] == columns
+    for mat, columns, steps in factored:
+        assert want[mat.tobytes()] == columns and steps == 2
     for z0, members in clusters.items():
         ev = np.sort(np.abs(spectra[z0]))
         second = ev[min(len(members), len(ev) - 1)]
@@ -240,19 +251,38 @@ def test_root_step_solves_the_kept_eigenvectors_from_the_brentq_spectrum(circle_
     assert abs(np.vdot(g1, g2)) <= 1e-12
 
 
+@pytest.mark.parametrize("coup, sizes", [(Coupling(-1.0, -1.0), [1, 2]),
+                                         (Coupling(3.0, 1.0), [1] * 7)],
+                         ids=["scalar-double", "lambda"])
+def test_cluster_densities_span_the_eigenspace_nearest_zero(circle_grid_128, coup, sizes):
+    # any orthonormal basis of the window's eigenspace is an answer: the
+    # projector onto a cluster's densities is that onto the mult
+    # eigenvectors nearest zero of a dense eigensolve (here only)
+    grid = circle_grid_128
+    pairs = sp.find_eigenvalues(grid, sp.gap_sweep(grid, coup, samples=48))
+    active = [k for k, d in enumerate(coup.diagonal) if d != 0.0]
+    clusters = [[p for p in pairs if p.cluster == c] for c in range(pairs[-1].cluster + 1)]
+    assert [len(members) for members in clusters] == sizes
+    for members in clusters:
+        g = np.stack([p.density.reshape(2, -1)[active].reshape(-1) for p in members], axis=1)
+        ev, vecs = np.linalg.eigh(sp._hermitian_matrix(grid, coup, members[0].z0))
+        q = vecs[:, np.argsort(np.abs(ev))[:len(members)]]
+        assert np.linalg.norm(g.conj().T @ g - np.eye(len(members)), 2) <= 1e-12
+        assert np.linalg.norm(g @ g.conj().T - q @ q.conj().T, 2) <= 1e-10
+
+
 def test_root_step_holds_the_blocks_and_about_one_matrix():
     # the Hermitian matrix is solved and dropped before the blocks of C_z
     # are written from the same kernel values into the one matrix that
     # becomes Theta_z
     grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 128)
     coup = Coupling(3.0, 1.0)
-    ev = sp._hermitian_eigs(grid, coup, 0.3)
     held = bo.cz_blocks(grid, coup, bo.kernel_values(grid, 0.3, coup.mass)).nbytes
     matrix = (2 * grid.n_nodes) ** 2 * 16
     assert held == matrix
     tracemalloc.start()
     try:
-        sp._cluster_pairs(grid, coup, 0.3, ev, 1, 0)
+        sp._cluster_pairs(grid, coup, 0.3, 1, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -280,8 +310,7 @@ def _exact_bracket_root(grid, coupling, spectra, tol, bracket):
             solved[z] = sp._hermitian_eigs(grid, coupling, z)
         return solved[z]
 
-    r = brentq(lambda z: eigs_at(z)[j], a, b, xtol=0.01 * tol, rtol=sp._RTOL)
-    return r, eigs_at(r)
+    return brentq(lambda z: eigs_at(z)[j], a, b, xtol=0.01 * tol, rtol=sp._RTOL)
 
 
 def _reference_pairs(grid, sweep, tol, monkeypatch):
@@ -337,7 +366,7 @@ def test_factor_step_counts_the_negative_eigenvalues(spec, nodes, coup, monkeypa
 def test_certified_roots_match_exact_brentq(spec, nodes, coup, monkeypatch):
     # brentq to tol/2 on values whose sign is the inertia's: the roots of
     # brentq on exact spectra to within tol/2, with the same clusters, and
-    # one exact spectrum per root
+    # one exact spectrum per cluster
     grid = geo.discretize(geo.build_curve(spec), nodes)
     sweep = sp.gap_sweep(grid, coup, samples=48)
     solves = []
@@ -350,7 +379,7 @@ def test_certified_roots_match_exact_brentq(spec, nodes, coup, monkeypatch):
         assert len(got) == len(want) >= 1
         assert [p.cluster for p in got] == [p.cluster for p in want]
         assert max(abs(p.z0 - q.z0) for p, q in zip(got, want)) <= 0.5 * tol
-        assert len(solves) == len(got)
+        assert len(solves) == len({p.cluster for p in got})
         solves.clear()
 
 
@@ -379,14 +408,18 @@ def test_corrupted_magnitudes_keep_each_root_within_half_tol(circle_grid_128, mo
 
 
 def test_search_calls_no_dense_or_sparse_eigenvector_solver(circle_grid_128, monkeypatch):
+    # nor an LU solve: the roots' eigenvectors come from the one
+    # factorization of each cluster's shifted matrix
     import scipy.linalg
     import scipy.sparse.linalg
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the search called an eigenvector solver")
+        raise AssertionError("the search called an eigenvector solver or an LU solve")
 
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
     for coup in (Coupling(1.0, 0.0), Coupling(-1.0, -1.0)):
         pairs = sp.find_eigenvalues(circle_grid_128,
                                     sp.gap_sweep(circle_grid_128, coup, samples=32))
