@@ -28,6 +28,7 @@ from .errors import (ConfigError, ConvergenceError, DiracShellError, DomainError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+STRICT_RESIDUAL = 1e-8  # the largest ||Theta_z0 g|| of a root `eigs --strict` accepts
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +429,10 @@ def cmd_classify(out, coupling, curve_class):
 def _read_mtheta(r):
     get = r.section("mtheta", required=True)
     get("tol")  # read and ignored (m_of has no tolerance): older configs set it
-    thetas_pi = _read_range(r, "mtheta", ("theta_min_pi", 0.05), ("theta_max_pi", 0.95),
-                            ("steps", 19))
-    _check_angles("[mtheta] theta_min_pi..theta_max_pi", thetas_pi)
+    top = ("theta_max_pi", 0.95)
+    thetas_pi = _read_range(r, "mtheta", ("theta_min_pi", 0.05), top, ("steps", 19))
+    # and the upper end, which one step does not reach
+    _check_angles("[mtheta] theta_min_pi..theta_max_pi", [*thetas_pi, get(*top)])
     return dict(thetas_pi=thetas_pi)
 
 
@@ -443,12 +445,15 @@ def cmd_mtheta(out, thetas_pi):
 
 
 def _read_symbol(r):
+    from .corner_symbol import TRUNC_RANGE
+
     get = r.section("symbol", required=True)
     thetas, trunc, tol = get("theta_pi", 0.5, list), get("trunc", 60.0), get("tol", 1e-10)
     _check_angles("[symbol] theta_pi", thetas, straight=False)
-    if not (trunc >= 40.0 and 0.0 < tol < math.inf):
-        raise ConfigError(f"[symbol] trunc = {trunc!r}, tol = {tol!r}: the quadrature "
-                          "needs a window of at least 40 and a finite positive tolerance")
+    if not (TRUNC_RANGE[0] <= trunc <= TRUNC_RANGE[1] and 0.0 < tol < math.inf):
+        raise ConfigError(f"[symbol] trunc = {trunc!r}, tol = {tol!r}: the quadrature needs "
+                          f"a window in [{TRUNC_RANGE[0]:g}, {TRUNC_RANGE[1]:g}] and a finite "
+                          "positive tolerance")
     return dict(thetas=thetas,
                 etas=_read_range(r, "symbol", ("eta_min", -5.0), ("eta_max", 5.0),
                                  ("eta_steps", 21)),
@@ -504,6 +509,10 @@ def cmd_eigs(out, grid, coupling, window, samples, tol, branch_csv, strict):
         pairs = sp.find_eigenvalues(grid, sweep, tol)
     if strict and any(issubclass(w.category, IllConditionedWarning) for w in caught):
         raise ConvergenceError("ill-conditioned eigenvalue root under --strict")
+    high = [p for p in pairs if not p.residual <= STRICT_RESIDUAL]
+    if strict and high:
+        raise ConvergenceError(f"root {high[0].z0:.6f} has residual {high[0].residual:.2e}, "
+                               f"above {STRICT_RESIDUAL:g}, under --strict")
     doc = {
         "route": sweep.route,
         "window": list(window),

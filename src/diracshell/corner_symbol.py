@@ -23,6 +23,9 @@ from .errors import ConvergenceError, DomainError
 from .kernels import Coupling
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the integration windows of mellin_symbol: past 354 the e^{2t} of the
+# integrand overflows a double (at about 354.9)
+TRUNC_RANGE = (40.0, 354.0)
 
 
 def M(theta: float, x):
@@ -137,8 +140,9 @@ def mellin_symbol(theta: float, eta, coupling: Coupling,
     """
     if not (0.0 < theta < 2.0 * math.pi) or theta == math.pi:
         raise DomainError("theta must lie in (0, 2pi) \\ {pi}")
-    if trunc < 40.0:
-        raise DomainError("integration window must be at least 40")
+    if not TRUNC_RANGE[0] <= trunc <= TRUNC_RANGE[1]:
+        raise DomainError(f"integration window {trunc!r} outside "
+                          f"[{TRUNC_RANGE[0]:g}, {TRUNC_RANGE[1]:g}]")
     eta = np.asarray(eta, dtype=float)
     xi = eta + 0.5j
     xib = eta - 0.5j

@@ -20,27 +20,31 @@ from the bracket's previous vector, three from a seeded one at its first
 point; near its zero lambda_j is the eigenvalue nearest zero, which inverse
 iteration finds).  With exact signs brentq keeps a sign change of lambda_j
 in its bracket: run to tol/2, it returns a point within tol/2 of one,
-whatever the sizes.  Each cluster of roots forms its matrix once: its
-exact spectrum there gives the conditioning and the window of eigenvalues
-nearest zero, and two inverse-iteration steps of a seeded block on one
-factorization of the matrix shifted into that window (``_factor_step``)
-and a QR step give the eigenvectors.  No dense eigenvector solver is used:
-scipy's ``*evr`` holds the interpreter lock, as does the Python loop of
-ARPACK's shift-invert mode, so neither runs concurrently on the pool.
+whatever the sizes.  Each cluster of roots forms its matrix twice from one
+set of kernel values: its exact spectrum gives the conditioning and the
+window of eigenvalues nearest zero, and two inverse-iteration steps of a
+seeded block on one factorization of the matrix shifted into that window
+(``_factor_step``) and a QR step give the eigenvectors.  No dense
+eigenvector solver is used.
 
 The sweep samples, the brackets and then the roots do not depend on each
 other and are solved concurrently, one BLAS thread each
-(``boundary_ops.solve_pool``).
+(``boundary_ops.solve_pool``), each task on one matrix that its spectrum
+or factorization overwrites.  scipy's f2py LAPACK wrappers hold the
+interpreter lock for the whole call, as does the Python loop of ARPACK's
+shift-invert mode, so the search calls LAPACK through scipy's Cython
+function pointers by ctypes (``_lapack``), which releases it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import cython_lapack
 from scipy.optimize import brentq
 
 from . import boundary_ops as bo
@@ -96,7 +100,7 @@ def _hermitian_matrix(grid, coupling, z, values=None):
 
 
 def _hermitian_eigs(grid, coupling, z):
-    return np.linalg.eigvalsh(_hermitian_matrix(grid, coupling, z))
+    return _eigvalsh(_hermitian_matrix(grid, coupling, z))
 
 
 def _start(size, columns=1):
@@ -104,13 +108,85 @@ def _start(size, columns=1):
     return np.random.default_rng(_SEED).standard_normal((size, columns))
 
 
+# what each argument of a Cython LAPACK routine points to, by the last word
+# of its C type: characters, C ints, or doubles or complex doubles
+_LAPACK_TYPES = {b"char": str, b"int": np.dtype(np.intc), b"d": np.dtype(float),
+                 b"complex": np.dtype(complex)}
+
+
+@functools.cache
+def _lapack(name):
+    """scipy's Cython LAPACK routine ``name`` (``scipy.linalg.cython_lapack``)
+    as a ctypes function of as many pointers as it takes, and what each
+    points to (``_LAPACK_TYPES``); a ctypes call releases the interpreter
+    lock."""
+    capsule, api = cython_lapack.__pyx_capi__[name], ctypes.pythonapi
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, signature)
+    kinds = [_LAPACK_TYPES[arg.rstrip(b" *").rsplit(b"_", 1)[-1]]
+             for arg in signature[signature.index(b"(") + 1:-1].split(b", ")]
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(kinds))(address), kinds
+
+
+def _reference(arg, kind):
+    """The pointer a LAPACK argument of that kind is passed as: a contiguous
+    array of its dtype as its buffer, a str as its characters, an int as a C
+    int; anything else raises, before LAPACK reads a wrong buffer."""
+    if isinstance(arg, np.ndarray) and arg.dtype == kind and (
+            arg.flags.c_contiguous or arg.flags.f_contiguous):
+        return arg.ctypes.data
+    if kind is str and isinstance(arg, str):
+        return arg.encode()
+    if kind == np.intc and isinstance(arg, int):
+        return ctypes.byref(ctypes.c_int(arg))
+    raise TypeError(f"a LAPACK argument of {kind} got {type(arg).__name__} "
+                    f"{getattr(arg, 'dtype', '')}")
+
+
+def _lapack_call(name, *args):
+    """Call LAPACK ``name`` off the interpreter lock on the arguments before
+    its info (``_reference``), and return info (an illegal argument
+    raises)."""
+    function, kinds = _lapack(name)
+    if len(args) != len(kinds) - 1:
+        raise TypeError(f"{name} takes {len(kinds) - 1} arguments before info")
+    info = ctypes.c_int()
+    function(*map(_reference, args, kinds), ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"{name}: illegal value of argument {-info.value}")
+    return info.value
+
+
+def _eigvalsh(h):
+    """The ascending eigenvalues of the Hermitian h, as ``numpy.linalg.eigvalsh``
+    computes them (LAPACK ``?heevd``, or ``?syevd`` for a real h, eigenvalues
+    only, on the lower triangle, in the workspace a query returns), but in
+    place: h is overwritten.  h.T, in Fortran order, is conj(h), whose
+    spectrum is h's."""
+    n, w = len(h), np.empty(len(h))
+    if np.iscomplexobj(h):
+        name, kinds = "zheevd", (complex, float, np.intc)  # work, rwork, iwork
+    else:
+        name, kinds = "dsyevd", (float, np.intc)  # work, iwork
+    query = [np.zeros(1, kind) for kind in kinds]
+    _lapack_call(name, "N", "L", n, h, n, w, *[x for a in query for x in (a, -1)])
+    spaces = [np.empty(int(a[0].real), a.dtype) for a in query]
+    if _lapack_call(name, "N", "L", n, h, n, w, *[x for a in spaces for x in (a, len(a))]):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
+
+
 def _factor_step(h, vec, steps=1):
     """Factor h once (Bunch-Kaufman, LAPACK ``?hetrf`` or, for a real h,
-    ``?sytrf``; h is overwritten) and take ``steps`` inverse-iteration steps
-    from vec on the factor: the number of negative eigenvalues of h, the
-    Rayleigh quotient of the unit vector the steps reach, and that vector.
-    vec may be a block of columns, which ``?hetrs`` solves at once; the
-    quotient and the norm are then those of the block as one vector.
+    ``?sytrf``, on the upper triangle in the workspace a query returns; h is
+    overwritten) and take ``steps`` inverse-iteration steps from vec on the
+    factor (``?hetrs``, ``?sytrs``): the number of negative eigenvalues of
+    h, the Rayleigh quotient of the unit vector the steps reach, and that
+    vector.  vec may be a block of columns, which are solved at once; the
+    quotient and the norm are then those of the block as one vector.  Both
+    calls run off the interpreter lock.
 
     h = U D U^H has the inertia of the block diagonal D (Sylvester's law):
     the signs of its 1x1 blocks and of the eigenvalues of its 2x2 ones.
@@ -118,14 +194,17 @@ def _factor_step(h, vec, steps=1):
     and h x = v is conj(h) conj(x) = conj(v).  With x = h^-1 v, the
     Rayleigh quotient of x is x^H v / x^H x.
     """
-    kind = "he" if np.iscomplexobj(h) else "sy"
-    trf, trs, trf_lwork = get_lapack_funcs((kind + "trf", kind + "trs", kind + "trf_lwork"),
-                                           (h,))
-    udu, ipiv, info = trf(h.T, lwork=int(trf_lwork(len(h))[0].real), overwrite_a=True)
-    if info > 0:
+    n, udu = len(h), h.T
+    trf, trs = ("zhetrf", "zhetrs") if np.iscomplexobj(h) else ("dsytrf", "dsytrs")
+    ipiv, work = np.empty(n, np.intc), np.zeros(1, h.dtype)
+    _lapack_call(trf, "U", n, h, n, ipiv, work, -1)
+    work = np.empty(int(work[0].real), h.dtype)
+    if _lapack_call(trf, "U", n, h, n, ipiv, work, len(work)):
         raise np.linalg.LinAlgError("the search matrix is singular")
     for _ in range(steps):
-        x = trs(udu, ipiv, vec.conj())[0].conj()
+        x = np.array(vec.conj(), h.dtype, order="F")  # a copy: a real conj() is vec
+        _lapack_call(trs, "U", n, x.shape[1], h, n, ipiv, x, n)
+        x = x.conj()
         lam = float(np.vdot(x, vec).real / np.vdot(x, x).real)
         vec = x / np.linalg.norm(x)
     # a 2x2 block of rows k, k+1 (both pivots negative) keeps its
@@ -176,8 +255,8 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
 
     The coupling, the sample points and their spectra are those of the
     sweep; each brentq step between samples costs one factorization, and
-    each cluster one matrix, its spectrum and one factorization
-    (``_cluster_pairs``).
+    each cluster one set of kernel values, its spectrum and one
+    factorization (``_cluster_pairs``).
     """
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise SpectralParameterError(f"z tolerance {tol!r} outside the supported "
@@ -233,10 +312,12 @@ def _bracket_root(grid, coupling, spectra, tol, bracket):
 
 
 def _cluster_pairs(grid, coupling, z0, mult, cluster) -> list:
-    """The ``mult`` eigenpairs of the root z0, from one Hermitian matrix at
-    z0.  Its ascending spectrum gives the conditioning and the window of
-    the ``mult`` eigenvalues nearest zero.  Shifted in place by the
-    window's mean, it is factored once; two inverse-iteration steps of a
+    """The ``mult`` eigenpairs of the root z0, from the Hermitian matrix at
+    z0, formed twice from one set of kernel values: each solve overwrites
+    its matrix, so the task holds one matrix, not a copy beside it.
+    Its ascending spectrum gives the conditioning and the window of the
+    ``mult`` eigenvalues nearest zero.  Shifted in place by the window's
+    mean, it is factored once; two inverse-iteration steps of a
     seeded block on the factor (``_factor_step``) and a QR step give an
     orthonormal basis of the window's eigenspace.  The roots of a cluster
     lie within 10 tol, below what the search resolves, so any such basis
@@ -247,8 +328,7 @@ def _cluster_pairs(grid, coupling, z0, mult, cluster) -> list:
     density."""
     active = _active(coupling)
     values = _kernel_values(grid, coupling, z0)
-    h = _hermitian_matrix(grid, coupling, z0, values)
-    ev = np.linalg.eigvalsh(h)
+    ev = _eigvalsh(_hermitian_matrix(grid, coupling, z0, values))
     second = float(np.sort(np.abs(ev))[min(mult, len(ev) - 1)])
     if second < 1e-6:
         warnings.warn(
@@ -258,6 +338,7 @@ def _cluster_pairs(grid, coupling, z0, mult, cluster) -> list:
     # the mult eigenvalues nearest zero are the window of mult sorted ones
     # whose end farthest from zero is nearest
     lo = int(np.argmin(np.maximum(-ev[:len(ev) - mult + 1], ev[mult - 1:])))
+    h = _hermitian_matrix(grid, coupling, z0, values)
     h[np.diag_indices_from(h)] -= np.mean(ev[lo:lo + mult])
     vecs = np.linalg.qr(_factor_step(h, _start(len(h), mult), 2)[2])[0]
     del h  # the factor, before the blocks of Theta_z0 are formed

@@ -270,11 +270,13 @@ nodes_per_edge = 128
 [eigs]
 samples = 24
 """)
+    from diracshell import spectral as sp
+
     solves, assembled = [], []
 
     def count_solves(fn):
         def wrapper(*args, **kwargs):
-            # numpy's leggauss calls eigvalsh too; count the search's calls
+            # count the search's calls, not those of numpy or scipy
             if sys._getframe(1).f_globals.get("__name__") == "diracshell.spectral":
                 solves.append(fn.__name__)
             return fn(*args, **kwargs)
@@ -287,7 +289,7 @@ samples = 24
             return fn(grid, z, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", count_solves(np.linalg.eigvalsh))
+    monkeypatch.setattr(sp, "_eigvalsh", count_solves(sp._eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", count_solves(np.linalg.eigh))
     monkeypatch.setattr(bo, "kernel_values", count_assembly(bo.kernel_values))
     out = tmp_path / "out"
@@ -330,23 +332,23 @@ def test_shipped_eigs_config_certifies_every_root(tmp_path, monkeypatch):
     from diracshell import spectral as sp
 
     solves, steps, factors = [], [], []
-    eigvalsh, get_lapack_funcs = np.linalg.eigvalsh, sp.get_lapack_funcs
+    eigvalsh, lapack_call = sp._eigvalsh, sp._lapack_call
 
-    def count_solves(*args, **kwargs):
-        if sys._getframe(1).f_globals.get("__name__") == "diracshell.spectral":
-            solves.append(1)
-        return eigvalsh(*args, **kwargs)
+    def count_solves(h):
+        solves.append(1)
+        return eigvalsh(h)
 
     def count_steps(f, a, b, **kwargs):
         return brentq(lambda z: steps.append(z not in (a, b)) or f(z), a, b, **kwargs)
 
-    def count_factors(names, arrays):
-        trf, *rest = get_lapack_funcs(names, arrays)
-        return (lambda *a, **kw: factors.append(1) or trf(*a, **kw), *rest)
+    def count_factors(name, *args):
+        if name.endswith("trf") and args[-1] != -1:  # not the workspace query
+            factors.append(1)
+        return lapack_call(name, *args)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", count_solves)
+    monkeypatch.setattr(sp, "_eigvalsh", count_solves)
     monkeypatch.setattr(sp, "brentq", count_steps)
-    monkeypatch.setattr(sp, "get_lapack_funcs", count_factors)
+    monkeypatch.setattr(sp, "_lapack_call", count_factors)
     out = tmp_path / "out"
     assert cli.main(["eigs", "--config", str(_ROOT / "configs" / "eigs_circle.cfg"),
                      "--out", str(out)]) == 0
@@ -512,13 +514,17 @@ _VERIFY_CFG = ("[curve]\npreset = circle\n[coupling]\neps = 3.0\n[discretization
     ("symbol", "[symbol]\ntheta_pi = 2.0\n"),
     ("mtheta", "[mtheta]\ntheta_max_pi = 2.0\n"),
     ("mtheta", "[mtheta]\ntheta_min_pi = 0.0\n"),
+    ("mtheta", "[mtheta]\ntheta_max_pi = 7.0\nsteps = 1\n"),  # once exit 0, one row
     ("symbol", "[symbol]\ntrunc = 10\n"),
+    ("symbol", "[symbol]\ntrunc = 400\n"),  # once an uncaught OverflowError, exit 1
+    ("symbol", "[symbol]\ntrunc = inf\n"),
     ("symbol", "[symbol]\ntol = 0\n"),
     ("symbol", "[symbol]\ntol = inf\n"),  # once ran, exit 0, abs_diff 0.15 at eta = 5
     ("verify", _VERIFY_CFG + "offset = -1e-3\n"),
     ("verify", _VERIFY_CFG + "z = 1.5\n"),
 ], ids=["symbol-straight", "symbol-full-turn", "mtheta-full-turn", "mtheta-zero",
-        "symbol-trunc", "symbol-tol", "symbol-tol-inf", "verify-offset", "verify-z"])
+        "mtheta-one-step-past-the-turn", "symbol-trunc", "symbol-trunc-overflow",
+        "symbol-trunc-inf", "symbol-tol", "symbol-tol-inf", "verify-offset", "verify-z"])
 def test_a_value_outside_the_domain_of_the_numerics_exits_2(tmp_path, capsys, monkeypatch,
                                                             command, config):
     # refused in the read step, like a non-finite or empty range, before
@@ -813,7 +819,7 @@ samples = 16
     setters = bo._openblas_thread_setters()
     monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [*setters, lambda n: 2])
     threads = []
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh = sp._eigvalsh
 
     def near_multiple(a):
         # the root's spectrum scaled so that its second-smallest |eigenvalue|
@@ -823,13 +829,55 @@ samples = 16
         threads.append(threading.current_thread())
         return 1e-9 * eigvalsh(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", near_multiple)
+    monkeypatch.setattr(sp, "_eigvalsh", near_multiple)
     strict, lenient = tmp_path / "strict", tmp_path / "lenient"
     assert cli.main(["eigs", "--config", p, "--out", str(strict), "--strict"]) == \
         cli.EXIT_NUMERICAL
     assert not strict.exists()
     assert threads and threading.main_thread() not in threads
     assert cli.main(["eigs", "--config", p, "--out", str(lenient)]) == cli.EXIT_OK
+
+
+_ELLIPSE_EIGS = """
+[edge.0]
+kind = trig
+x = 0.0, 1.5
+y = 0.0, 0.0
+xs = 0.0
+ys = 0.7
+
+[coupling]
+eps = 1.0
+mu = 0.0
+
+[discretization]
+nodes_per_edge = 128
+
+[eigs]
+samples = 32
+"""
+
+
+@pytest.mark.parametrize("curve", ["ellipse", "shipped-circle"])
+def test_strict_eigs_exits_3_on_a_root_residual_above_the_bound(tmp_path, capsys, curve):
+    # the 1.5 x 0.7 ellipse's roots have residuals 0.06-0.10 and once passed
+    # --strict; the shipped circle's are at roundoff
+    ellipse = curve == "ellipse"
+    p = (_write(tmp_path, "e.cfg", _ELLIPSE_EIGS) if ellipse
+         else str(_ROOT / "configs" / "eigs_circle.cfg"))
+    strict, lenient = tmp_path / "strict", tmp_path / "lenient"
+    status = cli.main(["eigs", "--config", p, "--out", str(strict), "--strict"])
+    assert status == (cli.EXIT_NUMERICAL if ellipse else cli.EXIT_OK)
+    assert (f"above {cli.STRICT_RESIDUAL:g}" in capsys.readouterr().err) == ellipse
+    assert strict.exists() != ellipse
+    if ellipse:
+        assert cli.main(["eigs", "--config", p, "--out", str(lenient)]) == cli.EXIT_OK
+    out = lenient if ellipse else strict
+    residuals = [e["residual"] for e in json.loads((out / "eigenvalues.json").read_text())
+                 ["eigenvalues"]]
+    assert len(residuals) == 3
+    assert (min(residuals) > cli.STRICT_RESIDUAL) if ellipse else \
+        (max(residuals) <= cli.STRICT_RESIDUAL)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

@@ -156,8 +156,13 @@ def test_intermediate_s_closed_form():
 def test_mellin_symbol_domain_errors():
     with pytest.raises(DomainError):
         cs.mellin_symbol(math.pi, 0.0, Coupling(1.0, 0.0))
-    with pytest.raises(DomainError):
-        cs.mellin_symbol(0.5 * math.pi, 0.0, Coupling(1.0, 0.0), trunc=30.0)
+    # past 354 the integrand's e^{2t} overflows: once an OverflowError
+    for trunc in (30.0, 400.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            cs.mellin_symbol(0.5 * math.pi, 0.0, Coupling(1.0, 0.0), trunc=trunc)
+    assert cs.mellin_symbol(0.5 * math.pi, 0.0, Coupling(1.0, 0.0),
+                            trunc=cs.TRUNC_RANGE[1]).delta == pytest.approx(
+        cs.mellin_symbol(0.5 * math.pi, 0.0, Coupling(1.0, 0.0)).delta, abs=1e-8)
 
 
 def test_mellin_reference_alpha_one_limit():

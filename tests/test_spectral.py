@@ -2,10 +2,12 @@ import functools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import brentq
 
 from diracshell import boundary_ops as bo
@@ -96,9 +98,8 @@ def test_roots_by_brentq_are_kernel_points_in_few_solves(circle_grid_128, monkey
     for coup in (Coupling(1.0, 0.0), Coupling(-4.0, 0.0), Coupling(-1.0, -1.0)):
         sweep = sp.gap_sweep(circle_grid_128, coup, samples=48)
         solves = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda *a, **k: solves.append(1) or eigvalsh(*a, **k))
+        eigvalsh = sp._eigvalsh
+        monkeypatch.setattr(sp, "_eigvalsh", lambda h: solves.append(1) or eigvalsh(h))
         pairs = sp.find_eigenvalues(circle_grid_128, sweep)
         monkeypatch.undo()
         assert len(pairs) >= 1
@@ -172,7 +173,8 @@ def _factored(monkeypatch):
 
 def test_scalar_root_operators_assemble_k0_once(monkeypatch):
     # S_z alone: one set of kernel values per scalar root, and the writer
-    # forms the search's matrix and C_z on one component each, no K1 block
+    # forms the search's matrix (twice: the spectrum and the factorization
+    # each overwrite theirs) and C_z on one component each, no K1 block
     # and no 2N x 2N Theta_z; the one factorization takes the search's
     # matrix shifted by the eigenvalue nearest zero, and the residual is
     # still ||Theta_z g||, bitwise on the lambda route
@@ -197,7 +199,7 @@ def test_scalar_root_operators_assemble_k0_once(monkeypatch):
         assert factored[0][0].tobytes() == want.tobytes()
         want = np.linalg.norm(bo.assemble_theta(grid, 0.3, coup) @ pair.density)
         if coup.is_critical:
-            assert assemblies == [1, 1]
+            assert assemblies == [1, 1, 1]
             assert pair.residual == pytest.approx(want, rel=1e-13, abs=0.0)
         else:
             assert pair.residual == want
@@ -211,7 +213,7 @@ def test_root_step_factors_the_matrix_shifted_into_the_cluster_window(circle_gri
     # eigenvalues are those of the one exact spectrum of that matrix
     coup = Coupling(-1.0, -1.0)
     z_of, spectra = {}, {}
-    hermitian, eigvalsh = sp._hermitian_matrix, np.linalg.eigvalsh
+    hermitian, eigvalsh = sp._hermitian_matrix, sp._eigvalsh
 
     def record_matrix(grid, coupling, z, values=None):
         mat = hermitian(grid, coupling, z, values)
@@ -219,13 +221,14 @@ def test_root_step_factors_the_matrix_shifted_into_the_cluster_window(circle_gri
         return mat
 
     def record_spectrum(a):
+        formed = a.tobytes()  # before the eigensolver overwrites a
         ev = eigvalsh(a)
-        if a.tobytes() in z_of:
-            spectra[z_of[a.tobytes()]] = ev
+        if formed in z_of:
+            spectra[z_of[formed]] = ev
         return ev
 
     monkeypatch.setattr(sp, "_hermitian_matrix", record_matrix)
-    monkeypatch.setattr(np.linalg, "eigvalsh", record_spectrum)
+    monkeypatch.setattr(sp, "_eigvalsh", record_spectrum)
     factored = _factored(monkeypatch)
     pairs = sp.find_eigenvalues(circle_grid_128, sp.gap_sweep(circle_grid_128, coup, samples=48))
     assert [p.cluster for p in pairs] == [0, 1, 1]
@@ -319,7 +322,27 @@ def _reference_pairs(grid, sweep, tol, monkeypatch):
         return sp.find_eigenvalues(grid, sweep, tol)
 
 
-@pytest.mark.parametrize("spec, nodes, coup", [
+def _f2py_factor_step(h, vec, steps=1):
+    """The reference of ``sp._factor_step``: the same LAPACK routines through
+    scipy's f2py wrappers, which hold the interpreter lock."""
+    kind = "he" if np.iscomplexobj(h) else "sy"
+    trf, trs, trf_lwork = get_lapack_funcs((kind + "trf", kind + "trs", kind + "trf_lwork"),
+                                           (h,))
+    udu, ipiv, info = trf(h.T, lwork=int(trf_lwork(len(h))[0].real), overwrite_a=True)
+    assert info == 0
+    for _ in range(steps):
+        x = trs(udu, ipiv, vec.conj())[0].conj()
+        lam = float(np.vdot(x, vec).real / np.vdot(x, x).real)
+        vec = x / np.linalg.norm(x)
+    d = udu.diagonal().real.copy()
+    k = np.flatnonzero(ipiv < 0)[::2]
+    mean = 0.5 * (d[k] + d[k + 1])
+    half = np.hypot(0.5 * (d[k] - d[k + 1]), np.abs(udu[k, k + 1]))
+    d[k], d[k + 1] = mean - half, mean + half
+    return int(np.sum(d < 0.0)), lam, vec
+
+
+_INERTIA_CASES = pytest.mark.parametrize("spec, nodes, coup", [
     (geo.circle(1.0), 128, Coupling(1.0, 0.0)),
     (geo.circle(1.0), 128, Coupling(-1.0, -1.0)),
     (geo.square(2.0), 64, Coupling(1.0, 0.0)),
@@ -328,6 +351,113 @@ def _reference_pairs(grid, sweep, tol, monkeypatch):
     (geo.ellipse(1.5, 0.7), 128, Coupling(-1.0, -1.0)),
 ], ids=["circle-lambda", "circle-scalar", "square-lambda", "square-scalar",
         "ellipse-lambda", "ellipse-scalar"])
+
+
+@_INERTIA_CASES
+def test_in_place_solves_are_bitwise_those_of_numpy_and_f2py(spec, nodes, coup):
+    # the same LAPACK routines in the same workspace: the spectrum is
+    # numpy's eigvalsh's and the factor step the f2py one's, to the bit, for
+    # one and several columns, complex on the lambda route and real on the
+    # scalar one; the right-hand side is copied, so vec is left as it was
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    for z in np.linspace(*sp.default_window(coup), 4):
+        h = sp._hermitian_matrix(grid, coup, z)
+        assert np.iscomplexobj(h) == (coup.mu == 0.0)
+        assert sp._eigvalsh(h.copy()).tobytes() == np.linalg.eigvalsh(h).tobytes()
+        for columns, steps in ((1, sp._START_STEPS), (2, 2)):
+            vec = sp._start(len(h), columns)
+            count, lam, got = sp._factor_step(h.copy(), vec, steps)
+            want = _f2py_factor_step(h.copy(), vec, steps)
+            assert (count, lam) == want[:2]
+            assert got.tobytes() == want[2].tobytes()
+            assert vec.tobytes() == sp._start(len(h), columns).tobytes()
+
+
+def test_lapack_call_refuses_what_the_routine_would_misread():
+    # checked against the routine's C signature before LAPACK runs: a real
+    # right-hand side for zhetrs (read as complex, past its end), a strided
+    # matrix, a float where a C int goes, and a missing argument
+    h, ipiv, rhs = np.eye(4, dtype=complex), np.zeros(4, np.intc), np.ones((4, 1))
+    for args in [("U", 4, 1, h, 4, ipiv, rhs, 4),
+                 ("U", 4, 1, np.eye(8, dtype=complex)[::2, ::2], 4, ipiv, rhs + 0j, 4),
+                 ("U", 4, 1.0, h, 4, ipiv, rhs + 0j, 4),
+                 ("U", 4, 1, h, 4, ipiv, rhs + 0j)]:
+        with pytest.raises(TypeError):
+            sp._lapack_call("zhetrs", *args)
+
+
+@pytest.mark.parametrize("solve", ["factor_step", "eigvalsh"])
+def test_a_thread_runs_beside_the_search_solves(solve):
+    # the LAPACK calls release the interpreter lock: a thread spinning
+    # beside a 2N = 1024 solve (one BLAS thread, as on the solve pool) is
+    # held up for a small fraction of the call at most, where the f2py
+    # factorization stalled it for most of it (best of three, against
+    # preemption on a loaded machine)
+    grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 512)
+    h = sp._hermitian_matrix(grid, Coupling(1.0, 0.0), 0.3)
+    run = {"factor_step": lambda a: sp._factor_step(a, sp._start(len(a)), sp._START_STEPS),
+           "eigvalsh": sp._eigvalsh}[solve]
+
+    def stall_and_call():
+        stop, stalls = threading.Event(), []
+
+        def spin():
+            last, worst = time.perf_counter(), 0.0
+            while not stop.is_set():
+                now = time.perf_counter()
+                worst, last = max(worst, now - last), now
+            stalls.append(worst)
+
+        a = h.copy()
+        spinner = threading.Thread(target=spin)
+        spinner.start()
+        time.sleep(0.01)
+        start = time.perf_counter()
+        run(a)
+        call = time.perf_counter() - start
+        stop.set()
+        spinner.join()
+        return stalls[0], call
+
+    with bo.solve_pool():
+        stall, call = min((stall_and_call() for _ in range(3)), key=lambda sc: sc[0] / sc[1])
+    assert stall <= 0.2 * call
+
+
+def test_sweep_sample_takes_its_spectrum_in_place_of_its_matrix(monkeypatch):
+    # the eigensolver runs on the buffer the writer formed, not on a copy,
+    # and one sample peaks below two matrices (numpy's eigvalsh copied its
+    # input with an allocator tracemalloc does not see)
+    grid = geo.discretize(geo.build_curve(geo.circle(1.0)), 128)
+    coup = Coupling(1.0, 0.0)
+    formed, solved = [], []
+    hermitian, lapack_call = bo.hermitian_matrix, sp._lapack_call
+
+    def record_matrix(*args):
+        mat = hermitian(*args)
+        formed.append(mat.ctypes.data)
+        return mat
+
+    def record_solve(name, *args):
+        if name.endswith("evd"):
+            solved.append(args[3].ctypes.data)  # (jobz, uplo, n, a, ...)
+        return lapack_call(name, *args)
+
+    sp._hermitian_eigs(grid, coup, 0.3)  # the grid's tables, outside the trace
+    monkeypatch.setattr(bo, "hermitian_matrix", record_matrix)
+    monkeypatch.setattr(sp, "_lapack_call", record_solve)
+    matrix = (2 * grid.n_nodes) ** 2 * 16
+    tracemalloc.start()
+    try:
+        sp._hermitian_eigs(grid, coup, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(formed) == 1 and solved == formed * 2  # the workspace query, then the solve
+    assert matrix <= peak < 2 * matrix
+
+
+@_INERTIA_CASES
 def test_factor_step_counts_the_negative_eigenvalues(spec, nodes, coup, monkeypatch):
     # Sylvester's law on the Bunch-Kaufman factor: its negative count is
     # eigvalsh's at every z, 2x2 pivots included (complex on the lambda
@@ -335,19 +465,15 @@ def test_factor_step_counts_the_negative_eigenvalues(spec, nodes, coup, monkeypa
     # the unit vector it returns
     grid = geo.discretize(geo.build_curve(spec), nodes)
     pivots = []
-    get_lapack_funcs = sp.get_lapack_funcs
+    lapack_call = sp._lapack_call
 
-    def spy(names, arrays):
-        trf, *rest = get_lapack_funcs(names, arrays)
+    def spy(name, *args):
+        info = lapack_call(name, *args)
+        if name.endswith("trf") and args[-1] != -1:  # not the workspace query
+            pivots.append(args[4].copy())  # (uplo, n, a, lda, ipiv, work, lwork)
+        return info
 
-        def recording_trf(*args, **kwargs):
-            out = trf(*args, **kwargs)
-            pivots.append(out[1].copy())
-            return out
-
-        return (recording_trf, *rest)
-
-    monkeypatch.setattr(sp, "get_lapack_funcs", spy)
+    monkeypatch.setattr(sp, "_lapack_call", spy)
     for z in np.linspace(*sp.default_window(coup), 16):
         h = sp._hermitian_matrix(grid, coup, z)
         assert np.iscomplexobj(h) == (coup.mu == 0.0)
@@ -370,11 +496,11 @@ def test_certified_roots_match_exact_brentq(spec, nodes, coup, monkeypatch):
     grid = geo.discretize(geo.build_curve(spec), nodes)
     sweep = sp.gap_sweep(grid, coup, samples=48)
     solves = []
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh = sp._eigvalsh
     for tol in (1e-12, 1e-8):
         want = _reference_pairs(grid, sweep, tol, monkeypatch)
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigvalsh", lambda a: solves.append(1) or eigvalsh(a))
+            m.setattr(sp, "_eigvalsh", lambda h: solves.append(1) or eigvalsh(h))
             got = sp.find_eigenvalues(grid, sweep, tol)
         assert len(got) == len(want) >= 1
         assert [p.cluster for p in got] == [p.cluster for p in want]
