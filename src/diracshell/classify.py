@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .corner_symbol import m_of
+from .corner_symbol import check_angle, m_of
 from .errors import DomainError
 from .geometry import Curve, interior_angles, sharpest_angle
 from .kernels import Coupling
@@ -43,8 +43,7 @@ class CurveClass:
         if self.kind not in ("lipschitz", "c1", "polygon"):
             raise DomainError(f"unknown curve class {self.kind!r}")
         for th in self.angles:
-            if not (0.0 < th < 2.0 * math.pi) or th == math.pi:
-                raise DomainError(f"polygon angle {th} outside (0, 2pi) \\ {{pi}}")
+            check_angle(th, straight=False)
 
     @functools.cached_property
     def omega(self) -> float:

@@ -22,8 +22,7 @@ import sys
 import tempfile
 import warnings
 
-from .errors import (ConfigError, ConvergenceError, DiracShellError, DomainError,
-                     IllConditionedWarning)
+from .errors import ConfigError, ConvergenceError, DiracShellError, IllConditionedWarning
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -149,13 +148,6 @@ class _Reader:
         self.read.add("--" + name)
         return getattr(self.args, name, None)
 
-    def coupling(self, key: str, required: bool = False) -> float:
-        """[coupling] key, or its flag if set; the config value is read and
-        type-checked either way."""
-        value = self.section("coupling", required)(key, _COUPLING[key])
-        flag = self.flag(key)
-        return value if flag is None else flag
-
     def refuse_unread(self):
         unread = [f"[{s}]" for s in self.cfg if s not in self.read]
         unread += [f"[{s}] {k}" for s in self.cfg if s in self.read
@@ -164,6 +156,15 @@ class _Reader:
                    if getattr(self.args, k, None) is not None and "--" + k not in self.read]
         if unread:
             raise ConfigError(f"command {self.command!r} does not read {', '.join(unread)}")
+
+
+def _checked(prefix: str, check, *args):
+    """check(*args), a check of the numerics on values a read step read; its
+    refusal (any DiracShellError) is a ConfigError "prefix: message"."""
+    try:
+        return check(*args)
+    except DiracShellError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
 
 
 def validate_config(cfg, command: str, args=None) -> dict:
@@ -321,10 +322,7 @@ def _read_curve(r):
               for key, (kw, default) in _PRESET_KEYS[preset].items()}
     if preset == "circle":
         kwargs["center"] = (kwargs.pop("center_x"), kwargs.pop("center_y"))
-    try:
-        spec = geo.PRESETS[preset](**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"[curve] preset {preset}: {exc}") from None
+    spec = _checked(f"[curve] preset {preset}", functools.partial(geo.PRESETS[preset], **kwargs))
     return lambda: spec
 
 
@@ -343,10 +341,7 @@ def _read_curve_class(r):
         raise ConfigError(f"unknown curve_class {kind!r}")
     angles = get("angles_pi", None, list) if kind == "polygon" else None
     if angles is not None:
-        try:
-            cls = CurveClass.polygon([a * math.pi for a in angles])
-        except DomainError as exc:
-            raise ConfigError(f"[classify] angles_pi: {exc}") from None
+        cls = _checked("[classify] angles_pi", CurveClass.polygon, [a * math.pi for a in angles])
         return lambda: cls
     spec = _read_curve(r)
     return lambda: CurveClass.from_curve(geo.build_curve(spec()))
@@ -369,14 +364,15 @@ def grid_from_config(cfg: dict):
 
 def _read_coupling(r, required: bool = False, keys=tuple(_COUPLING)):
     """The Coupling, each of its eps, mu and mass in ``keys`` from its flag if
-    set, else from [coupling], the others 0; values it refuses (a
-    non-finite value, a non-positive mass) are config errors."""
+    set, else from [coupling] (read and type-checked either way), the others
+    0; values it refuses (a non-finite value, a non-positive mass) are
+    config errors."""
     from .kernels import Coupling
 
-    try:
-        return Coupling(*(r.coupling(key, required) if key in keys else 0.0 for key in _COUPLING))
-    except DomainError as exc:
-        raise ConfigError(f"coupling: {exc}") from None
+    get = r.section("coupling", required)
+    values = [(get(key, default), r.flag(key)) if key in keys else (0.0, None)
+              for key, default in _COUPLING.items()]
+    return _checked("coupling", Coupling, *(v if flag is None else flag for v, flag in values))
 
 
 def _read_range(r, section: str, lo, hi, steps) -> list:
@@ -390,16 +386,6 @@ def _read_range(r, section: str, lo, hi, steps) -> list:
     if n < 1:
         raise ConfigError(f"[{section}] {steps[0]} = {n}: a range needs at least one step")
     return [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
-
-
-def _check_angles(key: str, thetas_pi, straight: bool = True):
-    """Refuse the angles of ``key`` (in units of pi) that the corner
-    functions refuse: outside (0, 2), or 1 where not ``straight``."""
-    for tpi in thetas_pi:
-        theta = tpi * math.pi
-        if not 0.0 < theta < 2.0 * math.pi or (theta == math.pi and not straight):
-            raise ConfigError(f"{key}: {tpi!r} is not an angle in (0, 2)"
-                              + ("" if straight else " other than 1"))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +413,15 @@ def cmd_classify(out, coupling, curve_class):
 
 
 def _read_mtheta(r):
+    from .corner_symbol import check_angle
+
     get = r.section("mtheta", required=True)
     get("tol")  # read and ignored (m_of has no tolerance): older configs set it
     top = ("theta_max_pi", 0.95)
     thetas_pi = _read_range(r, "mtheta", ("theta_min_pi", 0.05), top, ("steps", 19))
     # and the upper end, which one step does not reach
-    _check_angles("[mtheta] theta_min_pi..theta_max_pi", [*thetas_pi, get(*top)])
+    for tpi in [*thetas_pi, get(*top)]:
+        _checked("[mtheta] theta_min_pi..theta_max_pi", check_angle, tpi * math.pi)
     return dict(thetas_pi=thetas_pi)
 
 
@@ -445,15 +434,13 @@ def cmd_mtheta(out, thetas_pi):
 
 
 def _read_symbol(r):
-    from .corner_symbol import TRUNC_RANGE
+    from .corner_symbol import check_angle, check_quadrature
 
     get = r.section("symbol", required=True)
     thetas, trunc, tol = get("theta_pi", 0.5, list), get("trunc", 60.0), get("tol", 1e-10)
-    _check_angles("[symbol] theta_pi", thetas, straight=False)
-    if not (TRUNC_RANGE[0] <= trunc <= TRUNC_RANGE[1] and 0.0 < tol < math.inf):
-        raise ConfigError(f"[symbol] trunc = {trunc!r}, tol = {tol!r}: the quadrature needs "
-                          f"a window in [{TRUNC_RANGE[0]:g}, {TRUNC_RANGE[1]:g}] and a finite "
-                          "positive tolerance")
+    for tpi in thetas:
+        _checked("[symbol] theta_pi", check_angle, tpi * math.pi, False)
+    _checked("[symbol] trunc, tol", check_quadrature, trunc, tol)
     return dict(thetas=thetas,
                 etas=_read_range(r, "symbol", ("eta_min", -5.0), ("eta_max", 5.0),
                                  ("eta_steps", 21)),
@@ -477,24 +464,15 @@ def cmd_symbol(out, thetas, etas, trunc, tol, coupling):
 
 
 def _read_eigs(r):
-    from .spectral import TOL_RANGE, default_window
+    from .spectral import check_sweep, check_tol, default_window
 
     grid, coupling = _read_grid(r), _read_coupling(r, required=True)
     get = r.section("eigs", required=True)
-    tol = get("tol", 1e-12)
-    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-        # roots within 10 tol are one cluster, and below the lower end the
-        # search cannot resolve z
-        raise ConfigError(f"[eigs] tol = {tol!r} outside the supported "
-                          f"[{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
-    samples = get("samples", 128, int)
-    if samples < 16:
-        raise ConfigError(f"[eigs] samples = {samples}: a sweep needs at least 16")
+    tol, samples = get("tol", 1e-12), get("samples", 128, int)
     lo, hi = default_window(coupling)
     window = (get("z_min", lo), get("z_max", hi))
-    if not -coupling.mass < window[0] < window[1] < coupling.mass:
-        raise ConfigError(f"[eigs] window {window[0]!r}, {window[1]!r} is not an interval "
-                          f"inside the open gap (-{coupling.mass!r}, {coupling.mass!r})")
+    _checked("[eigs] tol", check_tol, tol)
+    _checked("[eigs] samples, z_min, z_max", check_sweep, coupling, window, samples)
     return dict(grid=grid, coupling=coupling, window=window, samples=samples, tol=tol,
                 branch_csv=get("branch_csv", False, bool), strict=bool(r.flag("strict")))
 
@@ -536,16 +514,14 @@ def cmd_eigs(out, grid, coupling, window, samples, tol, branch_csv, strict):
 
 
 def _read_verify(r):
+    from .spectral import check_verify
+
     grid, coupling = _read_grid(r), _read_coupling(r, required=True)
     get = r.section("verify", required=True)
-    z, offset = get("z", 0.0), get("offset", 1e-3)
-    if not -coupling.mass < z < coupling.mass:
-        raise ConfigError(f"[verify] z = {z!r} outside the open gap "
-                          f"(-{coupling.mass!r}, {coupling.mass!r})")
-    if not offset > 0.0:  # the jump checks take the points at -offset as inside
-        raise ConfigError(f"[verify] offset = {offset!r}: the offset must be positive")
-    return dict(grid=grid, coupling=coupling, z=z, offset=offset,
-                seed=get("seed", 1234, int), strict=bool(r.flag("strict")))
+    z, offset, seed = get("z", 0.0), get("offset", 1e-3), get("seed", 1234, int)
+    _checked("[verify] z, offset, seed", check_verify, z, coupling, offset, seed)
+    return dict(grid=grid, coupling=coupling, z=z, offset=offset, seed=seed,
+                strict=bool(r.flag("strict")))
 
 
 def cmd_verify(out, grid, coupling, z, offset, seed, strict):

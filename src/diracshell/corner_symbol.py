@@ -28,14 +28,28 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 TRUNC_RANGE = (40.0, 354.0)
 
 
+def check_angle(theta: float, straight: bool = True) -> None:
+    """Refuse an opening outside (0, 2pi), or pi where not ``straight``."""
+    if not 0.0 < theta < 2.0 * math.pi or (theta == math.pi and not straight):
+        raise DomainError(f"{theta!r} = {theta / math.pi:g} pi is not an angle in (0, 2pi)"
+                          + ("" if straight else " other than pi"))
+
+
+def check_quadrature(trunc: float, tol: float) -> None:
+    """Refuse a window outside ``TRUNC_RANGE``, or a tolerance not in (0, inf)."""
+    if not TRUNC_RANGE[0] <= trunc <= TRUNC_RANGE[1]:
+        raise DomainError(f"window {trunc!r} outside [{TRUNC_RANGE[0]:g}, {TRUNC_RANGE[1]:g}]")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance {tol!r} is not finite and positive")
+
+
 def M(theta: float, x):
     """M_theta(x), evaluated in overflow-safe exponential form.
 
     With a = |pi - theta| |x| and b = pi |x| all exponents are <= 0:
     M = (e^(a-b) + e^(-a-b)) / (2 (1 + e^(-b))^2).
     """
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise DomainError(f"theta must lie in (0, 2pi), got {theta}")
+    check_angle(theta)
     ax = np.abs(np.asarray(x, dtype=float))
     a = abs(math.pi - theta) * ax
     b = math.pi * ax
@@ -81,8 +95,7 @@ def m_of(theta: float) -> float:
     edge is M_theta(x) >= e^(-theta x) / (2 (1 + e^(-pi x))^2) evaluated at
     x = ln(2pi/theta)/pi with e^(-y) >= 1 - y and (1 + t)^-2 >= 1 - 2t.
     """
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise DomainError(f"theta must lie in (0, 2pi), got {theta}")
+    check_angle(theta)
     omega = min(theta, 2.0 * math.pi - theta)
     xmax = (math.log(4.0) + 37.0) / omega
     grid = np.linspace(0.0, xmax, 4001)
@@ -138,11 +151,8 @@ def mellin_symbol(theta: float, eta, coupling: Coupling,
     h2 being (..., 2, 2), and all the integrals of one call are one vector
     quadrature.  A scalar eta gives scalars and 2x2 matrices.
     """
-    if not (0.0 < theta < 2.0 * math.pi) or theta == math.pi:
-        raise DomainError("theta must lie in (0, 2pi) \\ {pi}")
-    if not TRUNC_RANGE[0] <= trunc <= TRUNC_RANGE[1]:
-        raise DomainError(f"integration window {trunc!r} outside "
-                          f"[{TRUNC_RANGE[0]:g}, {TRUNC_RANGE[1]:g}]")
+    check_angle(theta, straight=False)
+    check_quadrature(trunc, tol)
     eta = np.asarray(eta, dtype=float)
     xi = eta + 0.5j
     xib = eta - 0.5j
@@ -194,6 +204,18 @@ def s_closed(theta: float, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _reference_alpha(alpha: complex, omega: float, b: float) -> complex:
+    """alpha as a complex number, once 0 < Re alpha < 2, 0 < |omega| < pi, b > 0."""
+    alpha = complex(alpha)
+    if not 0.0 < alpha.real < 2.0:
+        raise DomainError("alpha must satisfy 0 < Re alpha < 2")
+    if not 0.0 < abs(omega) < math.pi:
+        raise DomainError("omega must satisfy 0 < |omega| < pi")
+    if not b > 0:
+        raise DomainError("b must be positive")
+    return alpha
+
+
 def mellin_reference(alpha: complex, omega: float, b: float) -> complex:
     """Closed form of int_0^inf x^(alpha-1) / (x^2 + 2 b x cos(omega) + b^2) dx
     for 0 < Re alpha < 2, 0 < |omega| < pi, b > 0.
@@ -201,13 +223,7 @@ def mellin_reference(alpha: complex, omega: float, b: float) -> complex:
     At the removable points sin(alpha pi) = 0 the value is taken as the
     symmetric limit alpha +- 1e-6.
     """
-    alpha = complex(alpha)
-    if not 0.0 < alpha.real < 2.0:
-        raise DomainError("alpha must satisfy 0 < Re alpha < 2")
-    if not 0.0 < abs(omega) < math.pi:
-        raise DomainError("omega must satisfy 0 < |omega| < pi")
-    if b <= 0:
-        raise DomainError("b must be positive")
+    alpha = _reference_alpha(alpha, omega, b)
     s = np.sin(np.pi * alpha)
     if abs(s) < 1e-8:
         d = 1e-6
@@ -220,13 +236,7 @@ def mellin_reference(alpha: complex, omega: float, b: float) -> complex:
 def mellin_reference_quadrature(alpha: complex, omega: float, b: float,
                                 tol: float = 1e-12) -> complex:
     """Adaptive-quadrature cross-check of mellin_reference (t = log(x/b))."""
-    alpha = complex(alpha)
-    if not 0.0 < alpha.real < 2.0:
-        raise DomainError("alpha must satisfy 0 < Re alpha < 2")
-    if not 0.0 < abs(omega) < math.pi:
-        raise DomainError("omega must satisfy 0 < |omega| < pi")
-    if b <= 0:
-        raise DomainError("b must be positive")
+    alpha = _reference_alpha(alpha, omega, b)
     decay = min(alpha.real, 2.0 - alpha.real)
     trunc = 42.0 / decay
 

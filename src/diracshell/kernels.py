@@ -160,7 +160,7 @@ def b_k1(r, kappa, log_r):
 
 def gap_kappa(z: float, mass: float) -> float:
     """kappa = sqrt(m^2 - z^2) for real z in the gap."""
-    if abs(z) >= mass:
+    if not abs(z) < mass:
         raise SpectralParameterError(f"z = {z} outside the open gap (-{mass}, {mass})")
     return float(np.sqrt(mass * mass - z * z))
 

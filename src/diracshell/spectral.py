@@ -48,9 +48,9 @@ from scipy.linalg import cython_lapack
 from scipy.optimize import brentq
 
 from . import boundary_ops as bo
-from .errors import IllConditionedWarning, SpectralParameterError
+from .errors import DomainError, IllConditionedWarning, SpectralParameterError
 from .geometry import QuadratureGrid
-from .kernels import Coupling
+from .kernels import Coupling, gap_kappa
 
 TOL_RANGE = (1e-12, 1e-8)  # the supported root tolerances in z
 _RTOL = 4 * np.finfo(float).eps  # brentq's relative tolerance
@@ -222,21 +222,35 @@ def default_window(coupling: Coupling) -> tuple:
     return (-m + 0.01 * m, m - 0.01 * m)
 
 
+def check_sweep(coupling: Coupling, window: tuple, samples: int) -> None:
+    """Refuse fewer than 16 samples, or a window not inside the open gap."""
+    if not samples >= 16:
+        raise SpectralParameterError(f"need at least 16 sweep samples, got {samples!r}")
+    m = coupling.mass
+    if not -m < window[0] < window[1] < m:
+        raise SpectralParameterError(f"window ({window[0]!r}, {window[1]!r}) is not an interval "
+                                     f"inside the open gap (-{m!r}, {m!r})")
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a root tolerance outside ``TOL_RANGE``: a coarser one merges
+    distinct roots into one cluster, and a finer one is below what the
+    search resolves."""
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise SpectralParameterError(f"tol {tol!r} outside [{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
+
+
 def gap_sweep(grid: QuadratureGrid, coupling: Coupling,
               z_range: tuple | None = None, samples: int = 128) -> BranchData:
     """Sorted Hermitian eigenvalue trajectories over a z sweep in the gap."""
-    if samples < 16:
-        raise SpectralParameterError("need at least 16 sweep samples")
+    window = z_range if z_range is not None else default_window(coupling)
+    check_sweep(coupling, window, samples)
     route = _ROUTES[len(_active(coupling))]
     if route == "empty":
         return BranchData(np.zeros(0), np.zeros((0, 0)), "empty", coupling,
                           notes=("free operator: spectrum (-inf,-|m|] U [|m|,inf), "
                                  "no shell interaction",))
-    lo, hi = z_range if z_range is not None else default_window(coupling)
-    m = coupling.mass
-    if not (-m < lo < hi < m):
-        raise SpectralParameterError("sweep window must lie inside the open gap")
-    zs = np.linspace(lo, hi, samples)
+    zs = np.linspace(*window, samples)
     bo.grid_tables(grid)  # on this thread, not among a worker's per-z arrays
     with bo.solve_pool() as solve_map:
         eigs = np.stack(list(solve_map(functools.partial(_hermitian_eigs, grid, coupling), zs)))
@@ -249,18 +263,15 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
     two samples whose negative-eigenvalue counts differ, each sorted
     eigenvalue that changes sign has a root, within tol/2 of a sign change
     by construction (``_bracket_root``).  Roots within 10 tol are one
-    cluster, its size the multiplicity; tol lies in ``TOL_RANGE``: a
-    coarser one merges distinct roots into one cluster, and a finer one is
-    below what the search resolves.
+    cluster, its size the multiplicity; tol lies in ``TOL_RANGE``
+    (``check_tol``).
 
     The coupling, the sample points and their spectra are those of the
     sweep; each brentq step between samples costs one factorization, and
     each cluster one set of kernel values, its spectrum and one
     factorization (``_cluster_pairs``).
     """
-    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-        raise SpectralParameterError(f"z tolerance {tol!r} outside the supported "
-                                     f"[{TOL_RANGE[0]:g}, {TOL_RANGE[1]:g}]")
+    check_tol(tol)
     coupling = sweep.coupling
     zs = sweep.z_samples
     # float(z) -> eigenvalues of the Hermitian operator at z
@@ -431,9 +442,19 @@ def _smooth_test_density(grid, seed=1234):
     return dens / np.abs(dens).max()
 
 
+def check_verify(z: float, coupling: Coupling, offset: float, seed: int) -> None:
+    """Refuse z outside the open gap, an offset not positive or a negative seed."""
+    gap_kappa(z, coupling.mass)
+    if not offset > 0.0:  # the jump checks take the points at -offset as inside
+        raise DomainError(f"offset {offset!r} is not positive")
+    if not seed >= 0:
+        raise DomainError(f"seed {seed!r} is negative")
+
+
 def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
                       offset: float = 1e-3, seed: int = 1234) -> VerificationReport:
     """Run the four operator-identity checks and report measured residuals."""
+    check_verify(z, coupling, offset, seed)
     tols = DEFAULT_TOLERANCES
     n = grid.n_nodes
     checks = []
@@ -463,19 +484,12 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
             float(np.linalg.norm(vin - want_in) / np.linalg.norm(want_in)),
             float(np.linalg.norm(vout - want_out) / np.linalg.norm(want_out)),
         )
-        checks.append(IdentityCheck("jump_two_sided", rel2, tols["jump_two_sided"],
-                                    rel2 <= tols["jump_two_sided"],
-                                    {"offset": offset}))
-        checks.append(IdentityCheck("jump_one_sided", rel1, tols["jump_one_sided"],
-                                    rel1 <= tols["jump_one_sided"],
-                                    {"offset": offset}))
+        checks += [IdentityCheck(name, rel, tols[name], rel <= tols[name], {"offset": offset})
+                   for name, rel in (("jump_two_sided", rel2), ("jump_one_sided", rel1))]
     else:
-        checks.append(IdentityCheck("jump_two_sided", float("nan"),
-                                    tols["jump_two_sided"], None,
-                                    {"note": "near-curve evaluation needs a smooth grid"}))
-        checks.append(IdentityCheck("jump_one_sided", float("nan"),
-                                    tols["jump_one_sided"], None,
-                                    {"note": "near-curve evaluation needs a smooth grid"}))
+        checks += [IdentityCheck(name, float("nan"), tols[name], None,
+                                 {"note": "near-curve evaluation needs a smooth grid"})
+                   for name in ("jump_two_sided", "jump_one_sided")]
 
     # C_Sigma from the grid's table set, its Cauchy weights built once
     csigma = bo.grid_tables(grid).cauchy_upper * grid.tc[None, :]

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import importlib.util
 import json
 import math
@@ -15,7 +17,10 @@ import pytest
 
 import diracshell
 from diracshell import boundary_ops as bo
-from diracshell import cli
+from diracshell import cli, errors
+from diracshell import corner_symbol as cs
+from diracshell import spectral as sp
+from diracshell.kernels import Coupling
 
 
 def _schema(name):
@@ -509,57 +514,114 @@ _VERIFY_CFG = ("[curve]\npreset = circle\n[coupling]\neps = 3.0\n[discretization
                "nodes_per_edge = 16\n[verify]\n")
 
 
-@pytest.mark.parametrize("command, config", [
-    ("symbol", "[symbol]\ntheta_pi = 0.5, 1.0\n"),
-    ("symbol", "[symbol]\ntheta_pi = 2.0\n"),
-    ("mtheta", "[mtheta]\ntheta_max_pi = 2.0\n"),
-    ("mtheta", "[mtheta]\ntheta_min_pi = 0.0\n"),
-    ("mtheta", "[mtheta]\ntheta_max_pi = 7.0\nsteps = 1\n"),  # once exit 0, one row
-    ("symbol", "[symbol]\ntrunc = 10\n"),
-    ("symbol", "[symbol]\ntrunc = 400\n"),  # once an uncaught OverflowError, exit 1
-    ("symbol", "[symbol]\ntrunc = inf\n"),
-    ("symbol", "[symbol]\ntol = 0\n"),
-    ("symbol", "[symbol]\ntol = inf\n"),  # once ran, exit 0, abs_diff 0.15 at eta = 5
-    ("verify", _VERIFY_CFG + "offset = -1e-3\n"),
-    ("verify", _VERIFY_CFG + "z = 1.5\n"),
+def _refusal(check, *args) -> str:
+    """The message with which a check of the numerics refuses its arguments."""
+    with pytest.raises(errors.DiracShellError) as info:
+        check(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("command, config, refusal", [
+    ("symbol", "[symbol]\ntheta_pi = 0.5, 1.0\n", (cs.check_angle, math.pi, False)),
+    ("symbol", "[symbol]\ntheta_pi = 2.0\n", (cs.check_angle, 2.0 * math.pi, False)),
+    ("mtheta", "[mtheta]\ntheta_max_pi = 2.0\n", (cs.check_angle, 2.0 * math.pi)),
+    ("mtheta", "[mtheta]\ntheta_min_pi = 0.0\n", (cs.check_angle, 0.0)),
+    # once exit 0, one row
+    ("mtheta", "[mtheta]\ntheta_max_pi = 7.0\nsteps = 1\n", (cs.check_angle, 7.0 * math.pi)),
+    ("symbol", "[symbol]\ntrunc = 10\n", (cs.check_quadrature, 10.0, 1e-10)),
+    # once an uncaught OverflowError, exit 1
+    ("symbol", "[symbol]\ntrunc = 400\n", (cs.check_quadrature, 400.0, 1e-10)),
+    ("symbol", "[symbol]\ntrunc = inf\n", (cs.check_quadrature, math.inf, 1e-10)),
+    ("symbol", "[symbol]\ntol = 0\n", (cs.check_quadrature, 60.0, 0.0)),
+    # once ran, exit 0, abs_diff 0.15 at eta = 5
+    ("symbol", "[symbol]\ntol = inf\n", (cs.check_quadrature, 60.0, math.inf)),
+    ("verify", _VERIFY_CFG + "offset = -1e-3\n",
+     (sp.check_verify, 0.0, Coupling(3.0, 0.0), -1e-3, 1234)),
+    ("verify", _VERIFY_CFG + "z = 1.5\n", (sp.check_verify, 1.5, Coupling(3.0, 0.0), 1e-3, 1234)),
+    # once an uncaught numpy ValueError, exit 1
+    ("verify", _VERIFY_CFG + "seed = -1\n",
+     (sp.check_verify, 0.0, Coupling(3.0, 0.0), 1e-3, -1)),
 ], ids=["symbol-straight", "symbol-full-turn", "mtheta-full-turn", "mtheta-zero",
         "mtheta-one-step-past-the-turn", "symbol-trunc", "symbol-trunc-overflow",
-        "symbol-trunc-inf", "symbol-tol", "symbol-tol-inf", "verify-offset", "verify-z"])
+        "symbol-trunc-inf", "symbol-tol", "symbol-tol-inf", "verify-offset", "verify-z",
+        "verify-seed"])
 def test_a_value_outside_the_domain_of_the_numerics_exits_2(tmp_path, capsys, monkeypatch,
-                                                            command, config):
+                                                            command, config, refusal):
     # refused in the read step, like a non-finite or empty range, before
-    # any numerics: not exit 3 from the numerics, nor a failed check
-    from diracshell import corner_symbol, spectral
+    # any numerics: not exit 3 from the numerics, nor a failed check; the
+    # message is the one the numerics' own check gives for the value
+    message = _refusal(*refusal)
 
     def refuse(*args, **kwargs):
         raise AssertionError("numerics ran for a refused config")
 
-    for module, name in [(corner_symbol, "M"), (corner_symbol, "m_of"),
-                         (corner_symbol, "mellin_symbol"), (spectral, "verify_identities")]:
+    for module, name in [(cs, "M"), (cs, "m_of"), (cs, "mellin_symbol"),
+                         (sp, "verify_identities")]:
         monkeypatch.setattr(module, name, refuse)
     p = _write(tmp_path, "c.cfg", config)
     out = tmp_path / "out"
     assert cli.main([command, "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: [{command}] ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{command}] ")
+    assert message in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra, message", [
-    ("samples = 8\n", "at least 16"),
-    ("z_min = 0.995\n", "open gap"),  # above the default z_max
-    ("z_min = -1.0\n", "open gap"),  # on the gap edge
-    ("z_min = -2.0\nz_max = 2.0\n", "open gap"),
+@pytest.mark.parametrize("extra, message, window, samples", [
+    ("samples = 8\n", "at least 16", None, 8),
+    ("z_min = 0.995\n", "open gap", (0.995, 0.99), 128),  # above the default z_max
+    ("z_min = -1.0\n", "open gap", (-1.0, 0.99), 128),  # on the gap edge
+    ("z_min = -2.0\nz_max = 2.0\n", "open gap", (-2.0, 2.0), 128),
 ], ids=["samples", "empty-window", "edge", "outside"])
 def test_eigs_refuses_a_short_sweep_or_a_window_outside_the_gap(tmp_path, capsys, monkeypatch,
-                                                               extra, message):
-    # a config error of the read step, not a numerical failure of the sweep
+                                                               extra, message, window, samples):
+    # a config error of the read step, not a numerical failure of the sweep,
+    # with the message of the sweep's own check
+    coupling = Coupling(1.0, 0.0)
+    refusal = _refusal(sp.check_sweep, coupling, window or sp.default_window(coupling), samples)
     monkeypatch.setattr(bo, "kernel_values", None)
     p = _write(tmp_path, "e.cfg", "[curve]\npreset = circle\n[coupling]\neps = 1.0\n"
                                   "[discretization]\nnodes_per_edge = 16\n[eigs]\n" + extra)
     out = tmp_path / "out"
     assert cli.main(["eigs", "--config", p, "--out", str(out)]) == cli.EXIT_CONFIG
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and refusal in err
     assert not out.exists()
+
+
+def config_error_conversions(source: str) -> list:
+    """The lines of the except handlers of ``source`` that catch a
+    DiracShellError other than ConfigError (or a base class of it) and raise
+    a ConfigError."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = [] if node.type is None else getattr(node.type, "elts", [node.type])
+        caught = [getattr(errors, t.id, None) or getattr(builtins, t.id, None)
+                  if isinstance(t, ast.Name) else None for t in types] or [BaseException]
+        catches = any(isinstance(c, type) and c is not errors.ConfigError
+                      and (issubclass(c, errors.DiracShellError)
+                           or issubclass(errors.DiracShellError, c)) for c in caught)
+        raises = any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                     and getattr(n.exc.func, "id", None) == "ConfigError" for n in ast.walk(node))
+        if catches and raises:
+            found.append(node.lineno)
+    return found
+
+
+def test_config_error_conversions_finds_each_handler():
+    source = ("try:\n    f()\nexcept DomainError as exc:\n    raise ConfigError(str(exc))\n"
+              "try:\n    g()\nexcept (KeyError, Exception):\n    raise ConfigError('g')\n"
+              "try:\n    h()\nexcept ConfigError:\n    raise ConfigError('h')\n"
+              "try:\n    k()\nexcept DomainError:\n    pass\n")
+    assert config_error_conversions(source) == [3, 7]
+
+
+def test_cli_turns_a_refusal_of_the_numerics_into_a_config_error_in_one_handler():
+    # every read step asks the numerics' own check through one helper, so
+    # that no second wording of a rule grows beside it
+    assert len(config_error_conversions(Path(cli.__file__).read_text(encoding="utf-8"))) == 1
 
 
 _MTHETA_CFG = "[mtheta]\nsteps = 3\n"

@@ -160,6 +160,11 @@ def test_mellin_symbol_domain_errors():
     for trunc in (30.0, 400.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             cs.mellin_symbol(0.5 * math.pi, 0.0, Coupling(1.0, 0.0), trunc=trunc)
+    # a tolerance that is not finite and positive: inf once returned 0.8506
+    # at eta = 5 against delta_closed 0.99999940, and -1 a ConvergenceError
+    for tol in (math.inf, 0.0, math.nan, -1.0):
+        with pytest.raises(DomainError):
+            cs.delta_direct(0.5 * math.pi, 5.0, Coupling(2.0, 0.0), tol=tol)
     assert cs.mellin_symbol(0.5 * math.pi, 0.0, Coupling(1.0, 0.0),
                             trunc=cs.TRUNC_RANGE[1]).delta == pytest.approx(
         cs.mellin_symbol(0.5 * math.pi, 0.0, Coupling(1.0, 0.0)).delta, abs=1e-8)

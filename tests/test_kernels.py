@@ -198,6 +198,8 @@ def test_phi_errors():
         phi_m(np.array([0.0, 0.0]))
     with pytest.raises(SpectralParameterError):
         phi_z(np.array([1.0, 0.0]), 1.5, c)
+    with pytest.raises(SpectralParameterError):  # once kappa = nan
+        phi_z(np.array([1.0, 0.0]), np.nan, c)
 
 
 def test_coupling_validation():

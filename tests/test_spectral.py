@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from diracshell import boundary_ops as bo
 from diracshell import geometry as geo
 from diracshell import spectral as sp
-from diracshell.errors import SpectralParameterError
+from diracshell.errors import DomainError, SpectralParameterError
 from diracshell.kernels import Coupling
 from oracles import circle_eigenvalues
 
@@ -42,6 +42,9 @@ def test_sweep_window_validation(circle_grid_128):
         sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), z_range=(-2.0, 0.5))
     with pytest.raises(SpectralParameterError):
         sp.gap_sweep(circle_grid_128, Coupling(1.0, 0.0), samples=4)
+    # the free operator has no sweep, but its window is refused all the same
+    with pytest.raises(SpectralParameterError):
+        sp.gap_sweep(circle_grid_128, Coupling(0.0, 0.0), z_range=(-2.0, 0.5))
 
 
 def test_branch_mirror_symmetry(circle_grid_128):
@@ -815,6 +818,20 @@ def test_verify_identities_evaluates_the_potential_once(circle_grid_128, monkeyp
     rep = sp.verify_identities(circle_grid_128, 0.3, Coupling(3.0, 1.0, 1.0))
     assert sizes == [2 * circle_grid_128.n_nodes]
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("offset, seed", [(0.0, 1234), (-1e-3, 1234), (math.nan, 1234),
+                                          (1e-3, -1)])
+def test_verify_identities_refuses_its_domain_before_any_assembly(circle_grid_128, monkeypatch,
+                                                                   offset, seed):
+    # a non-positive offset once ran and failed both jump checks, and a
+    # negative seed ended in numpy's ValueError
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled for refused arguments")
+
+    monkeypatch.setattr(bo, "assemble_Cz", refuse)
+    with pytest.raises(DomainError):
+        sp.verify_identities(circle_grid_128, 0.0, Coupling(3.0, 1.0), offset=offset, seed=seed)
 
 
 def test_verify_identities_square():
