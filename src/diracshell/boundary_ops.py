@@ -24,12 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import kernels as K
-from .errors import (
-    CriticalCouplingError,
-    DomainError,
-    GridTooCoarse,
-    PointOnCurveError,
-)
+from .errors import CriticalCouplingError, DomainError, PointOnCurveError
 from .geometry import PANEL_ORDER, QuadratureGrid, discretize
 from .kernels import Coupling
 from .quadrature import (
@@ -235,8 +230,6 @@ def assemble_cauchy(grid: QuadratureGrid) -> np.ndarray:
     -1/2 e^{ik theta} for -N/2 <= k < 0, hence C^2 = I/4; on the computed
     matrix both hold to roundoff.
     """
-    if grid.n_nodes < 16:
-        raise GridTooCoarse("need at least 16 nodes for Cauchy assembly")
     V = cauchy_weight_table(grid)
     return -(1j / (2 * np.pi)) * V
 
@@ -276,7 +269,7 @@ def log_weight_table(grid: QuadratureGrid, r: np.ndarray) -> np.ndarray:
     else:
         L = np.log(r) * grid.weights[None, :]
         snod, _ = gauss_legendre(PANEL_ORDER)
-        lw = np.array([product_weights(log_moments(s0, PANEL_ORDER, True).real, PANEL_ORDER)
+        lw = np.array([product_weights(log_moments(s0, PANEL_ORDER), PANEL_ORDER)
                        for s0 in snod])
         dspar = np.abs(snod[:, None] - snod[None, :])
         np.fill_diagonal(dspar, 1.0)

@@ -20,14 +20,16 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 
-from .errors import ConfigError, ConvergenceError, DiracShellError, IllConditionedWarning
+from .errors import ConfigError, ConvergenceError, DiracShellError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-STRICT_RESIDUAL = 1e-8  # the largest ||Theta_z0 g|| of a root `eigs --strict` accepts
+# the bounds of a root `eigs --strict` accepts: the largest ||Theta_z0 g||,
+# and the smallest second_smallest, below which the root may be a multiple one
+STRICT_RESIDUAL = 1e-8
+STRICT_SECOND = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +484,15 @@ def cmd_eigs(out, grid, coupling, window, samples, tol, branch_csv, strict):
 
     grid = grid()
     sweep = sp.gap_sweep(grid, coupling, window, samples)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IllConditionedWarning)
-        pairs = sp.find_eigenvalues(grid, sweep, tol)
-    if strict and any(issubclass(w.category, IllConditionedWarning) for w in caught):
-        raise ConvergenceError("ill-conditioned eigenvalue root under --strict")
-    high = [p for p in pairs if not p.residual <= STRICT_RESIDUAL]
-    if strict and high:
-        raise ConvergenceError(f"root {high[0].z0:.6f} has residual {high[0].residual:.2e}, "
-                               f"above {STRICT_RESIDUAL:g}, under --strict")
+    pairs = sp.find_eigenvalues(grid, sweep, tol)
+    for p in pairs:
+        if strict and not p.residual <= STRICT_RESIDUAL:
+            raise ConvergenceError(f"root {p.z0:.6f} has residual {p.residual:.2e}, "
+                                   f"above {STRICT_RESIDUAL:g}, under --strict")
+        if strict and not p.second_smallest >= STRICT_SECOND:
+            raise ConvergenceError(f"root {p.z0:.6f} has second_smallest "
+                                   f"{p.second_smallest:.2e}, below {STRICT_SECOND:g} "
+                                   "(possible multiplicity), under --strict")
     doc = {
         "route": sweep.route,
         "window": list(window),
@@ -580,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to the run configuration")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--strict", action="store_true", default=None,  # None: not given
-                   help="promote numerical warnings to exit status 3 (eigs, verify)")
+                   help="exit 3 on an inaccurate or ill-conditioned result (eigs, verify)")
     p.add_argument("--threads", type=int, default=None,
                    help="cap BLAS thread pools")
     p.add_argument("--eps", type=float, default=None, help="override coupling eps")

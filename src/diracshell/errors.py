@@ -33,10 +33,6 @@ class SingularPointError(DiracShellError):
     """Kernel evaluated at its singular point x = 0."""
 
 
-class GridTooCoarse(DiracShellError):
-    """Grid has too few nodes for the requested operator assembly."""
-
-
 class SpectralParameterError(DiracShellError):
     """Spectral parameter z outside the admissible gap (-m, m)."""
 
@@ -55,7 +51,3 @@ class PointOnCurveError(DiracShellError):
 
 class ConfigError(DiracShellError):
     """Malformed or incomplete run configuration."""
-
-
-class IllConditionedWarning(UserWarning):
-    """Linear-algebra result is close to singular; treat output with care."""

@@ -31,6 +31,7 @@ from .quadrature import gauss_legendre
 _ANGLE_TOL = 1e-9
 _CLOSURE_TOL = 1e-12
 PANEL_ORDER = 8  # Gauss-Legendre nodes per panel
+MIN_NODES = 16  # the fewest nodes of a grid the boundary operators take
 
 
 @dataclass(frozen=True)
@@ -453,14 +454,19 @@ def _grade_breakpoints(n_panels: int, q: float, corner_at_start: bool, corner_at
 
 
 def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0) -> QuadratureGrid:
-    """Build the quadrature grid; see class docstring for the two flavours."""
-    if nodes_per_edge < 8:
-        raise InvalidRefinement("nodes_per_edge must be at least 8")
+    """Build the quadrature grid; see class docstring for the two flavours.
+    A single smooth arc gets ``nodes_per_edge`` nodes, each edge of any
+    other curve that many rounded up to whole panels; a grid of fewer than
+    MIN_NODES nodes is refused."""
+    n_pan = math.ceil(nodes_per_edge / PANEL_ORDER)
+    n = nodes_per_edge if curve.is_single_smooth else len(curve.edges) * n_pan * PANEL_ORDER
+    if n < MIN_NODES:
+        raise InvalidRefinement(f"a grid needs at least {MIN_NODES} nodes; "
+                                f"nodes_per_edge = {nodes_per_edge} gives {n}")
     if grading_exponent < 1.0:
         raise InvalidRefinement("grading_exponent must be >= 1")
 
     if curve.is_single_smooth:
-        n = nodes_per_edge
         if n % 2:
             raise InvalidRefinement(
                 "smooth closed curves require even N (alternate-point rule)")
@@ -483,7 +489,6 @@ def discretize(curve: Curve, nodes_per_edge: int, grading_exponent: float = 3.0)
         )
 
     # panel flavour
-    n_pan = int(np.ceil(nodes_per_edge / PANEL_ORDER))
     sgl, wgl = gauss_legendre(PANEL_ORDER)
     corner_edges_in = {c.edge_in for c in curve.corners}
     corner_edges_out = {c.edge_out for c in curve.corners}

@@ -6,9 +6,9 @@ factor F at the panel's Gauss points, weights v_j such that
     sum_j v_j F(s_j)  ~  integral_{-1}^{1} F(s) k(s) ds
 
 are exact whenever F is a polynomial of degree < n, for the singular factors
-k(s) = 1/(s - x0) (principal value when x0 is on the panel) and
-k(s) = log(s - x0).  The discrete Legendre transform uses Gauss-Legendre
-orthogonality, so no Vandermonde solve is needed.
+k(s) = 1/(s - x0) (principal value when x0 is on the panel) and, for x0 on
+the panel, k(s) = log|s - x0|.  The discrete Legendre transform uses
+Gauss-Legendre orthogonality, so no Vandermonde solve is needed.
 """
 
 from __future__ import annotations
@@ -60,19 +60,15 @@ def cauchy_moments(x0: complex, n: int, on_panel: bool) -> np.ndarray:
     return m
 
 
-def log_moments(x0: complex, n: int, on_panel: bool) -> np.ndarray:
-    """l_k = int_{-1}^{1} P_k(s) log(s - x0) ds (log|s - x0| when on the panel)."""
-    mm = cauchy_moments(x0, n + 1, on_panel)
-    l = np.zeros(n, dtype=complex)
-    if on_panel:
-        x0 = float(np.real(x0))
-        l[0] = ((1.0 - x0) * np.log(abs(1.0 - x0)) +
-                (1.0 + x0) * np.log(abs(1.0 + x0)) - 2.0)
-    else:
-        l[0] = ((1.0 - x0) * np.log(1.0 - x0) +
-                (1.0 + x0) * np.log(-1.0 - x0) - 2.0)
-    for k in range(1, n):
-        l[k] = -(mm[k + 1] - mm[k - 1]) / (2 * k + 1)
+def log_moments(x0: float, n: int) -> np.ndarray:
+    """l_k = int_{-1}^{1} P_k(s) log|s - x0| ds for k < n, x0 in (-1, 1)."""
+    mm = cauchy_moments(x0, n + 1, True).real
+    l = np.empty(n)
+    l[0] = (1.0 - x0) * np.log(1.0 - x0) + (1.0 + x0) * np.log(1.0 + x0) - 2.0
+    # l_k = (m_(k-1) - m_(k+1)) / (2k + 1) for k >= 1, as a product with the
+    # reciprocal: a division moves some weights by an ulp, and with them the
+    # artifacts of every panel grid
+    l[1:] = (mm[:n - 1] - mm[2:]) * (1.0 / np.arange(3, 2 * n, 2))
     return l
 
 

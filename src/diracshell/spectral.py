@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from scipy.linalg import cython_lapack
 from scipy.optimize import brentq
 
 from . import boundary_ops as bo
-from .errors import DomainError, IllConditionedWarning, SpectralParameterError
+from .errors import DomainError, SpectralParameterError
 from .geometry import QuadratureGrid
 from .kernels import Coupling, gap_kappa
 
@@ -73,7 +72,7 @@ class Eigenpair:
     density: np.ndarray  # (2N,) complex, component by component, unit norm
     residual: float  # ||Theta_{z0} density||_2
     cluster: int
-    second_smallest: float  # |second smallest eigenvalue| at the root
+    second_smallest: float  # at the root, the (mult + 1)-th smallest |eigenvalue|
     condition: float  # spread of the Hermitian spectrum at the root
     coupling: Coupling
 
@@ -341,10 +340,6 @@ def _cluster_pairs(grid, coupling, z0, mult, cluster) -> list:
     values = _kernel_values(grid, coupling, z0)
     ev = _eigvalsh(_hermitian_matrix(grid, coupling, z0, values))
     second = float(np.sort(np.abs(ev))[min(mult, len(ev) - 1)])
-    if second < 1e-6:
-        warnings.warn(
-            f"second-smallest eigenvalue {second:.2e} at root {z0:.6f}: "
-            "possible multiplicity", IllConditionedWarning)
     cond = float(np.max(np.abs(ev)) / max(second, np.finfo(float).tiny))
     # the mult eigenvalues nearest zero are the window of mult sorted ones
     # whose end farthest from zero is nearest

@@ -12,7 +12,6 @@ from diracshell import spectral as sp
 from diracshell.errors import (
     CriticalCouplingError,
     DomainError,
-    GridTooCoarse,
     PointOnCurveError,
     SpectralParameterError,
 )
@@ -27,12 +26,6 @@ def test_cauchy_residue_oracle_modes(circle_grid_256):
     for n, lam in ((0, 0.5), (1, 0.5), (3, 0.5), (-1, -0.5), (-3, -0.5)):
         g = np.exp(1j * n * th)
         assert np.max(np.abs(a @ g - lam * g)) < 1e-8
-
-
-def test_cauchy_grid_too_coarse(circle_curve):
-    g = geo.discretize(circle_curve, 8)
-    with pytest.raises(GridTooCoarse):
-        bo.assemble_cauchy(g)
 
 
 def test_cauchy_polynomial_oracle_on_square(square_curve):

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 from importlib import resources
 from pathlib import Path
 
@@ -725,6 +724,51 @@ curve_class = auto
     assert len(doc["angles"]) == 4
 
 
+def test_arc_edge_sections_give_the_preset_grid(tmp_path):
+    # the rounded square's own poly and arc edges, written as [edge.N]
+    from diracshell import geometry as geo
+
+    def numbers(*values):  # as repr writes them, which parse back bitwise
+        return ", ".join(repr(float(v)) for v in values)
+
+    sections = []
+    for i, e in enumerate(geo.rounded_square(1.0, 0.2).edges):
+        if e.kind == "arc":
+            keys = dict(center=numbers(*e.center), radius=numbers(e.radius),
+                        phi0=numbers(e.phi0), phi1=numbers(e.phi1))
+        else:
+            keys = dict(x=numbers(*e.xc), y=numbers(*e.yc))
+        sections.append(f"[edge.{i}]\nkind = {e.kind}\n"
+                        + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert "kind = arc" in sections[1]
+    text = "\n".join(sections) + "[discretization]\nnodes_per_edge = 32\n"
+    grid = cli.grid_from_config(cli.parse_config(_write(tmp_path, "g.cfg", text)))
+    want = geo.discretize(geo.build_curve(geo.rounded_square(1.0, 0.2)), 32)
+    assert grid.nodes.tobytes() == want.nodes.tobytes()
+    p = _write(tmp_path, "c.cfg", "\n".join(sections)
+               + "[coupling]\neps = 1.0\nmu = 0.0\n[classify]\ncurve_class = auto\n")
+    out = tmp_path / "out"
+    assert cli.main(["classify", "--config", p, "--out", str(out)]) == cli.EXIT_OK
+    assert json.loads((out / "classification.json").read_text())["curve_class"] == "c1"
+
+
+@pytest.mark.parametrize("command", ["eigs", "verify"])
+def test_a_grid_of_too_few_nodes_exits_3_before_any_assembly(tmp_path, capsys, monkeypatch,
+                                                              command):
+    def assembled(*args):
+        raise AssertionError("assembled on a refused grid")
+
+    monkeypatch.setattr(bo, "kernel_values", assembled)
+    monkeypatch.setattr(bo, "cauchy_weight_table", assembled)
+    p = _write(tmp_path, "c.cfg", "[curve]\npreset = circle\n[coupling]\neps = 1.0\n"
+               f"[discretization]\nnodes_per_edge = 12\n[{command}]\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", p, "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert ("InvalidRefinement: a grid needs at least 16 nodes; nodes_per_edge = 12 gives 12"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_edge_sections_stand_in_for_curve_section():
     for command in ("eigs", "verify"):
         cfg = {"coupling": {}, "discretization": {}, command: {}}
@@ -859,11 +903,9 @@ def test_every_command_refuses_what_it_does_not_read(tmp_path, capsys, command, 
     assert not out.exists()
 
 
-def test_strict_eigs_exits_3_on_a_warning_from_a_pool_worker(tmp_path, monkeypatch):
-    # the root step runs on a pool worker; a near-multiple root warns there,
-    # and the warning must reach cmd_eigs on the calling thread
-    from diracshell import spectral as sp
-
+def test_strict_eigs_exits_3_on_a_near_multiple_root(tmp_path, capsys, monkeypatch):
+    # the gate reads each root's second_smallest, the value eigenvalues.json
+    # reports, on the calling thread after the search
     p = _write(tmp_path, "e.cfg", """
 [curve]
 preset = circle
@@ -878,9 +920,6 @@ nodes_per_edge = 64
 [eigs]
 samples = 16
 """)
-    setters = bo._openblas_thread_setters()
-    monkeypatch.setattr(bo, "_openblas_thread_setters", lambda: [*setters, lambda n: 2])
-    threads = []
     eigvalsh = sp._eigvalsh
 
     def near_multiple(a):
@@ -888,16 +927,19 @@ samples = 16
         # is tiny
         if sys._getframe(1).f_code is not sp._cluster_pairs.__code__:
             return eigvalsh(a)
-        threads.append(threading.current_thread())
         return 1e-9 * eigvalsh(a)
 
     monkeypatch.setattr(sp, "_eigvalsh", near_multiple)
     strict, lenient = tmp_path / "strict", tmp_path / "lenient"
     assert cli.main(["eigs", "--config", p, "--out", str(strict), "--strict"]) == \
         cli.EXIT_NUMERICAL
+    assert f"below {cli.STRICT_SECOND:g}" in capsys.readouterr().err
     assert not strict.exists()
-    assert threads and threading.main_thread() not in threads
     assert cli.main(["eigs", "--config", p, "--out", str(lenient)]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    roots = json.loads((lenient / "eigenvalues.json").read_text())["eigenvalues"]
+    assert roots and all(e["residual"] <= cli.STRICT_RESIDUAL for e in roots)
+    assert min(e["second_smallest"] for e in roots) < cli.STRICT_SECOND
 
 
 _ELLIPSE_EIGS = """
@@ -955,6 +997,16 @@ def test_write_atomic_gives_the_mode_open_gives(tmp_path, umask):
     assert mode == 0o666 & ~umask
     assert mode == os.stat(tmp_path / "plain.json").st_mode & 0o777
     assert sorted(os.listdir(tmp_path)) == ["atomic.json", "plain.json"]
+
+
+def test_write_atomic_leaves_no_temporary_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.write_atomic(str(tmp_path / "out" / "atomic.json"), "{}\n")
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_import_cli_leaves_numpy_unloaded():

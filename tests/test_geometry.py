@@ -190,10 +190,82 @@ def test_self_intersection_error():
 def test_invalid_refinement(circle_curve, square_curve):
     with pytest.raises(InvalidRefinement):
         geo.discretize(circle_curve, 63)  # odd
+    for n in (6, 8, 12):  # too few nodes, refused before any operator is built
+        with pytest.raises(InvalidRefinement, match=f"at least 16 nodes; nodes_per_edge = {n} "):
+            geo.discretize(circle_curve, n)
+    assert geo.discretize(circle_curve, 16).n_nodes == 16
+    # a one-edge panel curve (a lens with one corner): 8 per edge, rounded up
+    # to whole 8-node panels, makes 8 nodes; 9 makes 16
+    lens = geo.build_curve(geo.CurveSpec((geo.Edge("poly", (0.0, 1.0, -1.0),
+                                                   (0.0, -1.0, 3.0, -2.0)),)))
+    assert len(lens.corners) == 1 and not lens.is_single_smooth
+    with pytest.raises(InvalidRefinement, match="nodes_per_edge = 8 gives 8$"):
+        geo.discretize(lens, 8)
+    assert geo.discretize(lens, 9).n_nodes == 16
+    # four edges of one panel each: 32 nodes, the grid of 8 per edge
+    assert (geo.discretize(square_curve, 1).nodes.tobytes()
+            == geo.discretize(square_curve, 8).nodes.tobytes())
     with pytest.raises(InvalidRefinement):
-        geo.discretize(circle_curve, 6)  # too few
+        geo.discretize(square_curve, 0)
     with pytest.raises(InvalidRefinement):
         geo.discretize(square_curve, 16, 0.5)  # grading below 1
+
+
+def _outward(grid):
+    """Each node's normal points away from the centre of a curve symmetric
+    about the origin, convex, so into Omega_-."""
+    return np.all(np.sum(grid.normals * grid.nodes, axis=1) > 0)
+
+
+def _mirrored(spec):
+    """The curve reflected in the x axis, so traversed clockwise."""
+    edges = []
+    for e in spec.edges:
+        if e.kind == "arc":
+            edges.append(geo.ArcEdge((e.center[0], -e.center[1]), e.radius, -e.phi0, -e.phi1))
+        else:
+            edges.append(geo.Edge(e.kind, e.xc, tuple(-c for c in e.yc), e.xs,
+                                  tuple(-c for c in e.ys)))
+    return geo.CurveSpec(tuple(edges))
+
+
+@pytest.mark.parametrize("spec", [geo.circle(1.0), geo.rounded_square(1.0, 0.2)],
+                         ids=["circle", "rounded-square"])
+def test_clockwise_trig_and_arc_curves_are_turned_anticlockwise(spec):
+    # a clockwise circle is the anticlockwise one with xs and ys negated
+    clockwise = _mirrored(spec)
+    assert geo._signed_area(clockwise.edges) < 0
+    want, got = geo.build_curve(spec), geo.build_curve(clockwise)
+    assert got.signed_area > 0
+    assert got.signed_area == pytest.approx(want.signed_area, rel=1e-13)
+    assert len(got.corners) == len(want.corners)
+    grid = geo.discretize(got, 64)
+    assert _outward(grid) and _outward(geo.discretize(want, 64))
+    assert grid.weights.sum() == pytest.approx(geo.discretize(want, 64).weights.sum(), rel=1e-13)
+
+
+def test_one_sided_grading_crowds_panels_toward_the_sharp_end_only():
+    # the unit square with its corner at (0.5, 0.5) rounded: the edges either
+    # side of the arc have a corner at one end only
+    h, r = 0.5, 0.2
+    spec = geo.CurveSpec((
+        geo.line_edge((-h, -h), (h, -h)),
+        geo.line_edge((h, -h), (h, h - r)),
+        geo.ArcEdge((h - r, h - r), r, 0.0, 0.5 * math.pi),
+        geo.line_edge((h - r, h), (-h, h)),
+        geo.line_edge((-h, h), (-h, -h)),
+    ))
+    curve = geo.build_curve(spec)
+    assert sorted((c.edge_in, c.edge_out) for c in curve.corners) == [(0, 1), (3, 4), (4, 0)]
+    grid = geo.discretize(curve, 32)
+    widths = {ei: np.array([p.t_b - p.t_a for p in grid.panels if p.edge_id == ei])
+              for ei in range(5)}
+    assert np.all(np.diff(widths[1]) > 0)  # corner at its start only
+    assert np.all(np.diff(widths[3]) < 0)  # corner at its end only
+    assert widths[1] == pytest.approx(widths[3][::-1], rel=1e-14)
+    assert widths[2] == pytest.approx(np.full(4, 0.25), rel=1e-14)  # no corner
+    assert widths[0] == pytest.approx(widths[0][::-1], rel=1e-14)  # both ends
+    assert widths[0][0] < widths[0][1]
 
 
 def test_rounded_square_is_smooth():
