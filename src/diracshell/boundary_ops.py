@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.special import erf
 
 from . import kernels as K
 from .errors import CriticalCouplingError, DomainError, PointOnCurveError
@@ -39,6 +40,13 @@ _NEAR_SCALED = 1.5  # panel product integration radius, in scaled coordinates
 _POTENTIAL_PAIRS = 1 << 18  # point-source pairs per chunk: 2 MB per real field
 _FIELD_PAIRS = 1 << 13  # pairs per solve-pool task; worker temporaries stay resident
 _TABLES_LOCK = threading.Lock()  # held to build a grid's tables
+# the near-curve window chi (``_window``), in coarse spacings of the trapezoid
+# parameter: erfc(5.9) = 7e-17 is what chi leaves past the cut and what 1 - chi
+# leaves at the centre
+_WINDOW_SIGMA = 2.0  # width of chi's erf edges
+_WINDOW_CORE = 5.9 * _WINDOW_SIGMA  # chi's half-width a
+_WINDOW_CUT = _WINDOW_CORE + 5.9 * _WINDOW_SIGMA  # chi's share is summed where |tau| <= cut
+_WINDOW_ALIAS = 1e-15  # the largest aliasing bound of the coarse share, relative, that takes it
 KAPPA_DIAM_MAX = 16.0  # kappa times the node diameter the log split resolves to 1e-9
 
 
@@ -498,13 +506,8 @@ def _phi_z_apply(points, grid, g2, z, coupling):
     the whole chunk, whose row count fixes how BLAS sums each row.
     """
     kappa = K.gap_kappa(z, coupling.mass)
-    pref = 1.0 / (2 * np.pi)
-    mass = coupling.mass
-    gw = np.ascontiguousarray((g2 * grid.weights).T)
-    gw_real = gw.view(float)  # (N, 4): real and imaginary parts side by side
-    gw_f = np.stack([gw[:, 0], np.conj(gw[:, 1])], axis=1)
+    sc, gw_real, gw_f = _cyclic_sources(grid, g2, 1)
     pc = points[:, 0] + 1j * points[:, 1]
-    sc = grid.zc
     rows = max(1, _POTENTIAL_PAIRS // max(len(sc), 1))
     step = max(1, _FIELD_PAIRS // max(len(sc), 1))
 
@@ -523,31 +526,122 @@ def _phi_z_apply(points, grid, g2, z, coupling):
             for _ in pool_map(functools.partial(fill, chunk, k0, f),
                               range(0, len(chunk), step)):
                 pass  # reading each result raises what its task raised
-            k0_gw = (k0 @ gw_real).view(complex)
-            f_gw = (pref * kappa) * (f @ gw_f)
-            out[0, lo:lo + rows] = pref * (mass + z) * k0_gw[:, 0] + 1j * np.conj(f_gw[:, 1])
-            out[1, lo:lo + rows] = pref * (z - mass) * k0_gw[:, 1] + 1j * f_gw[:, 0]
+            out[:, lo:lo + rows] = _spinor_values((k0 @ gw_real).view(complex), f @ gw_f,
+                                                  kappa, z, coupling.mass)
     return out
+
+
+def _spinor_values(k0_gw, f_gw, kappa, z, mass):
+    """The potential's (2, M) values from the (M, 2) products of the K0 field
+    with (gw_0, gw_1) and of K1 (dx + i dy)/r with (gw_0, conj(gw_1))."""
+    pref = 1.0 / (2 * np.pi)
+    f_gw = (pref * kappa) * f_gw
+    return np.stack([pref * (mass + z) * k0_gw[:, 0] + 1j * np.conj(f_gw[:, 1]),
+                     pref * (z - mass) * k0_gw[:, 1] + 1j * f_gw[:, 0]])
+
+
+def _window(tau):
+    """chi(tau) = (erf((tau + a)/sigma) - erf((tau - a)/sigma))/2, the partition
+    of unity that splits a near point's potential (``_window_apply``)."""
+    return 0.5 * (erf((tau + _WINDOW_CORE) / _WINDOW_SIGMA)
+                  - erf((tau - _WINDOW_CORE) / _WINDOW_SIGMA))
+
+
+def _cyclic_sources(grid, g2, length):
+    """The grid's nodes, g w as (N, 4) reals (real and imaginary parts side
+    by side) and (g_0 w, conj(g_1) w), each continued cyclically by
+    length - 1 nodes, so that every run of ``length`` consecutive nodes is
+    one slice."""
+    ext = np.arange(grid.n_nodes + length - 1) % grid.n_nodes
+    gw = np.ascontiguousarray((g2 * grid.weights).T[ext])
+    return grid.zc[ext], gw.view(float), np.stack([gw[:, 0], np.conj(gw[:, 1])], axis=1)
+
+
+def _window_apply(points, jmin, grid, g2, fine, g_fine, z, coupling):
+    """``_phi_z_apply`` of the fine grid's density at points (M, 2), each
+    point's integral split by the window chi centred on its nearest coarse
+    node jmin, tau in coarse spacings from it: chi's share is summed on the
+    fine grid where |tau| <= ``_WINDOW_CUT``, the share 1 - chi on the coarse
+    grid.  Both shares are smooth and periodic, so each trapezoid sum equals
+    the fine grid's to roundoff where ``evaluate_potential`` takes the window.
+    A solve-pool task takes a number of points fixed by the grids and sums
+    each point apart, so the values do not depend on the worker count."""
+    kappa = K.gap_kappa(z, coupling.mass)
+    n = grid.n_nodes
+    factor = fine.n_nodes // n
+    half = int(_WINDOW_CUT * factor)
+    lags = np.arange(-half, half + 1), np.arange(-(n // 2), n - n // 2)
+    share = np.concatenate([_window(lags[0] / factor), 1.0 - _window(lags[1])])
+    sizes = len(lags[0]), n
+    cols = slice(0, sizes[0]), slice(sizes[0], None)
+    starts = (jmin * factor - half) % fine.n_nodes, (jmin - n // 2) % n
+    sources = _cyclic_sources(fine, g_fine, sizes[0]), _cyclic_sources(grid, g2, n)
+    pc = points[:, 0] + 1j * points[:, 1]
+    step = max(1, _FIELD_PAIRS // len(share))
+    out = np.empty((2, len(pc)), dtype=complex)
+
+    def fill(lo):
+        rows = np.arange(lo, min(lo + step, len(pc)))
+        d = np.empty((len(rows), len(share)), dtype=complex)
+        for i, p in enumerate(rows):
+            for (nodes, _, _), start, col, size in zip(sources, starts, cols, sizes):
+                np.subtract(pc[p], nodes[start[p]:start[p] + size], out=d[i, col])
+        r = np.abs(d)
+        k0 = K.bessel_k0(kappa * r)
+        k0 *= share
+        f = K.bessel_k1(kappa * r)
+        f *= share
+        f /= r
+        f = f * d
+        k0_gw = np.zeros((len(rows), 4))
+        f_gw = np.zeros((len(rows), 2), dtype=complex)
+        for i, p in enumerate(rows):
+            for (_, gw_real, gw_f), start, col, size in zip(sources, starts, cols, sizes):
+                k0_gw[i] += k0[i, col] @ gw_real[start[p]:start[p] + size]
+                f_gw[i] += f[i, col] @ gw_f[start[p]:start[p] + size]
+        out[:, rows] = _spinor_values(k0_gw.view(complex), f_gw, kappa, z, coupling.mass)
+
+    with solve_pool() as pool_map:
+        for _ in pool_map(fill, range(0, len(pc), step)):
+            pass  # reading each result raises what its task raised
+    return out
+
+
+def _nearest_nodes(grid, points):
+    """Each point's nearest node j, and whether a node more than
+    ``_WINDOW_CORE`` nodes from j comes within ten of its own weights of the
+    point: a thin neck of the curve, on a trapezoid grid."""
+    n = grid.n_nodes
+    dist = np.linalg.norm(points[:, None, :] - grid.nodes, axis=-1)
+    j = np.argmin(dist, axis=1)
+    lag = np.abs((np.arange(n) - j[:, None] + n // 2) % n - n // 2)
+    return j, np.any((lag > _WINDOW_CORE) & (dist < 10.0 * grid.weights), axis=1)
 
 
 def evaluate_potential(grid, density, z, coupling, points):
     """Layer potential Phi_z applied to a boundary density, evaluated off Sigma.
 
     The density is (2N,) or (2, N); returns (values (2, M) complex,
-    degraded (M,) bool).  Points closer than ten local mesh widths are
-    evaluated on a finer trapezoid grid of the curve (``discretize``), the
-    density interpolated to it by FFT zero-padding, on smooth grids; on panel
-    grids they are flagged as degraded instead.
+    degraded (M,) bool).  Points closer than ten local mesh widths are near:
+    on smooth grids they are evaluated against a finer trapezoid grid of the
+    curve (``discretize``), the density interpolated to it by FFT
+    zero-padding; on panel grids they are flagged as degraded instead.  Each
+    near point sums the fine grid only over a window around its nearest node
+    and the rest of the curve on the coarse grid (``_window_apply``), with
+    the fine grid's values to roundoff.  It sums the whole fine grid instead
+    where another arc of the curve comes within ten local weights of it
+    outside the window's core (a thin neck), and every near point does where
+    the grid is too coarse for the window or the density's top modes would
+    alias through the window's edges.
     """
     g2 = np.asarray(density, dtype=complex)
     if g2.shape not in ((2 * grid.n_nodes,), (2, grid.n_nodes)):
         raise ValueError(f"density of shape {g2.shape}, not (2N,) or (2, N), N = {grid.n_nodes}")
     g2 = g2.reshape(2, -1)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    rows = max(1, _POTENTIAL_PAIRS // grid.n_nodes)  # each point's nearest node, in chunks
-    jmin = np.concatenate([np.argmin(np.linalg.norm(points[lo:lo + rows, None, :] - grid.nodes,
-                                                    axis=-1), axis=1)
-                           for lo in range(0, len(points), rows)])
+    rows = max(1, _POTENTIAL_PAIRS // grid.n_nodes)  # the distances in chunks
+    jmin, neck = (np.concatenate(parts) for parts in zip(
+        *(_nearest_nodes(grid, points[lo:lo + rows]) for lo in range(0, len(points), rows))))
     dmin = np.linalg.norm(points - grid.nodes[jmin], axis=-1)
     scale = max(1.0, float(np.max(np.abs(grid.nodes))))
     if np.any(dmin < 1e-12 * scale):
@@ -577,5 +671,18 @@ def evaluate_potential(grid, density, z, coupling, points):
         pad[:, half] = 0.5 * spec[:, half]
         pad[:, -half] += 0.5 * spec[:, half]
         fine = discretize(grid.curve, n * factor)
-        values[:, near] = _phi_z_apply(points[near], fine, np.fft.ifft(pad) * factor, z, coupling)
+        g_fine = np.fft.ifft(pad) * factor
+        # chi must fall to erfc(5.9) before |tau| = n/2, and the coarse share
+        # aliases mode l through frequency n - |l|, where chi's edges weigh it
+        # by exp(-(pi sigma (n - |l|)/n)^2)
+        modes = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        alias = np.sum(np.abs(spec) * np.exp(-(np.pi * _WINDOW_SIGMA * (1.0 - modes / n)) ** 2))
+        windowed = n > 2.0 * _WINDOW_CUT and alias <= _WINDOW_ALIAS * np.sum(np.abs(spec))
+        whole = near & neck if windowed else near
+        if np.any(whole):
+            values[:, whole] = _phi_z_apply(points[whole], fine, g_fine, z, coupling)
+        part = near & ~whole
+        if np.any(part):
+            values[:, part] = _window_apply(points[part], jmin[part], grid, g2, fine, g_fine,
+                                            z, coupling)
     return values, degraded

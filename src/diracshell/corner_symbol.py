@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
 
 from .errors import ConvergenceError, DomainError
 from .kernels import Coupling
@@ -129,6 +128,8 @@ def _exp_integral(beta, theta: float, trunc: float, tol: float) -> np.ndarray:
     """int_{-trunc}^{trunc} e^{beta t} / (e^t + e^-t - 2 cos theta) dt for each
     exponent of the array beta, all by one vector quadrature: the subdivision
     serves the worst of them, and the error estimate is their largest."""
+    from scipy.integrate import quad_vec  # here, not at the top: classify and mtheta never integrate
+
     beta1 = np.asarray(beta, dtype=complex) + 1.0
     two_cos = 2.0 * math.cos(theta)
 
@@ -236,6 +237,8 @@ def mellin_reference(alpha: complex, omega: float, b: float) -> complex:
 def mellin_reference_quadrature(alpha: complex, omega: float, b: float,
                                 tol: float = 1e-12) -> complex:
     """Adaptive-quadrature cross-check of mellin_reference (t = log(x/b))."""
+    from scipy.integrate import quad
+
     alpha = _reference_alpha(alpha, omega, b)
     decay = min(alpha.real, 2.0 - alpha.real)
     trunc = 42.0 / decay

@@ -8,9 +8,10 @@ The fundamental solution of the two-dimensional Dirac expression
              + (i kappa / 2pi|x|) K1(kappa|x|) (sigma . x),   kappa = sqrt(m^2-z^2),
 
 and the limiting value at z = m is the pure Cauchy-type matrix kernel phi_m.
-The modified Bessel functions K0, K1, I0 and I1 come from scipy.special; the
-only series here is the one that keeps kappa K1(kappa r) - 1/r accurate at
-small kappa r.
+The modified Bessel functions K0, K1, I0 and I1 come from scipy.special,
+imported where they are evaluated, so that the commands that only read
+``Coupling`` (classify, mtheta, sweep) load no scipy; the only series here is
+the one that keeps kappa K1(kappa r) - 1/r accurate at small kappa r.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, SingularPointError, SpectralParameterError
 
@@ -78,21 +78,29 @@ def _checked(func, x):
 
 def bessel_k0(x):
     """Modified Bessel K0; scalar or array, x > 0."""
+    from scipy import special
+
     return _checked(special.k0, x)
 
 
 def bessel_k1(x):
     """Modified Bessel K1; scalar or array, x > 0."""
+    from scipy import special
+
     return _checked(special.k1, x)
 
 
 def bessel_i0(x):
     """Modified Bessel I0; scalar or array."""
+    from scipy import special
+
     return special.i0(x)
 
 
 def bessel_i1(x):
     """Modified Bessel I1; scalar or array."""
+    from scipy import special
+
     return special.i1(x)
 
 

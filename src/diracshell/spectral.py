@@ -460,14 +460,18 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
     m1 = np.empty_like(cz)
     m1[:, :n] = cz[:, n:] * grid.nc
     m1[:, n:] = cz[:, :n] * np.conj(grid.nc)
-    cc2 = float(np.linalg.norm(m1 @ m1 + 0.25 * np.eye(2 * n), 2))
+    m1 = m1 @ m1
+    m1[np.diag_indices_from(m1)] += 0.25
+    cc2 = float(np.linalg.norm(m1, 2))
+    del m1
     checks.append(IdentityCheck("cc2", cc2, tols["cc2"], cc2 <= tols["cc2"]))
 
     if grid.kind == "trapezoid":
         dens = _smooth_test_density(grid, seed)
         pts = np.concatenate([grid.nodes - offset * grid.normals,
                               grid.nodes + offset * grid.normals])
-        vin, vout = np.split(bo.evaluate_potential(grid, dens, z, coupling, pts)[0], 2, axis=1)
+        values, degraded = bo.evaluate_potential(grid, dens, z, coupling, pts)
+        vin, vout = np.split(values, 2, axis=1)
         snu_g = np.stack([np.conj(grid.nc) * dens[1], grid.nc * dens[0]])
         want_jump = -1j * snu_g
         rel2 = float(np.linalg.norm(vin - vout - want_jump)
@@ -479,8 +483,13 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
             float(np.linalg.norm(vin - want_in) / np.linalg.norm(want_in)),
             float(np.linalg.norm(vout - want_out) / np.linalg.norm(want_out)),
         )
-        checks += [IdentityCheck(name, rel, tols[name], rel <= tols[name], {"offset": offset})
-                   for name, rel in (("jump_two_sided", rel2), ("jump_one_sided", rel1))]
+        n_degraded = int(np.count_nonzero(degraded))
+        for name, rel in (("jump_two_sided", rel2), ("jump_one_sided", rel1)):
+            details = {"offset": offset, "degraded_points": n_degraded}
+            if n_degraded:  # the potential there misses the accuracy the check rests on
+                details["note"] = "near-curve values degraded beyond the upsampling cap"
+            checks.append(IdentityCheck(name, rel, tols[name],
+                                        rel <= tols[name] and not n_degraded, details))
     else:
         checks += [IdentityCheck(name, float("nan"), tols[name], None,
                                  {"note": "near-curve evaluation needs a smooth grid"})
@@ -507,7 +516,8 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
         inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex))
         # d (I - C_z inv) - inv, formed in place of the product
         e = cz @ inv
-        np.subtract(np.eye(2 * n), e, out=e)
+        np.negative(e, out=e)
+        e[np.diag_indices_from(e)] += 1.0
         e *= bo.coupling_diagonal(coupling, n)[:, None]
         e -= inv
         resid = float(np.max(np.abs(e)))

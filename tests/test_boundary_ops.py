@@ -588,17 +588,89 @@ def test_solve_pool_lists_the_blas_libraries_once(monkeypatch):
 
 def test_potential_with_every_point_near_makes_no_empty_coarse_pass(circle_grid_256,
                                                                     monkeypatch):
-    # points 1e-3 off the circle are all near: only the upsampled rule runs
+    # points 1e-3 off the circle are all near and all take the window: one
+    # windowed pass over every point, no coarse or whole-curve pass
     g = circle_grid_256
     dens = sp._smooth_test_density(g, 7)
     pts = g.nodes + 1e-3 * g.normals
     want, _ = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
-    sizes = []
-    apply = bo._phi_z_apply
-    monkeypatch.setattr(bo, "_phi_z_apply",
-                        lambda points, *a: sizes.append(len(points)) or apply(points, *a))
+    calls = []
+    for name in ("_phi_z_apply", "_window_apply"):
+        monkeypatch.setattr(bo, name, lambda points, *a, name=name, apply=getattr(bo, name):
+                            calls.append((name, len(points))) or apply(points, *a))
     got, _ = bo.evaluate_potential(g, dens, 0.3, COUP, pts)
-    assert sizes == [len(pts)]
+    assert calls == [("_window_apply", len(pts))]
+    assert np.array_equal(got, want)
+
+
+def _whole_fine_grid(monkeypatch):
+    """Make evaluate_potential sum every near point over the whole fine grid:
+    ``_phi_z_apply`` on discretize(curve, n factor) with the FFT-upsampled
+    density, the rule the window replaces."""
+    monkeypatch.setattr(bo, "_window_apply",
+                        lambda points, jmin, grid, g2, fine, g_fine, z, coupling:
+                        bo._phi_z_apply(points, fine, g_fine, z, coupling))
+
+
+@pytest.mark.parametrize("spec, nodes", [(geo.circle(1.0), 256), (geo.circle(1.0), 512),
+                                         (geo.ellipse(1.5, 0.7), 256), (geo.circle(2.0), 128)],
+                         ids=["circle-256", "circle-512", "ellipse-256", "circle2-128"])
+@pytest.mark.parametrize("z", [0.0, 0.7])
+def test_windowed_potential_matches_the_whole_fine_grid(spec, nodes, z, monkeypatch):
+    # chi's share and 1 - chi's are smooth and periodic, so their trapezoid
+    # sums equal the whole fine grid's to roundoff, inside and outside, from
+    # points 0.3 off (the coarse rule, or factor 2) to 1e-4 off (factor 256
+    # to 1024; past the cap and flagged on the radius-2 circle)
+    grid = geo.discretize(geo.build_curve(spec), nodes)
+    dens = sp._smooth_test_density(grid, 7)
+    c = Coupling(3.0, 1.0, 1.0)
+    got, want = [], []
+    for offset in (0.3, 1e-2, 1e-3, 1e-4):
+        pts = _off_curve(grid, offset, nodes // 16)
+        got.append(bo.evaluate_potential(grid, dens, z, c, pts))
+    _whole_fine_grid(monkeypatch)
+    for offset in (0.3, 1e-2, 1e-3, 1e-4):
+        pts = _off_curve(grid, offset, nodes // 16)
+        want.append(bo.evaluate_potential(grid, dens, z, c, pts))
+    for (vals, flags), (ref, ref_flags) in zip(got, want):
+        assert np.array_equal(flags, ref_flags)
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_windowed_potential_sums_under_1800_sources_a_point(circle_grid_256, monkeypatch):
+    # verify's points 1e-3 off the N=256 circle: the whole fine grid is 8192
+    # sources a point, the window 1511 fine ones and the 256 coarse ones
+    g = circle_grid_256
+    dens = sp._smooth_test_density(g, 7)
+    pts = _off_curve(g, 1e-3, 1)
+    sizes = []
+    bessel_k0 = K.bessel_k0
+    monkeypatch.setattr(K, "bessel_k0", lambda x: sizes.append(np.size(x)) or bessel_k0(x))
+    _, flags = bo.evaluate_potential(g, dens, 0.0, Coupling(3.0, 1.0, 1.0), pts)
+    assert not flags.any()
+    assert sum(sizes) <= 1800 * len(pts)
+
+
+@pytest.mark.parametrize("spec, density", [(geo.ellipse(1.0, 0.05), "smooth"),
+                                           (geo.circle(1.0), "full-band")])
+def test_potential_takes_the_whole_fine_grid_where_the_window_would_err(spec, density,
+                                                                        monkeypatch):
+    # near the 1 x 0.05 ellipse the far side lies within ten local weights
+    # (a thin neck); a density with random modes up to n/2 would alias
+    # through chi's edges on the coarse grid (about 1e-7 here).  Both take
+    # the whole fine grid, bitwise as before the window
+    grid = geo.discretize(geo.build_curve(spec), 256)
+    if density == "smooth":
+        dens = sp._smooth_test_density(grid, 7)
+    else:
+        rng = np.random.default_rng(5)
+        dens = rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))
+    c = Coupling(3.0, 1.0, 1.0)
+    pts = _off_curve(grid, 1e-3, 4)
+    got, flags = bo.evaluate_potential(grid, dens, 0.3, c, pts)
+    _whole_fine_grid(monkeypatch)
+    want, _ = bo.evaluate_potential(grid, dens, 0.3, c, pts)
+    assert not flags.any()
     assert np.array_equal(got, want)
 
 

@@ -420,6 +420,39 @@ seed = 7
     assert "cc2" in names and "resolvent_cancellation" in names
 
 
+def test_strict_verify_exits_3_on_degraded_near_curve_values(tmp_path):
+    # 1e-5 off the N=16 circle the upsampled grid would need more than its
+    # cap of 131072 nodes: both jump checks count the degraded points, say
+    # so and fail, so --strict exits 3
+    p = _write(tmp_path, "v.cfg", """
+[curve]
+preset = circle
+radius = 1.0
+
+[coupling]
+eps = 3.0
+mu = 1.0
+
+[discretization]
+nodes_per_edge = 16
+
+[verify]
+z = 0.0
+offset = 1e-5
+seed = 7
+""")
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", p, "--out", str(out), "--strict"]) == \
+        cli.EXIT_NUMERICAL
+    doc = json.loads((out / "verification.json").read_text())
+    jsonschema.validate(doc, _schema("verification.schema.json"))
+    jumps = [c for c in doc["checks"] if c["name"].startswith("jump_")]
+    assert len(jumps) == 2
+    for check in jumps:
+        assert check["details"]["degraded_points"] == 32
+        assert check["passed"] is False and "degraded" in check["details"]["note"]
+
+
 def test_sweep_end_to_end(tmp_path):
     p = _write(tmp_path, "s.cfg", """
 [classify]
@@ -1016,6 +1049,24 @@ def test_import_cli_leaves_numpy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import sys, diracshell.cli; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@pytest.mark.parametrize("command, config", [("classify", "classify_square"),
+                                             ("mtheta", "mtheta"), ("sweep", "sweep_square")])
+def test_one_shot_commands_load_no_scipy(tmp_path, command, config):
+    # none of them calls a scipy routine; importing scipy.integrate alone
+    # took most of their fresh-process wall time
+    src = str(Path(diracshell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys\nfrom diracshell import cli\n"
+            "status = cli.main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(status)")
+    res = subprocess.run([sys.executable, "-c", code, command, "--config",
+                          str(_ROOT / "configs" / f"{config}.cfg"), "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == cli.EXIT_OK, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_format_flag_removed(tmp_path):

@@ -807,6 +807,22 @@ def test_verify_identities_circle(circle_grid_256):
                      "resolvent_cancellation"]
 
 
+def test_verify_identities_peak_memory(circle_grid_256):
+    # C_z, the square of C_z (sigma . nu) in place of its factor and dropped
+    # before the potential, and I - C_z Lambda^-1 formed in place: the peak
+    # was 26 MB (6.5 of the 4 MB matrices) before, 22 MB after
+    g = circle_grid_256
+    bo.grid_tables(g)
+    tracemalloc.start()
+    try:
+        rep = sp.verify_identities(g, 0.0, Coupling(3.0, 1.0, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.all_passed
+    assert peak <= 6 * (2 * g.n_nodes) ** 2 * 16
+
+
 def test_verify_identities_evaluates_the_potential_once(circle_grid_128, monkeypatch):
     # the inside and outside points share one call, so the density goes to
     # the fine grid once
