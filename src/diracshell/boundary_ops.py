@@ -447,10 +447,11 @@ def theta_in_place(cz: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
 
 
 def lambda_from_cz(cz: np.ndarray, coupling: Coupling) -> np.ndarray:
-    """Matrix of Lambda_z = (eps sigma_0 - mu sigma_3)/(eps^2 - mu^2) + C_z."""
+    """Matrix of Lambda_z = (eps sigma_0 - mu sigma_3)/(eps^2 - mu^2) + C_z,
+    in Fortran order, so that ``lu_solve_with_cond`` factors it in place."""
     if coupling.is_critical:
         raise CriticalCouplingError("Lambda_z undefined at |eps| = |mu|")
-    lam = cz.copy()
+    lam = cz.copy(order="F")
     lam[np.diag_indices_from(lam)] += 1.0 / coupling_diagonal(coupling, cz.shape[0] // 2)
     return lam
 
@@ -478,12 +479,15 @@ def hermitian_defect(matrix: np.ndarray) -> float:
 
 
 def lu_solve_with_cond(matrix: np.ndarray, rhs: np.ndarray):
-    """LU solve with a 1-norm condition estimate (reported alongside inverses)."""
-    lu, piv = sla.lu_factor(matrix)
+    """LU solve with a 1-norm condition estimate (reported alongside inverses).
+    Both arguments are overwritten, matrix by its factor and rhs by the
+    solution, where LAPACK can take them as they are (Fortran order, of the
+    solve's dtype); otherwise the solve works on copies."""
     anorm = np.linalg.norm(matrix, 1)
+    lu, piv = sla.lu_factor(matrix, overwrite_a=True)
     rcond, _ = sla.get_lapack_funcs("gecon", (lu,))(lu, anorm)
     cond = np.inf if rcond == 0 else 1.0 / rcond
-    return sla.lu_solve((lu, piv), rhs), cond
+    return sla.lu_solve((lu, piv), rhs, overwrite_b=True), cond
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,13 @@ from the bracket's previous vector, three from a seeded one at its first
 point; near its zero lambda_j is the eigenvalue nearest zero, which inverse
 iteration finds).  With exact signs brentq keeps a sign change of lambda_j
 in its bracket: run to tol/2, it returns a point within tol/2 of one,
-whatever the sizes.  Each cluster of roots forms its matrix twice from one
-set of kernel values: its exact spectrum gives the conditioning and the
-window of eigenvalues nearest zero, and two inverse-iteration steps of a
-seeded block on one factorization of the matrix shifted into that window
-(``_factor_step``) and a QR step give the eigenvectors.  No dense
-eigenvector solver is used.
+whatever the sizes.  ``brentq`` is scipy's Brent loop, transcribed bit for
+bit so that the search does not import ``scipy.optimize``.  Each cluster of
+roots forms its matrix twice from one set of kernel values: its exact
+spectrum gives the conditioning and the window of eigenvalues nearest zero,
+and two inverse-iteration steps of a seeded block on one factorization of
+the matrix shifted into that window (``_factor_step``) and a QR step give
+the eigenvectors.  No dense eigenvector solver is used.
 
 The sweep samples, the brackets and then the roots do not depend on each
 other and are solved concurrently, one BLAS thread each
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.optimize import brentq
 
 from . import boundary_ops as bo
 from .errors import DomainError, SpectralParameterError
@@ -52,7 +53,7 @@ from .geometry import QuadratureGrid
 from .kernels import Coupling, gap_kappa
 
 TOL_RANGE = (1e-12, 1e-8)  # the supported root tolerances in z
-_RTOL = 4 * np.finfo(float).eps  # brentq's relative tolerance
+_RTOL = 4 * np.finfo(float).eps  # brentq's smallest relative tolerance
 _START_STEPS = 3  # inverse-iteration steps at a bracket's first interior point
 _SEED = 0  # of the start vectors: the same in every bracket and root
 
@@ -300,6 +301,80 @@ def find_eigenvalues(grid: QuadratureGrid, sweep: BranchData,
         return [pair for pairs in solve_map(root_pairs, enumerate(clusters)) for pair in pairs]
 
 
+def brentq(f, a, b, xtol, rtol, maxiter=100):
+    """A zero of f in [a, b], f(a) and f(b) of opposite signs, by Brent's
+    method (Brent, Algorithms for Minimization Without Derivatives, 1973,
+    ch. 4), to |dx| <= xtol + rtol |x|.  This is scipy's
+    ``optimize/Zeros/brentq.c`` line for line with the checks of
+    ``scipy.optimize.brentq``: it evaluates f at the same points in the
+    same order and returns the same float.  It is here because importing
+    ``scipy.optimize`` for it loaded about 210 scipy modules (scipy.sparse,
+    scipy.spatial, scipy.fft), 18 MB, into every process of the search.
+    Raises ValueError on xtol <= 0, rtol < 4u, a NaN value or ends of one
+    sign bit, and RuntimeError after ``maxiter`` steps."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter should be > 0")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    def negative(fx):  # C's signbit
+        return math.copysign(1.0, fx) < 0.0
+
+    # xcur is the estimate, xblk the other end of a bracket of it with
+    # |f(xcur)| <= |f(xblk)|, xpre the previous estimate; spre and scur are
+    # the steps before the last and the last
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless interpolation gives a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's quotient is then inf or NaN: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur!r}")
+
+
 def _bracket_root(grid, coupling, spectra, tol, bracket):
     """The root of lambda_j in the bracket (a, b, j): brentq to tol/2 on
     values of the sign of lambda_j (``_factor_step``, see the module
@@ -512,8 +587,10 @@ def verify_identities(grid: QuadratureGrid, z: float, coupling: Coupling,
                                              "smooth curves"}))
 
     if not coupling.is_critical:
+        # Lambda_z and the identity are factored and solved in place
         lam = bo.lambda_from_cz(cz, coupling)
-        inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex))
+        inv, cond = bo.lu_solve_with_cond(lam, np.eye(2 * n, dtype=complex, order="F"))
+        del lam
         # d (I - C_z inv) - inv, formed in place of the product
         e = cz @ inv
         np.negative(e, out=e)

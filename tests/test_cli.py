@@ -331,12 +331,10 @@ def test_shipped_eigs_config_certifies_every_root(tmp_path, monkeypatch):
     # step between two samples factors its matrix once, the first step of a
     # bracket takes its three solves from that one factorization, and each
     # cluster factors its shifted matrix once
-    from scipy.optimize import brentq
-
     from diracshell import spectral as sp
 
     solves, steps, factors = [], [], []
-    eigvalsh, lapack_call = sp._eigvalsh, sp._lapack_call
+    brentq, eigvalsh, lapack_call = sp.brentq, sp._eigvalsh, sp._lapack_call
 
     def count_solves(h):
         solves.append(1)
@@ -1051,11 +1049,9 @@ def test_import_cli_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-@pytest.mark.parametrize("command, config", [("classify", "classify_square"),
-                                             ("mtheta", "mtheta"), ("sweep", "sweep_square")])
-def test_one_shot_commands_load_no_scipy(tmp_path, command, config):
-    # none of them calls a scipy routine; importing scipy.integrate alone
-    # took most of their fresh-process wall time
+def _scipy_modules_loaded(tmp_path, command, config):
+    """The scipy modules loaded by a fresh process that runs ``command`` on
+    the shipped config ``config`` (it must exit 0)."""
     src = str(Path(diracshell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys\nfrom diracshell import cli\n"
@@ -1066,7 +1062,25 @@ def test_one_shot_commands_load_no_scipy(tmp_path, command, config):
                           str(_ROOT / "configs" / f"{config}.cfg"), "--out", str(tmp_path)],
                          env=env, capture_output=True, text=True, timeout=120)
     assert res.returncode == cli.EXIT_OK, res.stderr
-    assert res.stdout.splitlines()[-1] == "[]"
+    return ast.literal_eval(res.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, config", [("classify", "classify_square"),
+                                             ("mtheta", "mtheta"), ("sweep", "sweep_square")])
+def test_one_shot_commands_load_no_scipy(tmp_path, command, config):
+    # none of them calls a scipy routine; importing scipy.integrate alone
+    # took most of their fresh-process wall time
+    assert _scipy_modules_loaded(tmp_path, command, config) == []
+
+
+@pytest.mark.parametrize("command, config", [("eigs", "eigs_circle"), ("verify", "verify_circle")])
+def test_eigs_and_verify_load_no_scipy_optimize_or_sparse(tmp_path, command, config):
+    # the search's one optimize routine, brentq, is the package's own;
+    # importing scipy.optimize loaded scipy.sparse, scipy.spatial and
+    # scipy.fft with it, 18 MB
+    loaded = _scipy_modules_loaded(tmp_path, command, config)
+    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith(("scipy.optimize", "scipy.sparse"))] == []
 
 
 def test_format_flag_removed(tmp_path):
